@@ -19,9 +19,21 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .kernel import remainder_extrema
 from .lattice import enumerate_canonical
-from .sums import Interval, K_m, SumConfig, Z_n, build_Q, extremize_Q, vV_nt
+from .sums import (
+    Interval,
+    K_m,  # noqa: F401  (the searched sum at one k, kept importable from here)
+    SumConfig,
+    Z_n,
+    _FoldedTerms,
+    _power_table,
+    build_Q,
+    extremize_Q,
+    vV_nt,
+)
 from .tail import delta_K
 
 
@@ -93,38 +105,132 @@ def asymptotic_upper(model: AsymptoticModel, k_norm: float) -> float:
     return total
 
 
+def _check_search_radius(search_radius, rho) -> None:
+    radius = float(search_radius)
+    _require(
+        math.isfinite(radius),
+        f"requires a finite search_radius, got search_radius={search_radius}",
+    )
+    _require(
+        radius >= 2.0 * float(rho),
+        f"requires search_radius >= 2*rho = {2.0 * float(rho)}, "
+        f"got search_radius={search_radius}",
+    )
+
+
+#: Most terms one screening block holds per array (rows x ball points).
+_BLOCK_TERMS = 2**18
+
+_UNIT_ROUNDOFF = 2.0**-53
+#: Absolute slack of the screened bounds; covers rounding in the subnormal
+#: range, where the relative bounds do not hold.
+_TINY = 2.0**-1070
+
+
+def _shell_blocks(k2_sorted: list, rows: int) -> list:
+    """Blocks of (start, stop) ranges over reps sorted by |k|^2, at most `rows`
+    long, in groups that no shell crosses: a group is one block of whole
+    shells packed together, or the pieces of one shell longer than `rows`."""
+    groups = []
+    start = shell_start = 0
+    n = len(k2_sorted)
+    for end in range(1, n + 1):
+        if end < n and k2_sorted[end] == k2_sorted[end - 1]:
+            continue
+        if end - start > rows and shell_start > start:
+            groups.append([(start, shell_start)])
+            start = shell_start
+        if end - start > rows:
+            groups.append([(a, min(a + rows, end)) for a in range(start, end, rows)])
+            start = end
+        shell_start = end
+    if start < n:
+        groups.append([(start, n)])
+    return groups
+
+
+def _screen(terms: np.ndarray, scales: np.ndarray):
+    """Bounds [lo, hi] on each row's K_m value, scale * fsum(row), from np.sum.
+
+    For positive terms every summation order errs by at most gamma_{N-1}
+    times the exact sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4).  The relative slack 2 gamma + 8u also covers the
+    rounding of fsum, of the scaling and of the bounds themselves.
+    """
+    ulps = (terms.shape[1] - 1) * _UNIT_ROUNDOFF
+    rel = 2.0 * ulps / (1.0 - ulps) + 8.0 * _UNIT_ROUNDOFF
+    approx = scales * terms.sum(axis=1)
+    lo = approx * (1.0 - rel) - _TINY
+    hi = approx * (1.0 + rel) + _TINY
+    return np.where(np.isfinite(lo), lo, 0.0), hi
+
+
 def search_sup_Km(cfg: SumConfig, search_radius, *, threads: int | None = None):
     """Exact maximum of K_m over 0 < |k| < search_radius.
 
     Only canonical representatives (coordinates sorted descending, nonnegative)
     are evaluated; K_m is invariant under the signed-permutation group, so this
-    loses nothing.  Ties keep the lexicographically smallest canonical form.
+    loses nothing.  They are walked in (|k|^2, lex) order, in blocks of whole
+    shells of at most _BLOCK_TERMS terms per array.  Each block's terms are
+    ranked by np.sum under a proven error bound (_screen); within a shell,
+    only the reps whose upper bound reaches the shell's largest lower bound
+    get the exact fsum, on the same row of terms, so every value reported is
+    K_m(k) bit for bit.  A rep that is screened out is strictly below its
+    shell's maximum.  Ties keep the lexicographically smallest canonical form.
     Returns (max, argmax, shell_profile) with shell_profile mapping |k|^2 to
-    the shell's maximum.
+    the shell's maximum, keyed in order of first appearance in lex order.
+    Blocks are shared out over `threads` workers with identical results.
     """
-    _require(
-        float(search_radius) >= 2.0 * float(cfg.rho),
-        f"requires search_radius >= 2*rho = {2.0 * float(cfg.rho)}, "
-        f"got search_radius={search_radius}",
-    )
+    _check_search_radius(search_radius, cfg.rho)
     reps = enumerate_canonical(cfg.d, search_radius)
+    lex_k2 = [sum(c * c for c in k) for k in reps]
+    order = sorted(range(len(reps)), key=lex_k2.__getitem__)
+    k2 = [lex_k2[i] for i in order]
+    ks = np.array([reps[i] for i in order], dtype=np.int64)
+    scales = [float(s) ** cfg.n for s in k2]
+    rows = max(1, _BLOCK_TERMS // len(cfg.ball))
+    table = _power_table(cfg, k2[-1])
+
+    def run(groups):
+        """(|k|^2, k, K_m(k)) for every rep of `groups` the screen keeps."""
+        terms_of = _FoldedTerms(cfg, rows, table)
+        kept = []
+        for group in groups:
+            floor: dict = {}
+            contenders = []
+            for start, stop in group:
+                terms = terms_of(ks[start:stop])
+                lo, hi = _screen(terms, np.array(scales[start:stop]))
+                for i in range(start, stop):
+                    floor[k2[i]] = max(floor.get(k2[i], -math.inf), lo[i - start])
+                contenders += [
+                    (i, hi[i - start], terms[i - start].copy())
+                    for i in range(start, stop)
+                    if hi[i - start] >= floor[k2[i]]
+                ]
+            for i, top, row in contenders:
+                if top >= floor[k2[i]]:
+                    value = scales[i] * math.fsum(memoryview(row))
+                    kept.append((k2[i], reps[order[i]], value))
+        return kept
+
+    groups = _shell_blocks(k2, rows)
     workers = 1 if threads is None else int(threads)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(lambda k: K_m(k, cfg), reps, chunksize=16))
+            parts = pool.map(run, [groups[j::workers] for j in range(workers)])
+            kept = [entry for part in parts for entry in part]
     else:
-        values = [K_m(k, cfg) for k in reps]
-    best = -math.inf
-    best_k = None
-    shell_profile: dict = {}
-    for k, val in zip(reps, values):
-        s = sum(c * c for c in k)
-        if s not in shell_profile or val > shell_profile[s]:
-            shell_profile[s] = val
-        if val > best:
-            best, best_k = val, k
-    if best_k is None:
-        raise ParameterError("search region contains no lattice points")
+        kept = run(groups)
+
+    shell_best: dict = {}
+    for s, k, val in kept:
+        cur = shell_best.get(s)
+        if cur is None or val > cur[0] or (val == cur[0] and k < cur[1]):
+            shell_best[s] = (val, k)
+    shell_profile = {s: shell_best[s][0] for s in dict.fromkeys(lex_k2)}
+    best = max(shell_profile.values())
+    best_k = min(k for val, k in shell_best.values() if val == best)
     return best, best_k, shell_profile
 
 
@@ -180,11 +286,7 @@ def certify_bounds(
     _require(t >= 2 and t % 2 == 0, f"requires even t >= 2, got t={t}")
     if search_radius is None:
         search_radius = 2.0 * rf
-    _require(
-        float(search_radius) >= 2.0 * rf,
-        f"requires search_radius >= 2*rho = {2.0 * rf}, "
-        f"got search_radius={search_radius}",
-    )
+    _check_search_radius(search_radius, rf)
 
     cfg = SumConfig.create(d, nf, rho)
     extrema = remainder_extrema(nf, t)

@@ -181,11 +181,19 @@ def enumerate_canonical(d: int, radius) -> list[LatticeVector]:
     """All nonzero canonical representatives with |k| < radius, sorted lexicographically.
 
     These index the orbits of the signed-permutation group inside the open ball;
-    the search over sup K_m only ever evaluates these.
+    the search over sup K_m only ever evaluates these.  Raises
+    PointBudgetExceeded, before building any tuple, when the C(c+d, d) sorted
+    tuples with entries at most c = isqrt(|k|^2 bound) exceed the point budget.
     """
     if d < 2:
         raise ValueError(f"requires d >= 2, got d={d}")
     m = max_norm_sq_inside(radius)
+    if m >= 1 and math.comb(math.isqrt(m) + d, d) > DEFAULT_POINT_BUDGET:
+        raise PointBudgetExceeded(
+            f"canonical reps d={d}, radius={radius} span "
+            f"{math.comb(math.isqrt(m) + d, d)} sorted tuples, "
+            f"budget is {DEFAULT_POINT_BUDGET}"
+        )
     out: list[LatticeVector] = []
     vec = [0] * d
 

@@ -17,7 +17,11 @@ where the q/Q come from extremizing sphere polynomials over the unit sphere.
 
 All certificate-bound reductions go through math.fsum: the sum is exactly
 rounded, hence independent of term order, which is what makes the bitwise
-symmetry and thread-count guarantees real rather than incidental.
+symmetry and thread-count guarantees real rather than incidental.  The sup K_m
+search also takes np.sum of each row of terms, but only to rank candidates:
+for positive terms any summation order lies within gamma_{N-1} of the exact
+sum, so the search can discard a row whose whole interval falls below another
+row's, and every reported value is still the fsum of its row.
 """
 
 from __future__ import annotations
@@ -104,6 +108,92 @@ def _as_k(k, d: int) -> np.ndarray:
     return kt
 
 
+#: Most entries a |k-h|^-(2n+2) table may hold; a larger search computes the
+#: power directly, like a lone K_m call.
+_TABLE_MAX = 2**22
+
+
+def _power_table(cfg: SumConfig, k2_max: int) -> np.ndarray | None:
+    """[1 + (m > boundary_norm_sq)] * m^-(n+1) for every m = |k-h|^2 that a k
+    with |k|^2 <= k2_max meets; entry 0 (h = k) is 0.
+
+    Returns None where the table could not reproduce the direct terms bit for
+    bit -- float64 h.k may be inexact, or a doubled term may be subnormal,
+    where scaling by 2 is no longer exact -- or would exceed _TABLE_MAX.
+    """
+    h2_max = cfg._max_norm_sq
+    size = k2_max + h2_max + 2 * math.isqrt(k2_max * h2_max) + 3
+    if size > _TABLE_MAX or k2_max * h2_max >= 2**53:
+        return None
+    table = np.arange(size, dtype=float)
+    table[0] = 1.0
+    table = table ** (-(cfg.n + 1.0))
+    if table[-1] * cfg._inv_pow_np1.min() < 2.0**-1021:
+        return None
+    table[cfg.boundary_norm_sq + 1:] *= 2.0
+    table[0] = 0.0
+    return table
+
+
+class _FoldedTerms:
+    """The folded K_m terms of a block of B integer k's, as a B x N matrix:
+
+        [1 + (|k-h| >= rho)] * |h^k|^2 / (|h|^(2n+2) |k-h|^(2n+2))
+
+    over the N ball points h, with 0 at h = k.  Row i sums, times |k_i|^(2n),
+    to K_m(k_i).  With a table from _power_table the block runs in float64
+    (h.k is a matmul, exact under the table's bound) in buffers of `rows`
+    rows that every call overwrites, so each thread needs its own instance.
+    Without one it takes the direct power in int64 arithmetic.
+    """
+
+    def __init__(self, cfg: SumConfig, rows: int = 1, table=None):
+        self.cfg = cfg
+        self.table = table
+        if table is not None:
+            n_pts = len(cfg.ball)
+            self._points_t = np.ascontiguousarray(cfg.ball.points.T, dtype=float)
+            self._a = np.empty((rows, n_pts))
+            self._b = np.empty((rows, n_pts))
+            self._idx = np.empty((rows, n_pts), dtype=np.intp)
+
+    def __call__(self, ks: np.ndarray) -> np.ndarray:
+        if self.table is None:
+            return self._direct(ks)
+        cfg = self.cfg
+        b = ks.shape[0]
+        k2 = np.einsum("ij,ij->i", ks, ks).astype(float)[:, None]
+        dot, acc, idx = self._a[:b], self._b[:b], self._idx[:b]
+        np.matmul(ks.astype(float), self._points_t, out=dot)
+        np.multiply(dot, -2.0, out=acc)
+        acc += cfg._h2f
+        acc += k2
+        np.copyto(idx, acc, casting="unsafe")  # |k-h|^2, an exact integer
+        dot *= dot
+        np.multiply(k2, cfg._h2f, out=acc)
+        acc -= dot  # |h^k|^2, an exact integer
+        acc *= cfg._inv_pow_np1
+        np.take(self.table, idx, out=dot)
+        acc *= dot
+        return acc
+
+    def _direct(self, ks: np.ndarray) -> np.ndarray:
+        cfg = self.cfg
+        k2 = np.einsum("ij,ij->i", ks, ks)[:, None]
+        if int(k2.max()) * cfg._max_norm_sq >= 2**62:
+            raise ValueError(
+                f"|k|^2 = {int(k2.max())} too large for the int64 fast path"
+            )
+        h2 = cfg.ball.norm_sq
+        dot = ks @ cfg.ball.points.T
+        km2 = k2 - 2 * dot + h2
+        wedge = h2 * k2 - dot * dot
+        terms = wedge * cfg._inv_pow_np1
+        terms *= np.maximum(km2, 1).astype(float) ** (-(cfg.n + 1.0))
+        terms *= np.where(km2 > cfg.boundary_norm_sq, 2.0, 1.0)
+        return terms
+
+
 def K_m(k, cfg: SumConfig) -> float:
     """Near-region cutoff sum at k, folded onto the ball.
 
@@ -113,19 +203,8 @@ def K_m(k, cfg: SumConfig) -> float:
     with fsum the total -- is bitwise invariant under signed permutations of k.
     """
     kt = _as_k(k, cfg.d)
-    k2 = int(kt @ kt)
-    h2 = cfg.ball.norm_sq
-    if k2 * cfg._max_norm_sq >= 2**62:
-        raise ValueError(f"|k|^2 = {k2} too large for the int64 fast path")
-    dot = cfg.ball.points @ kt
-    km2 = k2 - 2 * dot + h2
-    wedge = h2 * k2 - dot * dot
-    live = km2 != 0
-    weight = np.where(km2 > cfg.boundary_norm_sq, 2.0, 1.0)
-    terms = wedge[live] * cfg._inv_pow_np1[live]
-    terms = terms * (km2[live].astype(float) ** (-(cfg.n + 1.0)))
-    terms = terms * weight[live]
-    return float(k2) ** cfg.n * math.fsum(terms.tolist())
+    terms = _FoldedTerms(cfg)(kt[None, :])[0]
+    return float(int(kt @ kt)) ** cfg.n * math.fsum(terms.tolist())
 
 
 _CHUNK = 2_000_000

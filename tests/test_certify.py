@@ -1,5 +1,7 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 
 import advbounds.certify as certify_mod
@@ -14,7 +16,7 @@ from advbounds.certify import (
 )
 from advbounds.kernel import remainder_extrema
 from advbounds.lattice import enumerate_ball, enumerate_canonical, is_canonical
-from advbounds.sums import SumConfig
+from advbounds.sums import K_m, SumConfig, _FoldedTerms, _power_table
 from conftest import rel_err
 
 DIAG_KEYS = {
@@ -86,10 +88,102 @@ def test_search_shell_profile():
     }
 
 
+def reference_search(cfg, radius):
+    """The plain per-rep loop: K_m at every canonical rep in lex order, the
+    first strict maximum kept, each shell's maximum keyed on first sight."""
+    best, best_k, profile = -math.inf, None, {}
+    for k in enumerate_canonical(cfg.d, radius):
+        val = K_m(k, cfg)
+        s = sum(c * c for c in k)
+        if s not in profile or val > profile[s]:
+            profile[s] = val
+        if val > best:
+            best, best_k = val, k
+    return best, best_k, profile
+
+
+def assert_same_search(got, want):
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert list(got[2].items()) == list(want[2].items())
+
+
+EQUIVALENCE_CASES = [
+    (d, n, rho)
+    for d, rho in ((2, 4.0), (3, 4.0), (4, 4.5))
+    for n in (2, 2.5, 3, 5)
+    if n > d / 2
+] + [(3, 150, 4.0)]  # terms this small take the direct power, not the table
+
+
+@pytest.mark.parametrize("d,n,rho", EQUIVALENCE_CASES)
+def test_search_matches_per_rep_loop(d, n, rho, monkeypatch):
+    cfg = SumConfig.create(d, n, rho)
+    want = reference_search(cfg, 2 * rho)
+    assert_same_search(search_sup_Km(cfg, 2 * rho), want)
+    assert_same_search(search_sup_Km(cfg, 2 * rho, threads=2), want)
+    monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", 1)  # one row per block
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+    try:
+        assert_same_search(search_sup_Km(cfg, 2 * rho, threads=3), want)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", 10**9)  # one block
+    assert_same_search(search_sup_Km(cfg, 2 * rho), want)
+
+
+def test_search_without_table_matches(monkeypatch):
+    cfg = SumConfig.create(3, 2.5, 5.0)
+    want = reference_search(cfg, 10.0)
+    monkeypatch.setattr(certify_mod, "_power_table", lambda cfg, k2_max: None)
+    assert_same_search(search_sup_Km(cfg, 10.0), want)
+
+
+def test_power_table_refuses_inexact_folds():
+    assert _power_table(SumConfig.create(3, 3, 5.0), 99) is not None
+    # a doubled term would be subnormal, where scaling by 2 can round
+    assert _power_table(SumConfig.create(3, 150, 4.0), 63) is None
+
+
+@pytest.mark.parametrize(
+    "d,n,rho", [(2, 3, 4.0), (3, 2, 6.0), (3, 5, 5.0), (4, 3, 4.5)]
+)
+def test_screened_interval_holds_exact_value(d, n, rho):
+    cfg = SumConfig.create(d, n, rho)
+    reps = enumerate_canonical(d, 2 * rho)
+    k2 = [sum(c * c for c in k) for k in reps]
+    table = _power_table(cfg, max(k2))
+    assert table is not None
+    terms = _FoldedTerms(cfg, len(reps), table)(np.array(reps, dtype=np.int64))
+    scales = [float(s) ** cfg.n for s in k2]
+    lo, hi = certify_mod._screen(terms, np.array(scales))
+    for i, k in enumerate(reps):
+        exact = K_m(k, cfg)
+        assert scales[i] * math.fsum(terms[i].tolist()) == exact
+        assert lo[i] <= exact <= hi[i]
+        assert hi[i] - lo[i] < 1e-9 * exact
+
+
+def test_shell_blocks():
+    shells = [1, 1, 2, 2, 3, 3, 3, 3, 3]
+    assert certify_mod._shell_blocks(shells, 3) == [
+        [(0, 2)], [(2, 4)], [(4, 7), (7, 9)]
+    ]
+    assert certify_mod._shell_blocks(shells, 4) == [[(0, 4)], [(4, 8), (8, 9)]]
+    assert certify_mod._shell_blocks(shells, 100) == [[(0, 9)]]
+    assert certify_mod._shell_blocks(shells, 1) == [
+        [(0, 1), (1, 2)], [(2, 3), (3, 4)], [(i, i + 1) for i in range(4, 9)]
+    ]
+
+
 def test_search_radius_validation():
     cfg = SumConfig.create(3, 2, 6.0)
     with pytest.raises(ParameterError, match=r"search_radius >= 2\*rho"):
         search_sup_Km(cfg, 11.0)
+    for radius in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="finite search_radius"):
+            search_sup_Km(cfg, radius)
 
 
 def test_asymptotic_upper_reference():
@@ -210,6 +304,8 @@ def test_certify_parameter_errors():
         certify_bounds(3, 2, 5.0, t=5)
     with pytest.raises(ParameterError, match=r"search_radius >= 2\*rho"):
         certify_bounds(3, 2, 5.0, search_radius=8.0)
+    with pytest.raises(ParameterError, match="finite search_radius"):
+        certify_bounds(3, 2, 5.0, search_radius=math.inf)
 
 
 def test_inconclusive_search_radius(monkeypatch):

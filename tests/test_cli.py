@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import advbounds.certify as certify_mod
 import advbounds.cli as cli
 from advbounds.certify import InconclusiveSearchRadius, certify_bounds
 from advbounds.fields import field_from_text
@@ -122,6 +123,20 @@ def test_certify_invalid_parameters_exit_1(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "n > d/2" in err
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_certify_nonfinite_search_radius_exit_1(radius, monkeypatch, capsys):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the search radius was checked")
+
+    monkeypatch.setattr(certify_mod.SumConfig, "create", no_stage)
+    monkeypatch.setattr(certify_mod, "remainder_extrema", no_stage)
+    argv = ["certify", "--d", "3", "--n", "3", "--rho", "5", "--search-radius", radius]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"requires a finite search_radius, got search_radius={radius}" in err
 
 
 def test_inconclusive_exit_2(monkeypatch, capsys):

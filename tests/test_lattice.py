@@ -200,3 +200,25 @@ def test_enumerate_canonical_sorted_and_strict():
     assert (2, 2, 0) in reps  # |k|^2 = 8 < 9
     assert (3, 0, 0) not in reps
     assert enumerate_canonical(2, 1.0) == []
+
+
+def test_enumerate_canonical_budget_checked_before_building(monkeypatch):
+    import advbounds.lattice as lattice_mod
+
+    monkeypatch.setattr(lattice_mod, "DEFAULT_POINT_BUDGET", 10)
+    assert len(enumerate_canonical(2, 4.0)) == 8  # c = 3: C(5, 2) = 10 tuples
+    with pytest.raises(PointBudgetExceeded, match="15 sorted tuples"):
+        enumerate_canonical(2, 5.0)  # c = 4: C(6, 2) = 15 tuples
+
+
+def test_enumerate_canonical_huge_radius_fails_fast():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(PointBudgetExceeded, match="budget is 80000000"):
+            enumerate_canonical(3, 1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
