@@ -133,6 +133,20 @@ def test_search_matches_per_rep_loop(d, n, rho, monkeypatch):
     assert_same_search(search_sup_Km(cfg, 2 * rho), want)
 
 
+def test_search_ties_keep_lex_smallest(monkeypatch):
+    # every row sums to 3, so K_m = 3 |k|^(2n) ties across each whole shell
+    monkeypatch.setattr(
+        certify_mod, "_FoldedTerms", lambda cfg, rows, table: np.ones_like
+    )
+    cfg = SumConfig.create(3, 2, 4.0)
+    reps = enumerate_canonical(3, 8.0)
+    top = max(sum(c * c for c in k) for k in reps)
+    best, k, profile = search_sup_Km(cfg, 8.0, threads=2)
+    assert k == min(r for r in reps if sum(c * c for c in r) == top)
+    assert best == float(top) ** 2 * 3.0
+    assert profile == {s: float(s) ** 2 * 3.0 for s in profile}
+
+
 def test_search_without_table_matches(monkeypatch):
     cfg = SumConfig.create(3, 2.5, 5.0)
     want = reference_search(cfg, 10.0)
