@@ -26,19 +26,17 @@ from .lattice import enumerate_canonical
 from .sums import (
     Interval,
     K_m,  # noqa: F401  (the searched sum at one k, kept importable from here)
+    ParameterError,
     SumConfig,
     Z_n,
     _FoldedTerms,
+    _k_scale,
     _power_table,
     build_Q,
     extremize_Q,
     vV_nt,
 )
 from .tail import delta_K
-
-
-class ParameterError(ValueError):
-    """An input fails one of the documented preconditions."""
 
 
 class InconclusiveSearchRadius(RuntimeError):
@@ -187,7 +185,7 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads: int | None = None):
     order = sorted(range(len(reps)), key=lex_k2.__getitem__)
     k2 = [lex_k2[i] for i in order]
     ks = np.array([reps[i] for i in order], dtype=np.int64)
-    scales = [float(s) ** cfg.n for s in k2]
+    scales = [_k_scale(s, cfg.n) for s in k2]
     rows = max(1, _BLOCK_TERMS // len(cfg.ball))
     table = _power_table(cfg, k2[-1])
 

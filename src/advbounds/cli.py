@@ -13,7 +13,9 @@ bounds round down, three significant digits, and the ratio row is truncated
 strings; runtime_ms is the only field allowed to vary between identical runs.
 
 Exit codes: 0 success, 1 invalid parameters (message names the violated
-precondition), 2 inconclusive search radius.
+precondition) or a table row that mismatches the reference, 2 inconclusive
+search radius, 3 an enclosure (remainder extrema or sphere-polynomial
+extremum) that did not reach its target width within its budget.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .fields import (
     trial_pair,
     witness_prediction,
 )
+from .kernel import EnclosureWidthError
 from .lattice import PointBudgetExceeded
 from .sums import K_m, SumConfig, Z_n
 from .tail import delta_K
@@ -469,6 +472,9 @@ def main(argv=None) -> int:
     except InconclusiveSearchRadius as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EnclosureWidthError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ParameterError, PointBudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

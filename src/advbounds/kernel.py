@@ -201,6 +201,21 @@ def _remainder_direct(n, t, c, xi):
     return (e_val - head) / xi**t
 
 
+def _grid_values(n, t: int, cgrid, xgrid) -> np.ndarray:
+    """remainder_values on the tensor grid cgrid x xgrid (xgrid ascending),
+    bit for bit as on the meshgrid, without building it.
+
+    The branch switch depends on xi alone, so each branch owns a block of
+    columns and runs once on the broadcast pair (cgrid[:, None], xi[None, :]):
+    the same point set, so the series stops at the same term, and the same
+    elementwise arithmetic, but each E_nl(c) is evaluated once per c."""
+    split = int(np.searchsorted(xgrid, series_switch(t), side="right"))
+    c = cgrid[:, None]
+    series = _remainder_series(n, t, c, xgrid[None, :split])
+    direct = _remainder_direct(n, t, c, xgrid[None, split:])
+    return np.hstack([series, direct])
+
+
 def remainder_values(n, t: int, c, xi) -> np.ndarray:
     """Vectorized R_nt on paired arrays c in [-1,1], xi in [0,1/2]."""
     c, xi = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(xi, dtype=float))
@@ -341,11 +356,13 @@ def remainder_extrema(
 ) -> RemainderExtrema:
     """Enclose min and max of R_nt over [-1,1] x [0,1/2].
 
-    Method: evaluate on a grid_resolution x ((grid_resolution+1)//2) vertex grid,
-    bound each cell by corner values plus a finite-difference slope margin
-    (safety factor 4), then refine only the cells that could still beat the best
-    sample, halving the cell size per level.  Raises EnclosureWidthError if the
-    requested relative width target_rel is unreachable within max_levels.
+    Method: evaluate on a grid_resolution x ((grid_resolution+1)//2) vertex grid
+    (separably, by _grid_values, so each E_nl(c) is evaluated once per grid c
+    and no meshgrid is built), bound each cell by corner values plus a
+    finite-difference slope margin (safety factor 4), then refine only the
+    cells that could still beat the best sample, halving the cell size per
+    level.  Raises EnclosureWidthError if the requested relative width
+    target_rel is unreachable within max_levels.
     """
     if t < 1:
         raise ValueError(f"requires t >= 1, got {t}")
@@ -355,8 +372,7 @@ def remainder_extrema(
     nx = (nc + 1) // 2
     cgrid = np.linspace(-1.0, 1.0, nc)
     xgrid = np.linspace(0.0, 0.5, nx)
-    mc, mx = np.meshgrid(cgrid, xgrid, indexing="ij")
-    base = remainder_values(n, t, mc.ravel(), mx.ravel()).reshape(nc, nx)
+    base = _grid_values(n, t, cgrid, xgrid)
 
     def f_pos(c, x):
         return remainder_values(n, t, c, x)

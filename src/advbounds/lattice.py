@@ -26,6 +26,12 @@ LatticeVector = tuple[int, ...]
 #: Hard cap on the number of candidate cube points an enumeration may visit.
 DEFAULT_POINT_BUDGET = 80_000_000
 
+#: Hard cap on the canonical representatives enumerate_canonical may build.
+#: Each costs about 240 bytes once the sup K_m search holds it (its tuple,
+#: about 75 bytes, plus the search's per-rep lists), so this caps that at
+#: about 130 MB; the largest production search builds 6,363.
+CANONICAL_BUDGET = 2**19
+
 
 class PointBudgetExceeded(RuntimeError):
     """Ball enumeration would visit more candidate points than the budget allows."""
@@ -183,16 +189,17 @@ def enumerate_canonical(d: int, radius) -> list[LatticeVector]:
     These index the orbits of the signed-permutation group inside the open ball;
     the search over sup K_m only ever evaluates these.  Raises
     PointBudgetExceeded, before building any tuple, when the C(c+d, d) sorted
-    tuples with entries at most c = isqrt(|k|^2 bound) exceed the point budget.
+    tuples with entries at most c = isqrt(|k|^2 bound), which bound the number
+    of representatives, exceed CANONICAL_BUDGET.
     """
     if d < 2:
         raise ValueError(f"requires d >= 2, got d={d}")
     m = max_norm_sq_inside(radius)
-    if m >= 1 and math.comb(math.isqrt(m) + d, d) > DEFAULT_POINT_BUDGET:
+    if m >= 1 and math.comb(math.isqrt(m) + d, d) > CANONICAL_BUDGET:
         raise PointBudgetExceeded(
             f"canonical reps d={d}, radius={radius} span "
             f"{math.comb(math.isqrt(m) + d, d)} sorted tuples, "
-            f"budget is {DEFAULT_POINT_BUDGET}"
+            f"budget is {CANONICAL_BUDGET} reps"
         )
     out: list[LatticeVector] = []
     vec = [0] * d

@@ -26,7 +26,6 @@ row's, and every reported value is still the fsum of its row.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +42,10 @@ from .lattice import (
     shared_ball,
 )
 from .tail import TailBoundInputs, tail_sum_bound
+
+
+class ParameterError(ValueError):
+    """An input fails one of the documented preconditions."""
 
 
 class Interval(NamedTuple):
@@ -194,6 +197,16 @@ class _FoldedTerms:
         return terms
 
 
+def _k_scale(k2: int, n: float) -> float:
+    """|k|^(2n) from the exact integer |k|^2; refuses a power past the float range."""
+    try:
+        return float(k2) ** n
+    except OverflowError:
+        raise ParameterError(
+            f"|k|^(2n) = {k2}^{n} overflows a float; requires a smaller |k| or n"
+        ) from None
+
+
 def K_m(k, cfg: SumConfig) -> float:
     """Near-region cutoff sum at k, folded onto the ball.
 
@@ -203,8 +216,9 @@ def K_m(k, cfg: SumConfig) -> float:
     with fsum the total -- is bitwise invariant under signed permutations of k.
     """
     kt = _as_k(k, cfg.d)
+    scale = _k_scale(int(kt @ kt), cfg.n)
     terms = _FoldedTerms(cfg)(kt[None, :])[0]
-    return float(int(kt @ kt)) ** cfg.n * math.fsum(terms.tolist())
+    return scale * math.fsum(terms.tolist())
 
 
 _CHUNK = 2_000_000
@@ -332,37 +346,6 @@ def _s_monomials(q: SpherePolynomial):
     return monos
 
 
-def _mono_eval(monos, s):
-    vals = []
-    for a, c in monos:
-        v = c
-        for ai, si in zip(a, s):
-            if ai:
-                v *= si**ai
-        vals.append(v)
-    return math.fsum(vals)
-
-
-def _poly_range(monos, lo, hi):
-    """Interval bound of sum c * prod x^a for x componentwise in [lo, hi] >= 0."""
-    lb = 0.0
-    ub = 0.0
-    for a, c in monos:
-        plo = 1.0
-        phi = 1.0
-        for ai, l, h in zip(a, lo, hi):
-            if ai:
-                plo *= l**ai
-                phi *= h**ai
-        if c >= 0.0:
-            lb += c * plo
-            ub += c * phi
-        else:
-            lb += c * phi
-            ub += c * plo
-    return lb, ub
-
-
 def _bounded_multi(total: int, slots: int):
     """All multi-indices in slots variables with sum <= total, deterministic."""
     if slots == 0:
@@ -410,89 +393,146 @@ def _derivative_free(monos, i):
     return sorted(out.items())
 
 
+class _ArrayPoly(NamedTuple):
+    """sum_j coeffs[j] * prod_i x_i^expos[j, i] in the free coordinates."""
+
+    expos: np.ndarray
+    coeffs: np.ndarray
+
+
+def _array_poly(monos, nfree: int) -> _ArrayPoly:
+    return _ArrayPoly(
+        np.array([a for a, _ in monos], dtype=np.intp).reshape(len(monos), nfree),
+        np.array([c for _, c in monos], dtype=float),
+    )
+
+
+def _powers(x: np.ndarray, deg: int) -> np.ndarray:
+    """x_bi ** j for j = 0..deg, as a B x nfree x (deg+1) array."""
+    return x[:, :, None] ** np.arange(deg + 1)
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Left-to-right sum of each row.  np.sum may pair terms differently as
+    the number of rows changes; an accumulate may not."""
+    return np.cumsum(x, axis=1)[:, -1] if x.shape[1] else np.zeros(len(x))
+
+
+def _box_range(poly: _ArrayPoly, lo_pw: np.ndarray, hi_pw: np.ndarray):
+    """Plain interval bound (lower, upper) of poly on each box [lo, hi] >= 0,
+    given the powers of the box corners; at lo = hi both are the value there.
+
+    A monomial is monotone on the nonnegative orthant, so its coefficient
+    times the corner values brackets it; the bounds sum the brackets."""
+    at_lo = at_hi = poly.coeffs
+    for i in range(poly.expos.shape[1]):
+        at_lo = at_lo * lo_pw[:, i, poly.expos[:, i]]
+        at_hi = at_hi * hi_pw[:, i, poly.expos[:, i]]
+    return _row_sums(np.minimum(at_lo, at_hi)), _row_sums(np.maximum(at_lo, at_hi))
+
+
+#: Most boxes one array evaluation of the simplex search holds.
+_BOX_CHUNK = 4096
+
+
+def _bound_boxes(poly, derivs, deg, lo, hi):
+    """Clip boxes to sum(x) <= 1 and bound the polynomial on each.
+
+    Returns (ub, inner, point, hi): the smaller of the plain interval bound
+    and a centered form with interval-bounded partial derivatives, the larger
+    of the values at the center and at lo, the point attaining it, and the
+    clipped upper corners.  The center is the midpoint when that is feasible,
+    else lo (with the reach doubled to match)."""
+    lo_sum = _row_sums(lo)[:, None]
+    hi = np.minimum(hi, 1.0 - (lo_sum - lo))
+    lo_pw, hi_pw = _powers(lo, deg), _powers(hi, deg)
+    plain_ub = _box_range(poly, lo_pw, hi_pw)[1]
+    mid = (lo + hi) / 2.0
+    at_mid = (_row_sums(mid) <= 1.0)[:, None]
+    center = np.where(at_mid, mid, lo)
+    reach = np.where(at_mid, (hi - lo) / 2.0, hi - lo)
+    slopes = np.empty_like(lo)
+    for i, deriv in enumerate(derivs):
+        dl, du = _box_range(deriv, lo_pw, hi_pw)
+        slopes[:, i] = np.maximum(np.abs(dl), np.abs(du))
+    spread = _row_sums(slopes * reach)
+    c_pw = _powers(center, deg)
+    fc = _box_range(poly, c_pw, c_pw)[1]
+    f0 = _box_range(poly, lo_pw, lo_pw)[1]
+    ub = np.minimum(plain_ub, fc + spread)
+    inner = np.maximum(fc, f0)
+    point = np.where((fc >= f0)[:, None], center, lo)
+    return ub, inner, point, hi
+
+
+def _bisect(lo, hi):
+    """Halve each box across its widest axis (ties: lowest axis); the two
+    halves of box b are rows 2b and 2b + 1."""
+    rows = np.arange(len(lo))
+    axis = np.argmax(hi - lo, axis=1)
+    cut = (lo[rows, axis] + hi[rows, axis]) / 2.0
+    lo2, hi2 = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+    hi2[2 * rows, axis] = cut
+    lo2[2 * rows + 1, axis] = cut
+    return lo2, hi2
+
+
 def _simplex_max(monos, d, target_rel, max_nodes):
-    """Best-first branch-and-bound max of the s-polynomial over the simplex.
+    """Level-synchronous branch-and-bound max of the s-polynomial over the simplex.
 
     Works on the reduced polynomial in the free coordinates x = (s_1..s_{d-1})
-    over the corner region {x >= 0, sum(x) <= 1}.  Each box is bounded by a
-    plain interval evaluation and a centered form with interval-bounded
-    partial derivatives; the heap is ordered by (bound, insertion counter),
-    which makes the whole search deterministic.
+    over the corner region {x >= 0, sum(x) <= 1}, with the monomials held as
+    an exponent matrix and a coefficient vector.  Each level bounds all its
+    boxes as arrays (_bound_boxes), in chunks of at most _BOX_CHUNK boxes so
+    that memory does not grow with the level, then takes the best inner value.
+    A box with ub <= best is dropped.  A box with best < ub <= best + tol is
+    settled: never split again, but its ub still counts toward the returned
+    upper bound.  Every other box is bisected into the next level, and
+    max_nodes caps the number of boxes bisected.  The inner maximum is the
+    first box's in array order on ties, so the search is deterministic and
+    independent of the chunk size.  Returns (upper, best, point).
     """
     nfree = d - 1
     free = _reduce_to_free(monos, d)
-    derivs = [_derivative_free(free, i) for i in range(nfree)]
-
-    def box_info(lo, hi):
-        lo_sum = math.fsum(lo)
-        if lo_sum > 1.0:
-            return None
-        hi = tuple(
-            min(h, 1.0 - (lo_sum - l)) for l, h in zip(lo, hi)
-        )
-        _, plain_ub = _poly_range(free, lo, hi)
-        mid = tuple((l + h) / 2.0 for l, h in zip(lo, hi))
-        if math.fsum(mid) <= 1.0:
-            center = mid
-            reach = [(h - l) / 2.0 for l, h in zip(lo, hi)]
-        else:
-            center = lo
-            reach = [h - l for l, h in zip(lo, hi)]
-        spread = 0.0
-        for i in range(nfree):
-            dl, du = _poly_range(derivs[i], lo, hi)
-            spread += max(abs(dl), abs(du)) * reach[i]
-        fc = _mono_eval(free, center)
-        f0 = _mono_eval(free, lo)
-        ub = min(plain_ub, fc + spread)
-        inner = max(fc, f0)
-        point = center if fc >= f0 else lo
-        return ub, inner, point, hi
+    poly = _array_poly(free, nfree)
+    derivs = [_array_poly(_derivative_free(free, i), nfree) for i in range(nfree)]
+    deg = int(poly.expos.max())
 
     best = -math.inf
     best_point = None
-    counter = 0
-    heap = []
-    root = ((0.0,) * nfree, (1.0,) * nfree)
-    info = box_info(*root)
-    if info is None:
-        raise ValueError("empty feasible region")
-    ub, inner, point, hi0 = info
-    if inner > best:
-        best, best_point = inner, point
-    heapq.heappush(heap, (-ub, counter, (root[0], hi0)))
+    settled = -math.inf
     nodes = 0
-    while heap:
-        negub, _, (lo, hi) = heapq.heappop(heap)
-        top = -negub
+    lo, hi = np.zeros((1, nfree)), np.ones((1, nfree))
+    while True:
+        parts = []
+        for start in range(0, len(lo), _BOX_CHUNK):
+            chunk = slice(start, start + _BOX_CHUNK)
+            ub, inner, point, clipped = _bound_boxes(
+                poly, derivs, deg, lo[chunk], hi[chunk]
+            )
+            i = int(np.argmax(inner))
+            if inner[i] > best:
+                best, best_point = float(inner[i]), point[i]
+            alive = ub > best
+            parts.append((lo[chunk][alive], clipped[alive], ub[alive]))
+        lo, hi, ub = (np.concatenate(p) for p in zip(*parts))
         tol = target_rel * max(1.0, abs(best))
-        if top - best <= tol:
+        split = ub - best > tol
+        in_band = ub[(ub > best) & ~split]
+        settled = max(settled, float(in_band.max(initial=-math.inf)))
+        if not split.any():
             break
-        nodes += 1
+        nodes += int(split.sum())
         if nodes > max_nodes:
             raise EnclosureWidthError(
-                f"sphere-polynomial extremum stuck at width {top - best:.3e} "
-                f"after {max_nodes} nodes"
+                f"sphere-polynomial extremum stuck at width "
+                f"{float(ub[split].max()) - best:.3e} after {max_nodes} nodes"
             )
-        widths = [h - l for l, h in zip(lo, hi)]
-        axis = max(range(nfree), key=lambda i: (widths[i], -i))
-        cut = (lo[axis] + hi[axis]) / 2.0
-        for child_lo, child_hi in (
-            (lo, tuple(cut if i == axis else h for i, h in enumerate(hi))),
-            (tuple(cut if i == axis else l for i, l in enumerate(lo)), hi),
-        ):
-            info = box_info(child_lo, child_hi)
-            if info is None:
-                continue
-            ub, inner, point, clipped_hi = info
-            if inner > best:
-                best, best_point = inner, point
-            counter += 1
-            if ub > best:
-                heapq.heappush(heap, (-ub, counter, (child_lo, clipped_hi)))
-        top = -heap[0][0] if heap else best
-    upper = max(top, best)
-    full_point = tuple(best_point) + (max(0.0, 1.0 - math.fsum(best_point)),)
+        lo, hi = _bisect(lo[split], hi[split])
+        feasible = _row_sums(lo) <= 1.0
+        lo, hi = lo[feasible], hi[feasible]
+    upper = max(settled, best)
+    full_point = tuple(best_point.tolist()) + (max(0.0, 1.0 - math.fsum(best_point)),)
     return upper, best, full_point
 
 
@@ -501,9 +541,12 @@ def extremize_Q(
 ):
     """Outward enclosures of min/max of the sphere polynomial, plus the argmax.
 
-    Works on the simplex image s_i = u_i^2 (the polynomial is even), with a
-    deterministic branch-and-bound; the argmax is reported as the canonical
-    (sorted descending, nonnegative) unit vector.
+    Works on the simplex image s_i = u_i^2 (the polynomial is even), with the
+    level-synchronous branch-and-bound of _simplex_max: each endpoint lies
+    within target_rel of a sampled value, and raises EnclosureWidthError once
+    more than max_nodes boxes would be split.  The result is deterministic;
+    the argmax is reported as the canonical (sorted descending, nonnegative)
+    unit vector.
     """
     monos = _s_monomials(q)
     if not monos:

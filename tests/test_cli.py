@@ -7,6 +7,7 @@ import advbounds.certify as certify_mod
 import advbounds.cli as cli
 from advbounds.certify import InconclusiveSearchRadius, certify_bounds
 from advbounds.fields import field_from_text
+from advbounds.kernel import EnclosureWidthError
 from advbounds.sums import SumConfig, Z_n
 from advbounds.tail import delta_K
 from conftest import rel_err
@@ -149,6 +150,25 @@ def test_inconclusive_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "certify_bounds", boom)
     assert cli.main(["certify", "--d", "3", "--n", "2", "--rho", "5"]) == 2
     assert "error: inconclusive search radius" in capsys.readouterr().err
+
+
+def test_enclosure_failure_exit_3(monkeypatch, capsys):
+    def stuck(*args, **kwargs):
+        raise EnclosureWidthError(
+            "sphere-polynomial extremum stuck at width 2.102e-02 after 400000 nodes"
+        )
+
+    monkeypatch.setattr(certify_mod, "extremize_Q", stuck)
+    assert cli.main(["certify", "--d", "3", "--n", "3", "--rho", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: sphere-polynomial extremum stuck")
+
+
+def test_sums_overflowing_scale_exit_1(capsys):
+    argv = ["sums", "--d", "3", "--n", "200", "--rho", "4", "--k", "7,0,0"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: |k|^(2n) = 49^200.0 overflows a float")
 
 
 def test_table_single_rows(capsys):

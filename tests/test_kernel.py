@@ -7,6 +7,7 @@ import pytest
 
 from advbounds.kernel import (
     EnclosureWidthError,
+    _grid_values,
     KernelDomainError,
     eval_E,
     eval_remainder,
@@ -178,6 +179,20 @@ def test_remainder_values_vectorized_matches_scalar(rng):
     vec = remainder_values(2, 6, c, xi)
     for i in range(40):
         assert vec[i] == eval_remainder(2, 6, c[i], xi[i])
+
+
+@pytest.mark.parametrize("n", [3, 2.5, Fraction(7, 2)])
+@pytest.mark.parametrize("t", [2, 6, 14])
+def test_grid_values_bitwise_match_meshgrid(n, t):
+    """The separable base grid of remainder_extrema is remainder_values on the
+    meshgrid, bit for bit, with both branches present."""
+    cgrid = np.linspace(-1.0, 1.0, 41)
+    xgrid = np.linspace(0.0, 0.5, 21)
+    assert 0 < np.searchsorted(xgrid, series_switch(t), side="right") < 21
+    mc, mx = np.meshgrid(cgrid, xgrid, indexing="ij")
+    want = remainder_values(n, t, mc.ravel(), mx.ravel()).reshape(41, 21)
+    got = _grid_values(n, t, cgrid, xgrid)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_remainder_extrema_known_values():

@@ -205,7 +205,7 @@ def test_enumerate_canonical_sorted_and_strict():
 def test_enumerate_canonical_budget_checked_before_building(monkeypatch):
     import advbounds.lattice as lattice_mod
 
-    monkeypatch.setattr(lattice_mod, "DEFAULT_POINT_BUDGET", 10)
+    monkeypatch.setattr(lattice_mod, "CANONICAL_BUDGET", 10)
     assert len(enumerate_canonical(2, 4.0)) == 8  # c = 3: C(5, 2) = 10 tuples
     with pytest.raises(PointBudgetExceeded, match="15 sorted tuples"):
         enumerate_canonical(2, 5.0)  # c = 4: C(6, 2) = 15 tuples
@@ -216,8 +216,11 @@ def test_enumerate_canonical_huge_radius_fails_fast():
 
     tracemalloc.start()
     try:
-        with pytest.raises(PointBudgetExceeded, match="budget is 80000000"):
+        with pytest.raises(PointBudgetExceeded, match="budget is 524288 reps"):
             enumerate_canonical(3, 1e6)
+        # c = 150: C(153, 3) = 585,276 tuples bound the 305,293 reps
+        with pytest.raises(PointBudgetExceeded, match="585276 sorted tuples"):
+            enumerate_canonical(3, 151.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import heapq
 import math
 from fractions import Fraction
 from itertools import product
@@ -5,12 +6,14 @@ from itertools import product
 import numpy as np
 import pytest
 
+import advbounds.sums as sums_mod
 from advbounds.kernel import EnclosureWidthError, remainder_extrema, substituted_coeff
 from advbounds.lattice import max_norm_sq_inside, signed_permutations
 from advbounds.sums import (
     Interval,
     K_m,
     KK_direct,
+    ParameterError,
     SpherePolynomial,
     SumConfig,
     Z_n,
@@ -61,6 +64,8 @@ def test_K_m_input_validation():
         K_m((1, 0), cfg)
     with pytest.raises(ValueError, match="too large"):
         K_m((600_000_000, 0, 0), cfg)
+    with pytest.raises(ParameterError, match=r"\|k\|\^\(2n\) = 49\^200.0 overflows"):
+        K_m((7, 0, 0), SumConfig.create(3, 200, 4.0))
 
 
 @pytest.mark.parametrize(
@@ -233,15 +238,184 @@ def test_sphere_polynomial_eval_invariance(rng):
     assert batch[0] == q.eval(u)
 
 
+def _mono_eval(monos, s):
+    vals = []
+    for a, c in monos:
+        v = c
+        for ai, si in zip(a, s):
+            if ai:
+                v *= si**ai
+        vals.append(v)
+    return math.fsum(vals)
+
+
+def _poly_range(monos, lo, hi):
+    """Interval bound of sum c * prod x^a for x componentwise in [lo, hi] >= 0."""
+    lb = 0.0
+    ub = 0.0
+    for a, c in monos:
+        plo = 1.0
+        phi = 1.0
+        for ai, l, h in zip(a, lo, hi):
+            if ai:
+                plo *= l**ai
+                phi *= h**ai
+        if c >= 0.0:
+            lb += c * plo
+            ub += c * phi
+        else:
+            lb += c * phi
+            ub += c * plo
+    return lb, ub
+
+
+def heap_simplex_max(monos, d, target_rel, max_nodes):
+    """Reference: best-first (heap) branch-and-bound, one scalar box at a time,
+    with the same box bounds as sums._simplex_max."""
+    nfree = d - 1
+    free = sums_mod._reduce_to_free(monos, d)
+    derivs = [sums_mod._derivative_free(free, i) for i in range(nfree)]
+
+    def box_info(lo, hi):
+        lo_sum = math.fsum(lo)
+        if lo_sum > 1.0:
+            return None
+        hi = tuple(min(h, 1.0 - (lo_sum - l)) for l, h in zip(lo, hi))
+        _, plain_ub = _poly_range(free, lo, hi)
+        mid = tuple((l + h) / 2.0 for l, h in zip(lo, hi))
+        if math.fsum(mid) <= 1.0:
+            center = mid
+            reach = [(h - l) / 2.0 for l, h in zip(lo, hi)]
+        else:
+            center = lo
+            reach = [h - l for l, h in zip(lo, hi)]
+        spread = 0.0
+        for i in range(nfree):
+            dl, du = _poly_range(derivs[i], lo, hi)
+            spread += max(abs(dl), abs(du)) * reach[i]
+        fc = _mono_eval(free, center)
+        f0 = _mono_eval(free, lo)
+        ub = min(plain_ub, fc + spread)
+        inner = max(fc, f0)
+        point = center if fc >= f0 else lo
+        return ub, inner, point, hi
+
+    best = -math.inf
+    best_point = None
+    counter = 0
+    heap = []
+    root = ((0.0,) * nfree, (1.0,) * nfree)
+    ub, inner, point, hi0 = box_info(*root)
+    if inner > best:
+        best, best_point = inner, point
+    heapq.heappush(heap, (-ub, counter, (root[0], hi0)))
+    nodes = 0
+    while heap:
+        negub, _, (lo, hi) = heapq.heappop(heap)
+        top = -negub
+        tol = target_rel * max(1.0, abs(best))
+        if top - best <= tol:
+            break
+        nodes += 1
+        if nodes > max_nodes:
+            raise EnclosureWidthError(f"stuck after {max_nodes} nodes")
+        widths = [h - l for l, h in zip(lo, hi)]
+        axis = max(range(nfree), key=lambda i: (widths[i], -i))
+        cut = (lo[axis] + hi[axis]) / 2.0
+        for child_lo, child_hi in (
+            (lo, tuple(cut if i == axis else h for i, h in enumerate(hi))),
+            (tuple(cut if i == axis else l for i, l in enumerate(lo)), hi),
+        ):
+            info = box_info(child_lo, child_hi)
+            if info is None:
+                continue
+            ub, inner, point, clipped_hi = info
+            if inner > best:
+                best, best_point = inner, point
+            counter += 1
+            if ub > best:
+                heapq.heappush(heap, (-ub, counter, (child_lo, clipped_hi)))
+        top = -heap[0][0] if heap else best
+    upper = max(top, best)
+    full_point = tuple(best_point) + (max(0.0, 1.0 - math.fsum(best_point)),)
+    return upper, best, full_point
+
+
+def signed_monos(q, sign):
+    return [(a, sign * c) for a, c in sums_mod._s_monomials(q)]
+
+
+def assert_in_band(upper, best, target_rel=1e-6):
+    """upper encloses the search's best sample and sits within target_rel of it."""
+    assert best <= upper <= best + target_rel * max(1.0, abs(best))
+
+
 def test_extremize_Q_reference():
+    """Pins of the level-synchronous search at d=3 n=2 rho=20.
+
+    The heap (best-first) search stopped elsewhere inside the same 1e-6 band,
+    so its pins (OLD) moved; each new endpoint is no looser than its old pin
+    beyond 1e-12 relative, and lies within the band of the best sample.
+    """
+    old = {
+        (2, 1): 598.2733381963862,
+        (2, -1): 554.9832152851241,
+        (4, 1): 115062.6077577715,
+        (4, -1): 114131.32519252066,
+    }
     cfg = SumConfig.create(3, 2, 20.0)
     qmin, qmax, arg = extremize_Q(build_Q(cfg, 2))
-    assert rel_err(qmax, 598.2733381963862) < 1e-10
+    assert rel_err(qmax, 598.2733381963864) < 1e-10
     assert rel_err(qmin, 554.9832152851241) < 1e-10
     assert max(abs(a - 1.0 / math.sqrt(3.0)) for a in arg) < 1e-3
     qmin4, qmax4, _ = extremize_Q(build_Q(cfg, 4))
-    assert rel_err(qmin4, 114131.32519252066) < 1e-10
-    assert rel_err(qmax4, 115062.6077577715) < 1e-10
+    assert rel_err(qmin4, 114131.32519252067) < 1e-10
+    assert rel_err(qmax4, 115062.6006169254) < 1e-10
+    got = {(2, 1): qmax, (2, -1): qmin, (4, 1): qmax4, (4, -1): qmin4}
+    for (ell, sign), value in got.items():
+        assert sign * (value - old[ell, sign]) <= 1e-12 * abs(old[ell, sign])
+        upper, best, _ = sums_mod._simplex_max(
+            signed_monos(build_Q(cfg, ell), sign), 3, 1e-6, 400_000
+        )
+        assert sign * value == upper
+        assert_in_band(upper, best)
+
+
+BENCH_CASES = [
+    (3, 2, 20.0), (3, 3, 10.0), (3, 4, 10.0), (3, 5, 10.0), (3, 10, 10.0),
+    (4, 3, 10.0), (2, 2, 10.0),
+]
+
+
+@pytest.mark.parametrize("d,n,rho", BENCH_CASES)
+def test_simplex_max_against_heap_reference(d, n, rho):
+    """Every (l, sign) of a benchmark case: the level-synchronous bound is no
+    looser than the heap search's beyond 1e-12 relative, encloses the heap
+    search's best sample and lies within the band of its own."""
+    cfg = SumConfig.create(d, n, rho)
+    for ell in (2, 4):
+        q = build_Q(cfg, ell)
+        for sign in (1, -1):
+            monos = signed_monos(q, sign)
+            upper, best, point = sums_mod._simplex_max(monos, d, 1e-6, 400_000)
+            ref_upper, ref_best, _ = heap_simplex_max(monos, d, 1e-6, 400_000)
+            slack = 1e-12 * max(1.0, abs(ref_upper))
+            assert upper <= ref_upper + slack
+            assert ref_best <= upper + slack
+            assert_in_band(upper, best)
+            assert len(point) == d and abs(math.fsum(point) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "d,n,rho,ell,sign",
+    [(3, 3, 10.0, 4, 1), (3, 3, 10.0, 4, -1), (4, 3, 10.0, 2, -1), (2, 2, 10.0, 2, 1)],
+)
+def test_simplex_max_chunk_independent(d, n, rho, ell, sign, monkeypatch):
+    monos = signed_monos(build_Q(SumConfig.create(d, n, rho), ell), sign)
+    want = sums_mod._simplex_max(monos, d, 1e-6, 400_000)
+    for chunk in (1, 10**9):
+        monkeypatch.setattr(sums_mod, "_BOX_CHUNK", chunk)
+        assert sums_mod._simplex_max(monos, d, 1e-6, 400_000) == want
 
 
 def test_extremize_Q_encloses_samples(rng):
