@@ -36,7 +36,7 @@ from .sums import (
     extremize_Q,
     vV_nt,
 )
-from .tail import delta_K
+from .tail import check_parameters, delta_K
 
 
 class InconclusiveSearchRadius(RuntimeError):
@@ -163,7 +163,7 @@ def _screen(terms: np.ndarray, scales: np.ndarray):
     return np.where(np.isfinite(lo), lo, 0.0), hi
 
 
-def search_sup_Km(cfg: SumConfig, search_radius, *, threads: int | None = None):
+def search_sup_Km(cfg: SumConfig, search_radius, *, threads: int = 1):
     """Exact maximum of K_m over 0 < |k| < search_radius.
 
     Only canonical representatives (coordinates sorted descending, nonnegative)
@@ -213,10 +213,9 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads: int | None = None):
         return kept
 
     groups = _shell_blocks(k2, rows)
-    workers = 1 if threads is None else int(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(run, [groups[j::workers] for j in range(workers)])
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = pool.map(run, [groups[j::threads] for j in range(threads)])
             kept = [entry for part in parts for entry in part]
     else:
         kept = run(groups)
@@ -264,7 +263,7 @@ def certify_bounds(
     t: int = 6,
     search_radius=None,
     *,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> BoundCertificate:
     """Run the full pipeline and return a certificate (or raise).
 
@@ -273,18 +272,16 @@ def certify_bounds(
     maximum -- enlarge search_radius (or rho) and retry.
     """
     start = time.perf_counter()
-    _require(isinstance(d, int) and d >= 2, f"requires integer d >= 2, got d={d}")
-    nf = float(n)
-    _require(nf > d / 2.0, f"requires n > d/2, got n={n}, d={d}")
-    rf = float(rho)
-    _require(
-        rf > 2.0 * math.sqrt(d),
-        f"requires rho > 2*sqrt(d) = {2.0 * math.sqrt(d):.6f}, got rho={rho}",
-    )
+    check_parameters(d, n, rho)
+    nf, rf = float(n), float(rho)
     _require(t >= 2 and t % 2 == 0, f"requires even t >= 2, got t={t}")
     if search_radius is None:
         search_radius = 2.0 * rf
     _check_search_radius(search_radius, rf)
+    _require(
+        isinstance(threads, int) and threads >= 1,
+        f"requires integer threads >= 1, got threads={threads}",
+    )
 
     cfg = SumConfig.create(d, nf, rho)
     extrema = remainder_extrema(nf, t)
@@ -320,7 +317,7 @@ def certify_bounds(
         "q_lower": dict(model.q_lower),
         "v_lower": model.v,
         "V_upper": model.V,
-        "threads": 1 if threads is None else int(threads),
+        "threads": threads,
         "runtime_ms": runtime_ms,
     }
     return BoundCertificate(

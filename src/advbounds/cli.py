@@ -12,20 +12,18 @@ bounds round down, three significant digits, and the ratio row is truncated
 (never rounded up).  JSON reports carry full-precision floats plus the rounded
 strings; runtime_ms is the only field allowed to vary between identical runs.
 
-Exit codes: 0 success, 1 invalid parameters (message names the violated
-precondition) or a table row that mismatches the reference, 2 inconclusive
-search radius, 3 an enclosure (remainder extrema or sphere-polynomial
-extremum) that did not reach its target width within its budget.
+Exit codes: 0 success, 1 a usage error, invalid parameters (message names
+the violated precondition) or a table row that mismatches the reference, 2
+inconclusive search radius, 3 an enclosure (remainder extrema or
+sphere-polynomial extremum) that did not reach its target width within its
+budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
-from dataclasses import dataclass, field
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 
 from .certify import (
@@ -45,8 +43,6 @@ from .kernel import EnclosureWidthError
 from .lattice import PointBudgetExceeded
 from .sums import K_m, SumConfig, Z_n
 from .tail import delta_K
-
-THREADS_ENV_VAR = "ADVBOUNDS_THREADS"
 
 #: Published d=3 reference values: n -> (k_minus, k_plus, ratio), all as the
 #: exact rounded strings the table must reproduce.
@@ -89,40 +85,6 @@ def ratio_truncated(k_minus_rounded: str, k_plus_rounded: str, sig: int = 3) -> 
 def default_rho(d: int, n) -> float:
     """rho = 20 for the (d=3, n=2) reference case, 10 otherwise."""
     return 20.0 if (d == 3 and float(n) == 2.0) else 10.0
-
-
-def default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; numeric fields left None fall back to defaults."""
-
-    subcommand: str
-    d: int = 3
-    n_values: list = field(default_factory=lambda: [2])
-    rho: float | None = None
-    t: int = 6
-    search_radius: float | None = None
-    fmt: str = "human"
-    out: str | None = None
-    threads: int = 1
-    verbosity: int = 0
-    # witness-specific
-    alpha: complex = 1.0 + 0.0j
-    alpha_vec: tuple = ()
-    beta: complex = 0.0 + 0.0j
-    beta_vec: tuple = ()
-    dump_fields: bool = False
-    # sums-specific
-    k: tuple = ()
 
 
 def certificate_report(cert) -> dict:
@@ -173,29 +135,28 @@ def _human_certificate(report: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_certify(config: RunConfig) -> int:
-    reports = []
-    for n in config.n_values:
-        rho = config.rho if config.rho is not None else default_rho(config.d, n)
-        if config.verbosity:
+def _certificates(args):
+    """(n, certificate) for each requested n, rho defaulting per n."""
+    for n in args.n:
+        rho = args.rho if args.rho is not None else default_rho(args.d, n)
+        if args.verbose:
             print(
-                f"certifying d={config.d} n={n} rho={rho} "
-                f"t={config.t} threads={config.threads}",
+                f"certifying d={args.d} n={n} rho={rho} "
+                f"t={args.t} threads={args.threads}",
                 file=sys.stderr,
             )
-        cert = certify_bounds(
-            config.d,
-            n,
-            rho,
-            t=config.t,
-            search_radius=config.search_radius,
-            threads=config.threads,
+        yield n, certify_bounds(
+            args.d, n, rho, t=args.t, search_radius=args.search_radius,
+            threads=args.threads,
         )
-        reports.append(certificate_report(cert))
-    if config.fmt == "json":
+
+
+def cmd_certify(args) -> int:
+    reports = [certificate_report(cert) for _, cert in _certificates(args)]
+    if args.format == "json":
         payload = reports[0] if len(reports) == 1 else reports
-        _emit(json.dumps(payload, indent=2), config.out)
-    elif config.fmt == "csv":
+        _emit(json.dumps(payload, indent=2), args.out)
+    elif args.format == "csv":
         header = ",".join(reports[0].keys())
         rows = [header]
         for rep in reports:
@@ -206,31 +167,20 @@ def cmd_certify(config: RunConfig) -> int:
                     for v in rep.values()
                 )
             )
-        _emit("\n".join(rows), config.out)
+        _emit("\n".join(rows), args.out)
     else:
-        _emit("\n\n".join(_human_certificate(rep) for rep in reports), config.out)
+        _emit("\n\n".join(_human_certificate(rep) for rep in reports), args.out)
     return 0
 
 
-def cmd_table(config: RunConfig) -> int:
+def cmd_table(args) -> int:
     rows = []
     any_mismatch = False
-    for n in config.n_values:
-        rho = config.rho if config.rho is not None else default_rho(config.d, n)
-        if config.verbosity:
-            print(f"table row n={n} (rho={rho})", file=sys.stderr)
-        cert = certify_bounds(
-            config.d,
-            n,
-            rho,
-            t=config.t,
-            search_radius=config.search_radius,
-            threads=config.threads,
-        )
+    for n, cert in _certificates(args):
         km = round_sig_down(cert.K_minus)
         kp = round_sig_up(cert.K_plus)
         ratio = ratio_truncated(km, kp)
-        golden = GOLDEN_TABLE.get(n) if config.d == 3 else None
+        golden = GOLDEN_TABLE.get(n) if args.d == 3 else None
         if golden is None:
             status = "-"
         elif (km, kp, ratio) == golden:
@@ -239,11 +189,11 @@ def cmd_table(config: RunConfig) -> int:
             status = "mismatch"
             any_mismatch = True
         rows.append((n, km, kp, ratio, status, golden))
-    if config.fmt == "csv":
+    if args.format == "csv":
         out = ["n,k_minus,k_plus,ratio,status"]
         for n, km, kp, ratio, status, _ in rows:
             out.append(f"{n},{km},{kp},{ratio},{status}")
-        _emit("\n".join(out), config.out)
+        _emit("\n".join(out), args.out)
     else:
         out = [f"{'n':>4}  {'K-':>8}  {'K+':>8}  {'K-/K+':>8}  status"]
         for n, km, kp, ratio, status, golden in rows:
@@ -251,28 +201,34 @@ def cmd_table(config: RunConfig) -> int:
             if status == "mismatch" and golden:
                 line += f"   (expected {golden[0]}, {golden[1]}, {golden[2]})"
             out.append(line)
-        _emit("\n".join(out), config.out)
+        _emit("\n".join(out), args.out)
     return 1 if any_mismatch else 0
 
 
-def cmd_witness(config: RunConfig) -> int:
-    n = config.n_values[0]
-    ratio = lower_bound_witness(
-        config.d, n, config.alpha, config.alpha_vec, config.beta, config.beta_vec
+def _canonical_amplitudes(d: int):
+    """Extremal amplitudes: concentrate v transversally, w out of the plane."""
+    if d == 2:
+        return 1.0 + 0.0j, (), 1.0 + 0.0j, ()
+    e_first = tuple([1.0 + 0.0j] + [0.0j] * (d - 3))
+    return 1.0 + 0.0j, (0.0j,) * (d - 2), 0.0j, e_first
+
+
+def cmd_witness(args) -> int:
+    given = (args.alpha, args.alpha_vec, args.beta, args.beta_vec)
+    amplitudes = tuple(
+        default if value is None else value
+        for value, default in zip(given, _canonical_amplitudes(args.d))
     )
-    predicted = witness_prediction(
-        config.d, n, config.alpha, config.alpha_vec, config.beta, config.beta_vec
-    )
+    ratio = lower_bound_witness(args.d, args.n, *amplitudes)
+    predicted = witness_prediction(args.d, args.n, *amplitudes)
     rel = abs(ratio - predicted) / predicted
     lines = [
         f"ratio      = {ratio!r}",
         f"predicted  = {predicted!r}",
         f"rel. diff  = {rel:.3e}",
     ]
-    if config.dump_fields:
-        v, w = trial_pair(
-            config.d, config.alpha, config.alpha_vec, config.beta, config.beta_vec
-        )
+    if args.dump_fields:
+        v, w = trial_pair(args.d, *amplitudes)
         projected = leray_project(advect(v, w))
         lines.append("")
         lines.append("# v")
@@ -283,31 +239,30 @@ def cmd_witness(config: RunConfig) -> int:
         lines.append("")
         lines.append("# leray_project(advect(v, w))")
         lines.append(field_to_text(projected))
-    _emit("\n".join(lines), config.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
-def cmd_sums(config: RunConfig) -> int:
-    n = config.n_values[0]
-    rho = config.rho if config.rho is not None else default_rho(config.d, n)
-    cfg = SumConfig.create(config.d, n, rho)
-    lines = [f"d = {config.d}, n = {n}, rho = {rho}"]
-    if config.k:
-        lines.append(f"K_m{tuple(config.k)} = {K_m(config.k, cfg)!r}")
+def cmd_sums(args) -> int:
+    n = args.n
+    rho = args.rho if args.rho is not None else default_rho(args.d, n)
+    cfg = SumConfig.create(args.d, n, rho)
+    lines = [f"d = {args.d}, n = {n}, rho = {rho}"]
+    if args.k:
+        lines.append(f"K_m{tuple(args.k)} = {K_m(args.k, cfg)!r}")
     lines.append(f"Z_n = {Z_n(cfg)!r}")
-    lines.append(f"delta_K = {delta_K(config.d, float(n), rho)!r}")
-    _emit("\n".join(lines), config.out)
+    lines.append(f"delta_K = {delta_K(args.d, float(n), rho)!r}")
+    _emit("\n".join(lines), args.out)
     return 0
+
+
+def _parse_n(raw: str):
+    x = float(raw)
+    return int(x) if x.is_integer() else x
 
 
 def _parse_n_list(raw: str) -> list:
-    values = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        x = float(piece)
-        values.append(int(x) if x.is_integer() else x)
+    values = [_parse_n(piece) for piece in raw.split(",") if piece.strip()]
     if not values:
         raise argparse.ArgumentTypeError("empty n list")
     return values
@@ -333,30 +288,47 @@ def _parse_int_vec(raw: str) -> tuple:
     return tuple(int(p) for p in raw.split(",") if p.strip())
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like any invalid parameter; exit 2 is reserved
+    for an inconclusive search radius."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="advbounds",
         description="Certified bounds for the sharp advection-inequality "
         "constant on the d-torus.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    p_cert = sub.add_parser("certify", help="compute bound certificates")
+    p_table = sub.add_parser("table", help="reproduce the d=3 constants table")
+    p_wit = sub.add_parser("witness", help="trial-field lower-bound ratio")
+    p_sums = sub.add_parser("sums", help="evaluate K_m / Z_n / delta_K directly")
 
-    def common(p, with_n_list=True):
+    for p, func in ((p_cert, cmd_certify), (p_table, cmd_table),
+                    (p_wit, cmd_witness), (p_sums, cmd_sums)):
+        p.set_defaults(func=func)
         p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
-        if with_n_list:
-            p.add_argument(
-                "--n",
-                type=_parse_n_list,
-                default=[2],
-                help="order n, or comma list like 2,3,4 (default 2)",
-            )
-        else:
-            p.add_argument("--n", type=float, default=2.0, help="order n")
+        p.add_argument("--out", default=None, help="write the report to a file")
+    for p in (p_wit, p_sums):
+        p.add_argument("--n", type=_parse_n, default=2, help="order n (default 2)")
+    for p in (p_cert, p_table, p_sums):
         p.add_argument(
             "--rho",
             type=float,
             default=None,
             help="summation cutoff; default 10 (20 for d=3, n=2)",
+        )
+    for p in (p_cert, p_table):
+        p.add_argument(
+            "--n",
+            type=_parse_n_list,
+            default=[2],
+            help="order n, or comma list like 2,3,4 (default 2)",
         )
         p.add_argument("--t", type=int, default=6, help="expansion order (even)")
         p.add_argument(
@@ -365,30 +337,12 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="search |k| < radius; default 2*rho",
         )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help=f"worker threads (default ${THREADS_ENV_VAR} or 1)",
-        )
-        p.add_argument("--format", choices=("human", "json", "csv"), default="human")
-        p.add_argument("--out", default=None, help="write the report to a file")
+        p.add_argument("--threads", type=int, default=1, help="worker threads")
         p.add_argument("-v", "--verbose", action="count", default=0)
-
-    p_cert = sub.add_parser("certify", help="compute bound certificates")
-    common(p_cert)
-
-    p_table = sub.add_parser("table", help="reproduce the d=3 constants table")
-    common(p_table)
+    p_cert.add_argument("--format", choices=("human", "json", "csv"), default="human")
+    p_table.add_argument("--format", choices=("human", "csv"), default="human")
     p_table.set_defaults(n=[2, 3, 4, 5, 10])
 
-    p_wit = sub.add_parser("witness", help="trial-field lower-bound ratio")
-    common(p_wit, with_n_list=False)
-    p_wit.add_argument(
-        "--canonical",
-        action="store_true",
-        help="use the canonical extremal amplitudes (also the default)",
-    )
     p_wit.add_argument("--alpha", type=_parse_complex, default=None)
     p_wit.add_argument(
         "--alpha-vec", type=_parse_complex_vec, default=None,
@@ -401,9 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the trial fields and the projected advection",
     )
-
-    p_sums = sub.add_parser("sums", help="evaluate K_m / Z_n / delta_K directly")
-    common(p_sums, with_n_list=False)
     p_sums.add_argument(
         "--k", type=_parse_int_vec, default=(),
         help="lattice vector, e.g. 9,9,9",
@@ -411,64 +362,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _canonical_amplitudes(d: int):
-    """Extremal amplitudes: concentrate v transversally, w out of the plane."""
-    if d == 2:
-        return 1.0 + 0.0j, (), 1.0 + 0.0j, ()
-    e_first = tuple([1.0 + 0.0j] + [0.0j] * (d - 3))
-    return 1.0 + 0.0j, (0.0j,) * (d - 2), 0.0j, e_first
-
-
-def _config_from_args(args) -> RunConfig:
-    n_values = args.n if isinstance(args.n, list) else [
-        int(args.n) if float(args.n).is_integer() else float(args.n)
-    ]
-    threads = args.threads if args.threads is not None else default_threads()
-    config = RunConfig(
-        subcommand=args.subcommand,
-        d=args.d,
-        n_values=n_values,
-        rho=args.rho,
-        t=args.t,
-        search_radius=args.search_radius,
-        fmt=args.format,
-        out=args.out,
-        threads=max(1, threads),
-        verbosity=args.verbose,
-    )
-    if args.subcommand == "witness":
-        alpha, avec, beta, bvec = _canonical_amplitudes(args.d)
-        if not args.canonical:
-            if args.alpha is not None:
-                alpha = args.alpha
-            if args.alpha_vec is not None:
-                avec = args.alpha_vec
-            if args.beta is not None:
-                beta = args.beta
-            if args.beta_vec is not None:
-                bvec = args.beta_vec
-        config.alpha, config.alpha_vec = alpha, avec
-        config.beta, config.beta_vec = beta, bvec
-        config.dump_fields = args.dump_fields
-    if args.subcommand == "sums":
-        config.k = args.k
-    return config
-
-
-_DISPATCH = {
-    "certify": cmd_certify,
-    "table": cmd_table,
-    "witness": cmd_witness,
-    "sums": cmd_sums,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(args)
+    args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[config.subcommand](config)
+        return args.func(args)
     except InconclusiveSearchRadius as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

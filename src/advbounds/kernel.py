@@ -285,28 +285,30 @@ def _cell_upper(f00, f10, f01, f11):
     return cmax + margin, margin
 
 
-def _branch_bound_max(evalf, base_vals, cgrid, xgrid, target_rel, max_levels):
+def _corners(vals):
+    """(f00, f10, f01, f11): each cell's corner values on a vertex grid."""
+    return vals[:-1, :-1], vals[1:, :-1], vals[:-1, 1:], vals[1:, 1:]
+
+
+def _branch_bound_max(evalf, base_vals, base_ub, base_margin, cgrid, xgrid,
+                      target_rel, max_levels):
     """Certified upper bound for max evalf over the grid's rectangle.
 
-    base_vals holds evalf on the full vertex grid.  Active cells whose upper
-    bound exceeds the best sampled value are split level-synchronously; each
-    level halves the cell size and re-estimates local slopes.  Returns
-    (upper, inner_best, width, last_margin).
+    base_vals holds evalf on the full vertex grid, base_ub the cells'
+    _cell_upper bounds and base_margin the largest of their margins.  Active
+    cells whose upper bound exceeds the best sampled value are split
+    level-synchronously; each level halves the cell size and re-estimates
+    local slopes.  Returns (upper, inner_best, width, last_margin).
     """
     best = float(base_vals.max())
     hc = float(cgrid[1] - cgrid[0])
     hx = float(xgrid[1] - xgrid[0])
-    f00 = base_vals[:-1, :-1]
-    f10 = base_vals[1:, :-1]
-    f01 = base_vals[:-1, 1:]
-    f11 = base_vals[1:, 1:]
-    ub, margin = _cell_upper(f00, f10, f01, f11)
-    keep = ub > best
-    c0 = np.broadcast_to(cgrid[:-1, None], ub.shape)[keep]
-    x0 = np.broadcast_to(xgrid[None, :-1], ub.shape)[keep]
-    cells = (c0, x0, f00[keep], f10[keep], f01[keep], f11[keep])
-    ub = ub[keep]
-    last_margin = float(margin.max()) if margin.size else 0.0
+    keep = base_ub > best
+    c0 = np.broadcast_to(cgrid[:-1, None], keep.shape)[keep]
+    x0 = np.broadcast_to(xgrid[None, :-1], keep.shape)[keep]
+    cells = (c0, x0, *(f[keep] for f in _corners(base_vals)))
+    ub = base_ub[keep]
+    last_margin = base_margin
 
     for _ in range(max_levels):
         if ub.size == 0:
@@ -373,6 +375,13 @@ def remainder_extrema(
     cgrid = np.linspace(-1.0, 1.0, nc)
     xgrid = np.linspace(0.0, 0.5, nx)
     base = _grid_values(n, t, cgrid, xgrid)
+    # One base pass serves both signs: the corner spreads of -R are those of
+    # R, so its margins are the same, and max(-f) = -min(f) exactly.
+    corners = _corners(base)
+    ub, margin = _cell_upper(*corners)
+    cmin = np.minimum(np.minimum(corners[0], corners[1]),
+                      np.minimum(corners[2], corners[3]))
+    base_margin = float(margin.max())
 
     def f_pos(c, x):
         return remainder_values(n, t, c, x)
@@ -381,10 +390,11 @@ def remainder_extrema(
         return -remainder_values(n, t, c, x)
 
     m_up, m_in, m_w, m_margin = _branch_bound_max(
-        f_pos, base, cgrid, xgrid, target_rel, max_levels
+        f_pos, base, ub, base_margin, cgrid, xgrid, target_rel, max_levels
     )
     neg_up, neg_in, mu_w, mu_margin = _branch_bound_max(
-        f_neg, -base, cgrid, xgrid, target_rel, max_levels
+        f_neg, -base, margin - cmin, base_margin, cgrid, xgrid, target_rel,
+        max_levels,
     )
     return RemainderExtrema(
         mu=-neg_up,

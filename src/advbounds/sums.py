@@ -41,11 +41,7 @@ from .lattice import (
     max_norm_sq_inside,
     shared_ball,
 )
-from .tail import TailBoundInputs, tail_sum_bound
-
-
-class ParameterError(ValueError):
-    """An input fails one of the documented preconditions."""
+from .tail import ParameterError, TailBoundInputs, check_parameters, tail_sum_bound
 
 
 class Interval(NamedTuple):
@@ -55,7 +51,8 @@ class Interval(NamedTuple):
 
 @dataclass(eq=False)
 class SumConfig:
-    """Immutable bundle (d, n, rho, ball) shared by every cutoff sum."""
+    """Immutable bundle (d, n, rho, ball) shared by every cutoff sum; build it
+    with create, which checks the preconditions before sizing the ball."""
 
     d: int
     n: float
@@ -63,20 +60,13 @@ class SumConfig:
     ball: BallEnumeration
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"requires d >= 2, got d={self.d}")
-        if not float(self.n) > self.d / 2.0:
-            raise ValueError(f"requires n > d/2, got n={self.n}, d={self.d}")
-        if not float(self.rho) > 2.0 * math.sqrt(self.d):
-            raise ValueError(
-                f"requires rho > 2*sqrt(d) = {2.0 * math.sqrt(self.d):.6f}, "
-                f"got rho={self.rho}"
-            )
         if self.ball.d != self.d or self.ball.radius != self.rho:
             raise ValueError("ball does not match (d, rho)")
 
     @classmethod
     def create(cls, d: int, n, rho) -> "SumConfig":
+        """Check the (d, n, rho) preconditions, then enumerate the ball."""
+        check_parameters(d, n, rho)
         return cls(d=d, n=float(n), rho=rho, ball=enumerate_ball(d, rho))
 
     @cached_property

@@ -18,6 +18,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+class ParameterError(ValueError):
+    """An input fails one of the documented preconditions."""
+
+
+def check_parameters(d: int, n, rho) -> None:
+    """The (d, n, rho) preconditions of every cutoff sum and of delta_K:
+    integer d >= 2, n > d/2 (the lattice sums converge) and rho > 2 sqrt(d)
+    (the tail bound's closed form)."""
+    if not (isinstance(d, int) and d >= 2):
+        raise ParameterError(f"requires integer d >= 2, got d={d}")
+    if not float(n) > d / 2.0:
+        raise ParameterError(f"requires n > d/2, got n={n}, d={d}")
+    if not float(rho) > 2.0 * math.sqrt(d):
+        raise ParameterError(
+            f"requires rho > 2*sqrt(d) = {2.0 * math.sqrt(d):.6f}, got rho={rho}"
+        )
+
+
 def gamma_half(d: int) -> float:
     """Gamma(d/2) for positive integer d, by the exact closed form.
 
@@ -91,8 +109,7 @@ def wedge_power_bound(n) -> float:
 
 def delta_K(d: int, n, rho) -> float:
     """Uniform bound on the far-region part of the cutoff lattice sum:
-    2 * B_n * tail_sum_bound(d, 2n, rho).  Requires n > d/2 and rho > 2*sqrt(d)."""
-    if not float(n) > d / 2.0:
-        raise ValueError(f"requires n > d/2, got n={n}, d={d}")
+    2 * B_n * tail_sum_bound(d, 2n, rho), under check_parameters."""
+    check_parameters(d, n, rho)
     inputs = TailBoundInputs(d=d, nu=2.0 * float(n), rho=float(rho))
     return 2.0 * wedge_power_bound(n) * tail_sum_bound(inputs)

@@ -4,7 +4,9 @@ import sys
 import numpy as np
 import pytest
 
+import advbounds
 import advbounds.certify as certify_mod
+import advbounds.sums as sums_mod
 from advbounds.certify import (
     InconclusiveSearchRadius,
     ParameterError,
@@ -16,7 +18,7 @@ from advbounds.certify import (
 )
 from advbounds.kernel import remainder_extrema
 from advbounds.lattice import enumerate_ball, enumerate_canonical, is_canonical
-from advbounds.sums import K_m, SumConfig, _FoldedTerms, _power_table
+from advbounds.sums import K_m, SumConfig, _FoldedTerms, _power_table, build_Q
 from conftest import rel_err
 
 DIAG_KEYS = {
@@ -233,8 +235,15 @@ def test_build_asymptotic_model_structure():
     assert set(model.q_upper) == set(model.q_lower) == {2, 4}
     for ell in (2, 4):
         assert model.q_lower[ell] <= model.q_upper[ell]
-        assert is_canonical(tuple(round(a, 6) for a in model.q_argmax[ell])) or True
-        assert len(model.q_argmax[ell]) == 3
+        # the argmax is a canonical unit vector where Q attains its upper
+        # endpoint to within extremize_Q's target_rel of 1e-6
+        arg = model.q_argmax[ell]
+        assert len(arg) == 3
+        assert list(arg) == sorted(arg, reverse=True) and arg[-1] >= 0.0
+        assert abs(math.fsum(a * a for a in arg) - 1.0) < 1e-12
+        value = build_Q(cfg, ell).eval(arg)
+        top = model.q_upper[ell]
+        assert top - 1.001e-6 * abs(top) <= value <= top + 1e-12 * abs(top)
     assert model.v <= model.V
     with pytest.raises(ParameterError, match="even t"):
         build_asymptotic_model(cfg, 5, remainder_extrema(2, 6))
@@ -312,6 +321,7 @@ def test_certify_deterministic_and_thread_independent():
 
 
 def test_certify_parameter_errors():
+    assert ParameterError is advbounds.ParameterError is sums_mod.ParameterError
     with pytest.raises(ParameterError, match="integer d >= 2"):
         certify_bounds(3.0, 2, 10.0)
     with pytest.raises(ParameterError, match="n > d/2"):
@@ -324,6 +334,16 @@ def test_certify_parameter_errors():
         certify_bounds(3, 2, 5.0, search_radius=8.0)
     with pytest.raises(ParameterError, match="finite search_radius"):
         certify_bounds(3, 2, 5.0, search_radius=math.inf)
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.0])
+def test_certify_threads_precondition(threads, monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before threads was checked")
+
+    monkeypatch.setattr(certify_mod.SumConfig, "create", no_stage)
+    with pytest.raises(ParameterError, match="requires integer threads >= 1"):
+        certify_bounds(3, 3, 5.0, threads=threads)
 
 
 def test_inconclusive_search_radius(monkeypatch):

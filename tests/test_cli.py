@@ -50,15 +50,6 @@ def test_default_rho():
     assert cli.default_rho(4, 3) == 10.0
 
 
-def test_default_threads(monkeypatch):
-    monkeypatch.delenv(cli.THREADS_ENV_VAR, raising=False)
-    assert cli.default_threads() == 1
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "4")
-    assert cli.default_threads() == 4
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "junk")
-    assert cli.default_threads() == 1
-
-
 def test_parsers():
     assert cli._parse_n_list("2,3, 10") == [2, 3, 10]
     assert cli._parse_n_list("2.5") == [2.5]
@@ -252,9 +243,48 @@ def test_cli_thread_count_does_not_change_results(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_threads_env_var_applies(monkeypatch, capsys):
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "3")
+def test_threads_only_from_flag(monkeypatch, capsys):
+    monkeypatch.setenv("ADVBOUNDS_THREADS", "3")
     assert cli.main(
         ["certify", "--d", "3", "--n", "3", "--rho", "5", "-v"]
     ) == 0
-    assert "threads=3" in capsys.readouterr().err
+    assert "threads=1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_1(threads, capsys):
+    argv = ["certify", "--d", "3", "--n", "3", "--rho", "5", "--threads", threads]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: requires integer threads >= 1, got threads={threads}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--rho", "5"],
+        ["witness", "--format", "json"],
+        ["witness", "--canonical"],
+        ["sums", "--t", "8"],
+        ["sums", "--threads", "2"],
+        ["table", "--format", "json"],
+    ],
+)
+def test_removed_flags_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    """Exit 2 means an inconclusive search radius, never a typo."""
+    for argv in (["certfy"], ["certify", "--n", "x"], ["certify", "--bogus"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+    for argv in (["--help"], ["certify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+    assert "--search-radius" in capsys.readouterr().out

@@ -51,6 +51,12 @@ def test_config_validation():
         SumConfig.create(3, 1.5, 10.0)
     with pytest.raises(ValueError, match=r"rho > 2\*sqrt\(d\)"):
         SumConfig.create(3, 2, 3.4)
+    # preconditions are checked before the ball is sized: rho = 1e4 would
+    # exceed the point budget
+    with pytest.raises(ParameterError, match="n > d/2"):
+        SumConfig.create(3, 1, 1e4)
+    with pytest.raises(ParameterError, match="integer d >= 2"):
+        SumConfig.create(3.0, 2, 10)
     good = SumConfig.create(3, 2, 4.0)
     with pytest.raises(ValueError, match="ball does not match"):
         SumConfig(d=3, n=2.0, rho=5.0, ball=good.ball)
