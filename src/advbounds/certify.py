@@ -29,6 +29,7 @@ from .sums import (
     ParameterError,
     SumConfig,
     Z_n,
+    _exact_row_sums,
     _FoldedTerms,
     _k_scale,
     _power_table,
@@ -148,12 +149,14 @@ def _shell_blocks(k2_sorted: list, rows: int) -> list:
 
 
 def _screen(terms: np.ndarray, scales: np.ndarray):
-    """Bounds [lo, hi] on each row's K_m value, scale * fsum(row), from np.sum.
+    """Bounds [lo, hi] on each row's K_m value, scale * (exact row sum rounded
+    to nearest), from np.sum.
 
     For positive terms every summation order errs by at most gamma_{N-1}
     times the exact sum (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 4).  The relative slack 2 gamma + 8u also covers the
-    rounding of fsum, of the scaling and of the bounds themselves.
+    Algorithms, ch. 4).  The relative slack 2 gamma + 8u also covers the one
+    rounding of the exact row sum (sums._exact_row_sums, equal to fsum), of
+    the scaling and of the bounds themselves.
     """
     ulps = (terms.shape[1] - 1) * _UNIT_ROUNDOFF
     rel = 2.0 * ulps / (1.0 - ulps) + 8.0 * _UNIT_ROUNDOFF
@@ -172,9 +175,13 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads: int = 1):
     shells of at most _BLOCK_TERMS terms per array.  Each block's terms are
     ranked by np.sum under a proven error bound (_screen); within a shell,
     only the reps whose upper bound reaches the shell's largest lower bound
-    get the exact fsum, on the same row of terms, so every value reported is
-    K_m(k) bit for bit.  A rep that is screened out is strictly below its
-    shell's maximum.  Ties keep the lexicographically smallest canonical form.
+    are summed exactly, on the same row of terms.  Those rows are stacked, one
+    group of shells at a time, and summed by sums._exact_row_sums: exponent
+    buckets give each row's exact sum, rounded once to nearest, which is the
+    same correctly rounded value that math.fsum returns.  So every value
+    reported is K_m(k) bit for bit.  A rep that is screened out is strictly
+    below its shell's maximum.  Ties keep the lexicographically smallest
+    canonical form.
     Returns (max, argmax, shell_profile) with shell_profile mapping |k|^2 to
     the shell's maximum, keyed in order of first appearance in lex order.
     Blocks are shared out over `threads` workers with identical results.
@@ -195,21 +202,22 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads: int = 1):
         kept = []
         for group in groups:
             floor: dict = {}
-            contenders = []
+            contenders, blocks = [], []
             for start, stop in group:
                 terms = terms_of(ks[start:stop])
                 lo, hi = _screen(terms, np.array(scales[start:stop]))
                 for i in range(start, stop):
                     floor[k2[i]] = max(floor.get(k2[i], -math.inf), lo[i - start])
-                contenders += [
-                    (i, hi[i - start], terms[i - start].copy())
-                    for i in range(start, stop)
-                    if hi[i - start] >= floor[k2[i]]
-                ]
-            for i, top, row in contenders:
-                if top >= floor[k2[i]]:
-                    value = scales[i] * math.fsum(memoryview(row))
-                    kept.append((k2[i], reps[order[i]], value))
+                live = [j for j, top in enumerate(hi) if top >= floor[k2[start + j]]]
+                contenders += [(start + j, hi[j]) for j in live]
+                blocks.append(terms[live])  # the next block overwrites terms
+            stacked = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+            keep = [c for c, (i, top) in enumerate(contenders) if top >= floor[k2[i]]]
+            if len(keep) < len(contenders):
+                stacked = stacked[keep]
+            for c, total in zip(keep, _exact_row_sums(stacked)):
+                i = contenders[c][0]
+                kept.append((k2[i], reps[order[i]], scales[i] * total))
         return kept
 
     groups = _shell_blocks(k2, rows)

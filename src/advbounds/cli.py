@@ -42,7 +42,7 @@ from .fields import (
 from .kernel import EnclosureWidthError
 from .lattice import PointBudgetExceeded
 from .sums import K_m, SumConfig, Z_n
-from .tail import delta_K
+from .tail import check_finite_n, delta_K
 
 #: Published d=3 reference values: n -> (k_minus, k_plus, ratio), all as the
 #: exact rounded strings the table must reproduce.
@@ -214,6 +214,7 @@ def _canonical_amplitudes(d: int):
 
 
 def cmd_witness(args) -> int:
+    check_finite_n(args.n)
     given = (args.alpha, args.alpha_vec, args.beta, args.beta_vec)
     amplitudes = tuple(
         default if value is None else value

@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -87,10 +86,6 @@ class BallEnumeration:
         return {
             int(v): np.sort(order[s:e]) for v, s, e in zip(uniq, starts, ends)
         }
-
-    def vectors(self) -> Iterator[LatticeVector]:
-        for row in self.points.tolist():
-            yield tuple(row)
 
 
 def enumerate_ball(d: int, rho, *, budget: int = DEFAULT_POINT_BUDGET) -> BallEnumeration:

@@ -15,13 +15,16 @@ coefficients of the large-|k| sandwich
 
 where the q/Q come from extremizing sphere polynomials over the unit sphere.
 
-All certificate-bound reductions go through math.fsum: the sum is exactly
-rounded, hence independent of term order, which is what makes the bitwise
-symmetry and thread-count guarantees real rather than incidental.  The sup K_m
+All certificate-bound reductions are correctly rounded sums, hence
+independent of term order, which is what makes the bitwise symmetry and
+thread-count guarantees real rather than incidental.  Most go through
+math.fsum.  The sup K_m search sums its rows with _exact_row_sums instead:
+exponent buckets make each row's sum exact before it is rounded once to
+nearest, so it returns fsum's value bit for bit, from array operations.  The
 search also takes np.sum of each row of terms, but only to rank candidates:
 for positive terms any summation order lies within gamma_{N-1} of the exact
 sum, so the search can discard a row whose whole interval falls below another
-row's, and every reported value is still the fsum of its row.
+row's, and every reported value is still the correctly rounded sum of its row.
 """
 
 from __future__ import annotations
@@ -209,6 +212,62 @@ def K_m(k, cfg: SumConfig) -> float:
     scale = _k_scale(int(kt @ kt), cfg.n)
     terms = _FoldedTerms(cfg)(kt[None, :])[0]
     return scale * math.fsum(terms.tolist())
+
+
+#: Most entries of a row that one bucket pass takes, so that no (row, exponent)
+#: bucket holds more than 2^26 entries.
+_BUCKET_COLS = 2**26
+#: np.frexp's exponent of the smallest subnormal, 2^-1074 = (1/2) 2^-1073.
+_MIN_EXP = -1073
+
+
+def _exact_row_sums(terms) -> list[float]:
+    """math.fsum of each row of a finite, nonnegative float64 matrix, bit for
+    bit, by exponent buckets (Demmel and Hida, Accurate and efficient floating
+    point summation, SIAM J. Sci. Comput. 2003).
+
+    np.frexp writes each entry as m 2^e with m in [1/2, 1), or m = 0.  A float
+    with exponent e >= -1073 is a multiple of 2^(e-53), so M = m 2^53 is an
+    integer below 2^53.  Scaling m by 2^27 is exact, and so is splitting the
+    result into hi = floor(m 2^27) < 2^27 and its fraction f, a multiple of
+    2^-26: M = (hi + f) 2^26.  np.bincount sums the hi's and the f's of each
+    (row, e) bucket in float64.  With at most 2^26 entries to a bucket, every
+    partial sum of hi's is an integer at most 2^53 and every partial sum of
+    f's a multiple of 2^-26 below 2^26, so both sums are exact.  A row's exact
+    sum is therefore the integer sum_e (H_e + F_e) 2^26 2^(e+1073), which
+    Python ints hold exactly, times 2^-1126.  One int true division rounds it
+    to nearest, ties to even; CPython rounds int division correctly and fsum
+    returns the correctly rounded sum, so the two agree bit for bit, and both
+    raise OverflowError past the float range.  A longer row is summed in
+    chunks of _BUCKET_COLS columns.  An entry with its sign bit set (-0.0 too,
+    whose fsum keeps the sign), an infinity or a nan is refused with
+    ValueError.
+    """
+    terms = np.asarray(terms, dtype=float)
+    rows, cols = terms.shape
+    if not terms.size:
+        return [0.0] * rows
+    if np.signbit(terms).any() or not terms.max() < math.inf:
+        raise ValueError("exact row sums need finite entries without a sign bit")
+    totals = [0] * rows
+    for start in range(0, cols, _BUCKET_COLS):
+        mant, expo = np.frexp(terms[:, start:start + _BUCKET_COLS])
+        low = int(expo.min())
+        width = int(expo.max()) - low + 1
+        bucket = (expo + (np.arange(rows) * width - low)[:, None]).ravel()
+        mant *= 2.0**27
+        hi = np.floor(mant)
+        mant -= hi
+        hi_sums = np.bincount(bucket, hi.ravel(), rows * width)
+        frac_sums = np.bincount(bucket, mant.ravel(), rows * width) * 2.0**26
+        # a nonzero entry has hi >= 2^26, so empty and all-zero buckets skip
+        live = np.flatnonzero(hi_sums)
+        for i, h, f in zip(
+            live.tolist(), hi_sums[live].tolist(), frac_sums[live].tolist()
+        ):
+            row, b = divmod(i, width)
+            totals[row] += ((int(h) << 26) + int(f)) << (b + low - _MIN_EXP)
+    return [t / (1 << 1126) for t in totals]
 
 
 _CHUNK = 2_000_000

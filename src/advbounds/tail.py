@@ -22,12 +22,19 @@ class ParameterError(ValueError):
     """An input fails one of the documented preconditions."""
 
 
+def check_finite_n(n) -> None:
+    """The order n must be a finite number."""
+    if not math.isfinite(float(n)):
+        raise ParameterError(f"requires a finite n, got n={n}")
+
+
 def check_parameters(d: int, n, rho) -> None:
     """The (d, n, rho) preconditions of every cutoff sum and of delta_K:
-    integer d >= 2, n > d/2 (the lattice sums converge) and rho > 2 sqrt(d)
-    (the tail bound's closed form)."""
+    integer d >= 2, a finite n > d/2 (the lattice sums converge) and
+    rho > 2 sqrt(d) (the tail bound's closed form)."""
     if not (isinstance(d, int) and d >= 2):
         raise ParameterError(f"requires integer d >= 2, got d={d}")
+    check_finite_n(n)
     if not float(n) > d / 2.0:
         raise ParameterError(f"requires n > d/2, got n={n}, d={d}")
     if not float(rho) > 2.0 * math.sqrt(d):

@@ -131,6 +131,24 @@ def test_certify_nonfinite_search_radius_exit_1(radius, monkeypatch, capsys):
     assert f"requires a finite search_radius, got search_radius={radius}" in err
 
 
+@pytest.mark.parametrize("n", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv", [["certify", "--d", "3", "--rho", "5"], ["witness", "--d", "3"]]
+)
+def test_nonfinite_n_exit_1(argv, n, monkeypatch, capsys):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before n was checked")
+
+    for mod, name in ((certify_mod.SumConfig, "create"),
+                      (certify_mod, "remainder_extrema"),
+                      (cli, "lower_bound_witness"), (cli, "witness_prediction")):
+        monkeypatch.setattr(mod, name, no_stage)
+    assert cli.main(argv + ["--n", n]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"requires a finite n, got n={n}" in err
+
+
 def test_inconclusive_exit_2(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise InconclusiveSearchRadius(

@@ -126,6 +126,9 @@ def test_delta_K_factorization():
 def test_delta_K_validation():
     with pytest.raises(ValueError, match="n > d/2"):
         delta_K(3, 1.0, 10.0)
+    for n in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="requires a finite n"):
+            delta_K(3, n, 10.0)
     with pytest.raises(ValueError, match=r"rho > 2\*sqrt\(d\)"):
         delta_K(3, 3.0, 3.0)
 
