@@ -7,6 +7,15 @@ in Fourier space, weighted Sobolev norms, and a trial-field construction that
 witnesses the lower bound for the advection constant end to end -- through the
 actual convolution, projection and norm code, with no closed-form shortcut.
 
+advect, leray_project, sobolev_norm and the reality check run as array
+operations on a field's stacked keys and coefficients.  Dot products such as
+k . c are added component by component, left to right: np.dot of a float and
+a complex vector goes through BLAS, whose last bits depend on its build.
+Every output component of advect is reduced with math.fsum, which rounds the
+exact sum of its terms once, whatever their order.  When the inputs satisfy
+v_{-k} = conj(v_k) exactly, as build() makes them, the terms at -k are the
+exact conjugates of those at k, so the outputs satisfy it exactly too.
+
 Serialization: one line per coefficient,
 
     k_1 ... k_d  re_1 im_1 ... re_d im_d
@@ -21,20 +30,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sums import _k_scale
+from .tail import ParameterError
+
 _REL_TOL = 1e-9
+#: Bound on |k_j|: keys are stacked as int64, where h + g must not wrap.
+_KEY_BOUND = 2**62
 
 
 def _as_key(k, d: int) -> tuple:
-    key = tuple(int(c) for c in k)
+    key = tuple(map(int, k))
     if len(key) != d:
         raise ValueError(f"coefficient key {k} is not a {d}-vector")
     if not any(key):
         raise ValueError("fields are zero-mean: no coefficient at k = 0")
+    if max(map(abs, key)) >= _KEY_BOUND:
+        raise ValueError(f"coefficient key {k} has a component of 2^62 or more")
     return key
 
 
 def _neg(k: tuple) -> tuple:
     return tuple(-c for c in k)
+
+
+def _stack(d: int, coeffs: dict):
+    """A coefficient map as (keys int64[M, d], coeffs complex[M, d]), in the
+    map's order."""
+    keys = np.array(list(coeffs), dtype=np.int64).reshape(-1, d)
+    table = np.array(list(coeffs.values()), dtype=complex).reshape(-1, d)
+    return keys, table
+
+
+def _coeff_scale(table) -> float:
+    """max(1, largest |c_j|) over the coefficients, ignoring nan."""
+    return float(np.fmax.reduce(np.abs(table), axis=None, initial=1.0))
+
+
+def _lex_runs(rows):
+    """Stable lexicographic order of the int64 rows, and a mask over the
+    sorted rows that is True where a run of equal rows starts."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, starts
+
+
+def _dot(a, b):
+    """sum_j a[..., j] * b[..., j], added left to right from 0."""
+    total = 0.0
+    for j in range(a.shape[-1]):
+        total = total + a[..., j] * b[..., j]
+    return total
 
 
 @dataclass(eq=False, frozen=True)
@@ -43,38 +90,48 @@ class FourierField:
 
     Both members of each +-k pair are stored; construction validates the
     reality constraint, so every instance represents a real-valued field.
+    The stored coefficients are read-only rows of one complex array.
     """
 
     d: int
     coeffs: dict
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"requires d >= 2, got d={self.d}")
-        clean = {}
-        scale = 1.0
+        d = self.d
+        if d < 2:
+            raise ValueError(f"requires d >= 2, got d={d}")
+        vecs = {}
         for k, c in self.coeffs.items():
-            key = _as_key(k, self.d)
+            key = _as_key(k, d)
             vec = np.asarray(c, dtype=complex)
-            if vec.shape != (self.d,):
+            if vec.shape != (d,):
                 raise ValueError(
                     f"coefficient at {key} has shape {vec.shape}, "
-                    f"expected ({self.d},)"
+                    f"expected ({d},)"
                 )
-            vec = vec.copy()
-            vec.setflags(write=False)
-            clean[key] = vec
-            scale = max(scale, float(np.abs(vec).max(initial=0.0)))
-        for k, c in clean.items():
-            partner = clean.get(_neg(k))
-            if partner is None:
+            vecs[key] = vec
+        keys, table = _stack(d, vecs)
+        table.setflags(write=False)
+        # partner[i] is the row of -keys[i], or -1: keys and their negations
+        # share a run id when equal, and the keys are distinct.
+        m = len(keys)
+        order, starts = _lex_runs(np.concatenate([keys, -keys]))
+        run = np.empty(2 * m, dtype=np.int64)
+        run[order] = np.cumsum(starts) - 1
+        owner = np.full(2 * m, -1)
+        owner[run[:m]] = np.arange(m)
+        partner = owner[run[m:]]
+        err = np.abs(table[partner] - np.conj(table)).max(axis=1, initial=0.0)
+        bad = (partner < 0) | (err > _REL_TOL * _coeff_scale(table))
+        if bad.any():
+            i = int(np.argmax(bad))
+            k = list(vecs)[i]
+            if partner[i] < 0:
                 raise ValueError(f"reality violated: {_neg(k)} missing for {k}")
-            err = float(np.abs(partner - np.conj(c)).max(initial=0.0))
-            if err > _REL_TOL * scale:
-                raise ValueError(
-                    f"reality violated at {k}: conjugate mismatch {err:.3e}"
-                )
-        object.__setattr__(self, "coeffs", clean)
+            raise ValueError(
+                f"reality violated at {k}: conjugate mismatch {err[i]:.3e}"
+            )
+        object.__setattr__(self, "coeffs", dict(zip(vecs, table)))
 
     @classmethod
     def build(cls, d: int, partial) -> "FourierField":
@@ -94,23 +151,24 @@ class FourierField:
 
     @property
     def is_divergence_free(self) -> bool:
-        worst = 0.0
-        scale = 1.0
-        for k, c in self.coeffs.items():
-            worst = max(worst, abs(complex(np.dot(np.asarray(k, float), c))))
-            scale = max(scale, float(np.abs(c).max(initial=0.0)))
-        return worst <= _REL_TOL * scale
+        keys, table = _stack(self.d, self.coeffs)
+        worst = float(np.abs(_dot(keys.astype(float), table)).max(initial=0.0))
+        return worst <= _REL_TOL * _coeff_scale(table)
 
 
 def leray_project(field: FourierField) -> FourierField:
     """Project each coefficient orthogonally to its wavenumber:
     c -> c - (k.c / |k|^2) k.  Divergence-free output, idempotent, and
-    norm-nonincreasing (it is an orthogonal projection mode by mode)."""
-    out = {}
-    for k, c in field.coeffs.items():
-        kv = np.asarray(k, dtype=float)
-        out[k] = c - (np.dot(kv, c) / np.dot(kv, kv)) * kv
-    return FourierField(d=field.d, coeffs=out)
+    norm-nonincreasing (it is an orthogonal projection mode by mode).
+
+    All modes are projected at once; k.c is added left to right.  Negating
+    k and conjugating c conjugates every rounded step, so an input with
+    v_{-k} = conj(v_k) exactly gives an output with it exactly.
+    """
+    keys, table = _stack(field.d, field.coeffs)
+    k = keys.astype(float)
+    out = table - (_dot(k, table) / _dot(k, k))[:, None] * k
+    return FourierField(d=field.d, coeffs=dict(zip(field.coeffs, out)))
 
 
 def advect(v: FourierField, w: FourierField) -> FourierField:
@@ -120,57 +178,63 @@ def advect(v: FourierField, w: FourierField) -> FourierField:
 
     The zero mode of the output must vanish (true whenever v is
     divergence-free); a significantly nonzero mean raises ValueError, a
-    roundoff-level one is dropped.  Every output component is reduced with
-    math.fsum, so the reality constraint survives exactly.
+    roundoff-level one is dropped, as are output modes that sum to zero.
+
+    All H x G terms prefactor (v_h . g) w_g are built at once, with v_h . g
+    added left to right, then sorted stably by k = h + g.  Each output
+    component is math.fsum over its run of terms, which rounds their exact
+    sum once.  For inputs that meet the reality constraint exactly, the
+    terms at -k are the exact conjugates of those at k, so the output meets
+    it exactly.
     """
     if v.d != w.d:
         raise ValueError(f"dimension mismatch: {v.d} != {w.d}")
     d = v.d
     prefactor = 1j * (2.0 * math.pi) ** (-d / 2.0)
-    buckets: dict = {}
-    biggest = 0.0
-    for h in sorted(v.coeffs):
-        vh = v.coeffs[h]
-        for g in sorted(w.coeffs):
-            k = tuple(hc + gc for hc, gc in zip(h, g))
-            factor = prefactor * complex(np.dot(vh, np.asarray(g, float)))
-            term = factor * w.coeffs[g]
-            buckets.setdefault(k, []).append(term)
-            biggest = max(biggest, float(np.abs(term).max(initial=0.0)))
-    out = {}
-    for k, terms in buckets.items():
-        vec = np.array(
-            [
-                complex(
-                    math.fsum(t[j].real for t in terms),
-                    math.fsum(t[j].imag for t in terms),
-                )
-                for j in range(d)
-            ]
-        )
-        if not any(k):
-            mean = float(np.abs(vec).max(initial=0.0))
-            if mean > _REL_TOL * max(1.0, biggest):
-                raise ValueError(
-                    f"advection output has nonzero mean {mean:.3e}; "
-                    f"the transporting field is not divergence-free"
-                )
-            continue
-        if np.abs(vec).max(initial=0.0) != 0.0:
-            out[k] = vec
-    return FourierField(d=d, coeffs=out)
+    h_keys, v_table = _stack(d, v.coeffs)
+    g_keys, w_table = _stack(d, w.coeffs)
+    factor = prefactor * _dot(v_table[:, None, :], g_keys[None, :, :].astype(float))
+    terms = (factor[:, :, None] * w_table[None, :, :]).reshape(-1, d)
+    keys = (h_keys[:, None, :] + g_keys[None, :, :]).reshape(-1, d)
+    biggest = float(np.abs(terms).max(initial=0.0))
+    order, starts = _lex_runs(keys)
+    keys, terms = keys[order][starts], terms[order]
+    cuts = np.append(np.flatnonzero(starts), len(order)).tolist()
+    columns = terms.real.T.tolist() + terms.imag.T.tolist()
+    sums = np.array(
+        [[math.fsum(col[a:b]) for col in columns] for a, b in zip(cuts, cuts[1:])]
+    ).reshape(-1, 2 * d)
+    vecs = np.empty((len(keys), d), dtype=complex)
+    vecs.real = sums[:, :d]
+    vecs.imag = sums[:, d:]
+    zero = ~keys.any(axis=1)
+    if zero.any():
+        mean = float(np.abs(vecs[zero]).max())
+        if mean > _REL_TOL * max(1.0, biggest):
+            raise ValueError(
+                f"advection output has nonzero mean {mean:.3e}; "
+                f"the transporting field is not divergence-free"
+            )
+    keep = ~zero & (vecs != 0.0).any(axis=1)
+    out_keys = map(tuple, keys[keep].tolist())
+    return FourierField(d=d, coeffs=dict(zip(out_keys, vecs[keep])))
 
 
 def sobolev_norm(field: FourierField, n) -> float:
-    """Weighted l2 norm sqrt(sum_k |k|^(2n) |v_k|^2)."""
+    """Weighted l2 norm sqrt(sum_k |k|^(2n) |v_k|^2).
+
+    The weight |k|^(2n) is float(|k|^2) ** n, once per distinct |k|^2; one
+    that overflows a float or underflows to 0 raises ParameterError.
+    """
     nf = float(n)
-    terms = []
-    for k in sorted(field.coeffs):
-        weight = float(sum(c * c for c in k)) ** nf
-        vec = field.coeffs[k]
-        for j in range(field.d):
-            terms.append(weight * (vec[j].real ** 2 + vec[j].imag ** 2))
-    return math.sqrt(math.fsum(terms))
+    keys, table = _stack(field.d, field.coeffs)
+    k = keys.astype(float)
+    k2, inverse = np.unique(_dot(k, k), return_inverse=True)
+    weights = np.array([_k_scale(int(m), nf) for m in k2.tolist()])[inverse]
+    # x ** 2 on a float is libm pow(x, 2), which is not always x * x;
+    # np.float_power calls the same pow, so the norm is the one x ** 2 gives.
+    square = np.float_power(table.real, 2.0) + np.float_power(table.imag, 2.0)
+    return math.sqrt(math.fsum((weights[:, None] * square).ravel().tolist()))
 
 
 def _amplitude_vectors(d, alpha, alpha_vec, beta, beta_vec):
@@ -242,6 +306,10 @@ def witness_prediction(d, n, alpha, alpha_vec, beta, beta_vec) -> float:
         * (0.5 * beta2 + bvec2)
         / (a2 * b2)
     )
+    if ratio_sq == 0.0:
+        raise ParameterError(
+            f"the predicted ratio^2 underflows to 0 at n={n}; requires a larger n"
+        )
     return math.sqrt(ratio_sq)
 
 

@@ -191,13 +191,19 @@ class _FoldedTerms:
 
 
 def _k_scale(k2: int, n: float) -> float:
-    """|k|^(2n) from the exact integer |k|^2; refuses a power past the float range."""
+    """|k|^(2n) from the exact integer |k|^2; refuses a power that overflows
+    a float or underflows to 0."""
     try:
-        return float(k2) ** n
+        scale = float(k2) ** n
     except OverflowError:
         raise ParameterError(
             f"|k|^(2n) = {k2}^{n} overflows a float; requires a smaller |k| or n"
         ) from None
+    if scale == 0.0:
+        raise ParameterError(
+            f"|k|^(2n) = {k2}^{n} underflows to 0; requires a smaller |k| or |n|"
+        )
+    return scale
 
 
 def K_m(k, cfg: SumConfig) -> float:
@@ -239,9 +245,10 @@ def _exact_row_sums(terms) -> list[float]:
     to nearest, ties to even; CPython rounds int division correctly and fsum
     returns the correctly rounded sum, so the two agree bit for bit, and both
     raise OverflowError past the float range.  A longer row is summed in
-    chunks of _BUCKET_COLS columns.  An entry with its sign bit set (-0.0 too,
-    whose fsum keeps the sign), an infinity or a nan is refused with
-    ValueError.
+    chunks of _BUCKET_COLS columns.  An entry with its sign bit set, an
+    infinity or a nan is refused with ValueError.  That refuses -0.0 too, so
+    the result never depends on the Python version's rule for the sign of a
+    zero fsum.
     """
     terms = np.asarray(terms, dtype=float)
     rows, cols = terms.shape

@@ -14,8 +14,13 @@ whose sharp constant is attained at cos(theta) = n/(n+2), |p| = |q|.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+
+#: ln of the largest finite float.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class ParameterError(ValueError):
@@ -90,7 +95,13 @@ def tail_sum_bound(inputs: TailBoundInputs) -> float:
     for i in range(d):
         p = nu - 1.0 - i
         # p >= nu - d > 0 is guaranteed by the input invariants
-        terms.append(math.comb(d - 1, i) * d ** ((d - 1 - i) / 2.0) / (p * base**p))
+        power = base**p
+        if power == 0.0:
+            raise ParameterError(
+                f"(rho - 2 sqrt(d))^(nu-1-i) = {base!r}^{p} underflows to 0; "
+                f"requires a larger rho or a smaller nu"
+            )
+        terms.append(math.comb(d - 1, i) * d ** ((d - 1 - i) / 2.0) / (p * power))
     return 2.0 * math.pi ** (d / 2.0) / gamma_half(d) * math.fsum(terms)
 
 
@@ -104,19 +115,47 @@ def wedge_power_ratio(n, c, u) -> float:
 
 
 def wedge_power_bound(n) -> float:
-    """B_n = 2^(2n+1)(n+1)^(n+1)/(n+2)^(n+2), the sup of wedge_power_ratio."""
-    if float(n).is_integer() and n >= 0:
+    """B_n = 2^(2n+1)(n+1)^(n+1)/(n+2)^(n+2), the sup of wedge_power_ratio.
+
+    An integer n >= 0 takes the exact rational value, rounded once.  For
+    n > -1, ln B_n = (2n+1) ln 2 - (n+1) ln(1 + 1/(n+1)) - ln(n+2) is checked
+    first, so a B_n past the float range is refused before any power is
+    built.
+    """
+    x = float(n)
+    if x > -1.0:
+        log_b = (2.0 * x + 1.0) * math.log(2.0) - (x + 1.0) * math.log1p(
+            1.0 / (x + 1.0)
+        ) - math.log(x + 2.0)
+        if log_b > _LOG_FLOAT_MAX:
+            raise ParameterError(
+                f"B_n = 2^(2n+1) (n+1)^(n+1) / (n+2)^(n+2) = exp({log_b:.6g}) "
+                f"overflows a float at n={n}; requires a smaller n"
+            )
+    if x.is_integer() and n >= 0:
         m = int(n)
         return float(
             Fraction(2 ** (2 * m + 1) * (m + 1) ** (m + 1), (m + 2) ** (m + 2))
         )
-    n = float(n)
-    return 2.0 ** (2.0 * n + 1.0) * (n + 1.0) ** (n + 1.0) / (n + 2.0) ** (n + 2.0)
+    try:
+        return 2.0 ** (2.0 * x + 1.0) * (x + 1.0) ** (x + 1.0) / (x + 2.0) ** (x + 2.0)
+    except OverflowError:
+        raise ParameterError(
+            f"evaluating B_n in floats overflows at n={n}; requires a smaller n, "
+            f"or an integer n"
+        ) from None
 
 
 def delta_K(d: int, n, rho) -> float:
     """Uniform bound on the far-region part of the cutoff lattice sum:
-    2 * B_n * tail_sum_bound(d, 2n, rho), under check_parameters."""
+    2 * B_n * tail_sum_bound(d, 2n, rho), under check_parameters.  A bound
+    that overflows a float is refused."""
     check_parameters(d, n, rho)
     inputs = TailBoundInputs(d=d, nu=2.0 * float(n), rho=float(rho))
-    return 2.0 * wedge_power_bound(n) * tail_sum_bound(inputs)
+    bound = 2.0 * wedge_power_bound(n) * tail_sum_bound(inputs)
+    if bound == math.inf:
+        raise ParameterError(
+            f"delta_K = 2 B_n T overflows a float at n={n}, rho={rho}; "
+            f"requires a larger rho or a smaller n"
+        )
+    return bound

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -178,6 +179,30 @@ def test_sums_overflowing_scale_exit_1(capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: |k|^(2n) = 49^200.0 overflows a float")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["witness", "--n", "2000"], "|k|^(2n) = 2^2000.0 overflows a float"),
+        (["witness", "--n", "-5000"], "|k|^(2n) = 2^-5000.0 underflows to 0"),
+        (["witness", "--n", "-1070"], "the predicted ratio^2 underflows to 0"),
+        (["sums", "--n", "10000", "--rho", "5"], "B_n = 2^(2n+1)"),
+        (["sums", "--n", "1e300", "--rho", "5"], "B_n = 2^(2n+1)"),
+        (["sums", "--n", "200.5", "--rho", "5"], "evaluating B_n in floats overflows"),
+        (["sums", "--n", "200", "--rho", "3.5"], "(rho - 2 sqrt(d))^(nu-1-i)"),
+        (["sums", "--n", "100", "--rho", "3.5"], "delta_K = 2 B_n T overflows"),
+    ],
+)
+def test_out_of_float_range_exit_1(argv, message, capsys):
+    """A power that leaves the float range is a named precondition, found
+    before any huge integer is built."""
+    start = time.perf_counter()
+    assert cli.main(argv + ["--d", "3"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert err.count("\n") == 1
 
 
 def test_table_single_rows(capsys):

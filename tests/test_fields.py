@@ -16,6 +16,7 @@ from advbounds.fields import (
 )
 from advbounds.sums import KK_direct, SumConfig
 from conftest import rel_err
+from oracles import advect_loop, leray_loop, sobolev_loop
 
 
 def random_field(rng, d, n_modes=4, span=2):
@@ -49,6 +50,8 @@ def test_field_construction_and_reality():
         FourierField.build(3, {(0, 0, 0): (1.0, 0.0, 0.0)})
     with pytest.raises(ValueError, match="expected"):
         FourierField.build(3, {(1, 0, 0): (1.0, 0.0)})
+    with pytest.raises(ValueError, match=r"component of 2\^62 or more"):
+        FourierField.build(2, {(2**62, 1): (1.0, 0.0)})
     with pytest.raises(ValueError, match="reality violated"):
         FourierField(
             d=2,
@@ -59,6 +62,18 @@ def test_field_construction_and_reality():
         )
     with pytest.raises(ValueError, match="missing"):
         FourierField(d=2, coeffs={(1, 0): np.array([1.0 + 0j, 0j])})
+
+
+def test_field_reality_error_names_first_key_in_insertion_order():
+    mismatched = {
+        (1, 0): np.array([1.0 + 0j, 0j]),
+        (-1, 0): np.array([5.0 + 0j, 0j]),
+    }
+    lonely = {(0, 2): np.array([1.0 + 0j, 0j])}
+    with pytest.raises(ValueError, match=r"at \(1, 0\): conjugate mismatch"):
+        FourierField(d=2, coeffs={**mismatched, **lonely})
+    with pytest.raises(ValueError, match=r"\(0, -2\) missing for \(0, 2\)"):
+        FourierField(d=2, coeffs={**lonely, **mismatched})
 
 
 def test_field_coeffs_frozen():
@@ -329,3 +344,70 @@ def test_field_text_errors():
             "-1 0 1.0 -0.0 0.0 -0.0\n"
             "1 0 0 1.0 0.0 0.0 0.0 0.0 0.0"
         )
+
+
+def _same_bits(got, want):
+    """Equal key sets and bit-identical coefficients."""
+    assert set(got) == set(want)
+    for k, c in want.items():
+        assert np.array_equal(got[k].view(np.int64), c.view(np.int64)), k
+
+
+def _conjugate_symmetric(coeffs):
+    for k, c in coeffs.items():
+        assert np.array_equal(coeffs[tuple(-x for x in k)], np.conj(c)), k
+
+
+def _loop_cases():
+    """(v, w) pairs for d = 2, 3, 4: sparse random supports up to
+    |k|_inf <= 4, where k . c and v_h . g have inexact products, one dense
+    d = 3 pair, and pairs with an empty field."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for d in (2, 3, 4):
+        for span in (1, 2, 4):
+            for n_modes in (1, 5, 20):
+                n_modes = min(n_modes, ((2 * span + 1) ** d - 1) // 2)
+                v = leray_project(random_field(rng, d, n_modes, span))
+                cases.append((v, random_field(rng, d, n_modes, span)))
+    dense = leray_project(random_field(rng, 3, 62, 2))
+    cases.append((dense, random_field(rng, 3, 62, 2)))
+    empty = FourierField(d=3, coeffs={})
+    cases += [(empty, random_field(rng, 3)), (dense, empty)]
+    return cases
+
+
+@pytest.mark.parametrize("v,w", _loop_cases())
+def test_fields_layer_matches_reference_loops(v, w):
+    """advect, leray_project and sobolev_norm equal the per-mode reference
+    loops bit for bit, and both outputs keep v_{-k} = conj(v_k) exactly."""
+    out = advect(v, w)
+    _same_bits(out.coeffs, advect_loop(v.d, v.coeffs, w.coeffs))
+    _conjugate_symmetric(out.coeffs)
+    for field in (v, w, out):
+        projected = leray_project(field)
+        _same_bits(projected.coeffs, leray_loop(field.coeffs))
+        _conjugate_symmetric(projected.coeffs)
+        for n in (0, 1, 2.5, 3, -1.5):
+            got = sobolev_norm(projected, n)
+            assert got.hex() == sobolev_loop(projected.coeffs, n).hex()
+
+
+def test_advect_drops_all_zero_modes():
+    """v_h . g vanishes for g = +-e1, so the modes 2 e1 and 0 sum to zero
+    and are dropped; the g = +-e2 modes survive."""
+    v = FourierField.build(3, {(1, 0, 0): (0.0, 1.0, 0.0)})
+    w = FourierField.build(3, {(1, 0, 0): (0.0, 0.0, 1.0), (0, 1, 0): (1.0, 0.0, 0.5)})
+    out = advect(v, w)
+    assert out.support() == [(-1, -1, 0), (-1, 1, 0), (1, -1, 0), (1, 1, 0)]
+    _same_bits(out.coeffs, advect_loop(3, v.coeffs, w.coeffs))
+
+
+def test_sobolev_norm_squares_like_the_reference_loop():
+    """x ** 2 on a float is libm pow, which can differ from x * x in the last
+    bit; the norm squares as the reference loop does."""
+    rng = np.random.default_rng(7)
+    xs = [x for x in rng.normal(size=20000).tolist() if x**2 != x * x]
+    for x in xs[:20] + [1.1]:
+        field = FourierField.build(2, {(1, 0): (x, 0.0)})
+        assert sobolev_norm(field, 0).hex() == sobolev_loop(field.coeffs, 0).hex()

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from advbounds.tail import (
+    ParameterError,
     TailBoundInputs,
     delta_K,
     gamma_half,
@@ -64,6 +66,17 @@ def test_wedge_power_bound_exact_values():
     assert rel_err(
         wedge_power_bound(2.5), 2.0**6 * 3.5**3.5 / 4.5**4.5
     ) < 1e-15
+
+
+def test_wedge_power_bound_float_range():
+    """B_516 is the last integer B_n below the float maximum: exact, and the
+    log check refuses B_517 before building its integers."""
+    exact = Fraction(2**1033 * 517**517, 518**518)
+    assert wedge_power_bound(516) == float(exact)
+    with pytest.raises(ParameterError, match=r"overflows a float at n=517"):
+        wedge_power_bound(517)
+    with pytest.raises(ParameterError, match=r"underflows to 0"):
+        tail_sum_bound(TailBoundInputs(d=3, nu=400.0, rho=3.5))
 
 
 def test_wedge_power_ratio_attains_bound():
