@@ -51,7 +51,6 @@ from .lattice import (
 from .sums import (
     Interval,
     K_m,
-    KK_direct,
     SpherePolynomial,
     SumConfig,
     Z_n,
@@ -71,7 +70,6 @@ __all__ = [
     "FourierField",
     "InconclusiveSearchRadius",
     "Interval",
-    "KK_direct",
     "K_m",
     "K_minus",
     "ParameterError",

@@ -15,6 +15,8 @@ and finally the certified constants
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -37,7 +39,7 @@ from .sums import (
     extremize_Q,
     vV_nt,
 )
-from .tail import check_parameters, delta_K
+from .tail import check_even_t, check_parameters, delta_K
 
 
 class InconclusiveSearchRadius(RuntimeError):
@@ -74,7 +76,7 @@ class AsymptoticModel:
 
 def build_asymptotic_model(cfg: SumConfig, t: int, extrema) -> AsymptoticModel:
     """Extremize each direction coefficient and assemble the sandwich."""
-    _require(t >= 2 and t % 2 == 0, f"requires even t >= 2, got t={t}")
+    check_even_t(t)
     model = AsymptoticModel(z=Z_n(cfg), t=t, rho=float(cfg.rho))
     for ell in range(2, t, 2):
         q = build_Q(cfg, ell)
@@ -166,7 +168,35 @@ def _screen(terms: np.ndarray, scales: np.ndarray):
     return np.where(np.isfinite(lo), lo, 0.0), hi
 
 
-def search_sup_Km(cfg: SumConfig, search_radius, *, threads: int = 1):
+#: Most workers a search starts.  On two CPUs two workers ran the search
+#: 1.55x faster than one; `certify --d 3 --n 3,4,5,10` peaked at 141.8 MB RSS
+#: with one worker, 148.5 MB with two and 157.2 MB with four, since each pool
+#: thread's malloc arena keeps its working set.  Unmeasured on more CPUs.
+_MAX_WORKERS = 2
+
+
+def _worker_count(groups: int) -> int:
+    """Workers for a search of `groups` shell groups: the CPUs this process
+    may run on, at most one per group and at most _MAX_WORKERS.  A CPU
+    quota that does not restrict the affinity mask is not seen."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, groups, _MAX_WORKERS)
+
+
+class _SearchResult(tuple):
+    """search_sup_Km's (max, argmax, shell_profile), with `candidates`, the
+    number of canonical reps searched, for certify_bounds' diagnostics."""
+
+    def __new__(cls, best, best_k, shell_profile, candidates):
+        found = super().__new__(cls, (best, best_k, shell_profile))
+        found.candidates = candidates
+        return found
+
+
+def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     """Exact maximum of K_m over 0 < |k| < search_radius.
 
     Only canonical representatives (coordinates sorted descending, nonnegative)
@@ -183,8 +213,13 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads: int = 1):
     below its shell's maximum.  Ties keep the lexicographically smallest
     canonical form.
     Returns (max, argmax, shell_profile) with shell_profile mapping |k|^2 to
-    the shell's maximum, keyed in order of first appearance in lex order.
-    Blocks are shared out over `threads` workers with identical results.
+    the shell's maximum, keyed in order of first appearance in lex order; its
+    `candidates` attribute counts the canonical reps.
+
+    `threads` workers (by default _worker_count's) take the groups one at a
+    time, with identical results: each value is its own row's correctly
+    rounded sum, and maxima merge by value, then lex order.  An exception in
+    a worker, or an interrupt, stops each worker after its current group.
     """
     _check_search_radius(search_radius, cfg.rho)
     reps = enumerate_canonical(cfg.d, search_radius)
@@ -196,37 +231,62 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads: int = 1):
     rows = max(1, _BLOCK_TERMS // len(cfg.ball))
     table = _power_table(cfg, k2[-1])
 
-    def run(groups):
-        """(|k|^2, k, K_m(k)) for every rep of `groups` the screen keeps."""
-        terms_of = _FoldedTerms(cfg, rows, table)
+    groups = _shell_blocks(k2, rows)
+    pending = iter(groups)
+    lock = threading.Lock()
+    halt = threading.Event()
+
+    def run(group, terms_of, kept):
+        """Append (|k|^2, k, K_m(k)) to kept for every rep of one shell group
+        that the screen keeps."""
+        floor: dict = {}
+        contenders, blocks = [], []
+        for start, stop in group:
+            terms = terms_of(ks[start:stop])
+            lo, hi = _screen(terms, np.array(scales[start:stop]))
+            for i in range(start, stop):
+                floor[k2[i]] = max(floor.get(k2[i], -math.inf), lo[i - start])
+            live = [j for j, top in enumerate(hi) if top >= floor[k2[start + j]]]
+            contenders += [(start + j, hi[j]) for j in live]
+            blocks.append(terms[live])  # the next block overwrites terms
+        stacked = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+        keep = [c for c, (i, top) in enumerate(contenders) if top >= floor[k2[i]]]
+        if len(keep) < len(contenders):
+            stacked = stacked[keep]
+        for c, total in zip(keep, _exact_row_sums(stacked)):
+            i = contenders[c][0]
+            kept.append((k2[i], reps[order[i]], scales[i] * total))
+
+    def work(terms_of):
+        """Take shell groups one at a time until none are left; then, or on
+        any exception, halt every worker after its current group."""
         kept = []
-        for group in groups:
-            floor: dict = {}
-            contenders, blocks = [], []
-            for start, stop in group:
-                terms = terms_of(ks[start:stop])
-                lo, hi = _screen(terms, np.array(scales[start:stop]))
-                for i in range(start, stop):
-                    floor[k2[i]] = max(floor.get(k2[i], -math.inf), lo[i - start])
-                live = [j for j, top in enumerate(hi) if top >= floor[k2[start + j]]]
-                contenders += [(start + j, hi[j]) for j in live]
-                blocks.append(terms[live])  # the next block overwrites terms
-            stacked = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-            keep = [c for c, (i, top) in enumerate(contenders) if top >= floor[k2[i]]]
-            if len(keep) < len(contenders):
-                stacked = stacked[keep]
-            for c, total in zip(keep, _exact_row_sums(stacked)):
-                i = contenders[c][0]
-                kept.append((k2[i], reps[order[i]], scales[i] * total))
+        try:
+            while not halt.is_set():
+                with lock:
+                    group = next(pending, None)
+                if group is None:
+                    break
+                run(group, terms_of, kept)
+        finally:
+            halt.set()
         return kept
 
-    groups = _shell_blocks(k2, rows)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(run, [groups[j::threads] for j in range(threads)])
-            kept = [entry for part in parts for entry in part]
-    else:
-        kept = run(groups)
+    # The calling thread is one of the workers, and it allocates every
+    # worker's buffers: memory a pool thread's malloc arena keeps after the
+    # search would add to the peak of the next certificate's stages.
+    workers = _worker_count(len(groups)) if threads is None else threads
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        try:
+            helpers = [
+                pool.submit(work, _FoldedTerms(cfg, rows, table))
+                for _ in range(workers - 1)
+            ]
+            kept = work(_FoldedTerms(cfg, rows, table))
+        finally:
+            halt.set()
+        for helper in helpers:
+            kept += helper.result()
 
     shell_best: dict = {}
     for s, k, val in kept:
@@ -236,7 +296,7 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads: int = 1):
     shell_profile = {s: shell_best[s][0] for s in dict.fromkeys(lex_k2)}
     best = max(shell_profile.values())
     best_k = min(k for val, k in shell_best.values() if val == best)
-    return best, best_k, shell_profile
+    return _SearchResult(best, best_k, shell_profile, len(reps))
 
 
 def K_minus(d: int, n) -> float:
@@ -270,8 +330,6 @@ def certify_bounds(
     rho,
     t: int = 6,
     search_radius=None,
-    *,
-    threads: int = 1,
 ) -> BoundCertificate:
     """Run the full pipeline and return a certificate (or raise).
 
@@ -282,21 +340,16 @@ def certify_bounds(
     start = time.perf_counter()
     check_parameters(d, n, rho)
     nf, rf = float(n), float(rho)
-    _require(t >= 2 and t % 2 == 0, f"requires even t >= 2, got t={t}")
+    check_even_t(t)
     if search_radius is None:
         search_radius = 2.0 * rf
     _check_search_radius(search_radius, rf)
-    _require(
-        isinstance(threads, int) and threads >= 1,
-        f"requires integer threads >= 1, got threads={threads}",
-    )
 
     cfg = SumConfig.create(d, nf, rho)
     extrema = remainder_extrema(nf, t)
     model = build_asymptotic_model(cfg, t, extrema)
-    sup_km, argmax, shell_profile = search_sup_Km(
-        cfg, search_radius, threads=threads
-    )
+    found = search_sup_Km(cfg, search_radius)
+    sup_km, argmax, shell_profile = found
     far_bound = asymptotic_upper(model, float(search_radius))
     if far_bound > sup_km:
         raise InconclusiveSearchRadius(
@@ -316,7 +369,7 @@ def certify_bounds(
         "z_n": model.z,
         "shell_maxima": shell_profile,
         "points_in_ball": len(cfg.ball),
-        "canonical_candidates": len(enumerate_canonical(d, search_radius)),
+        "canonical_candidates": found.candidates,
         "remainder_mu": extrema.mu,
         "remainder_M": extrema.M,
         "remainder_mu_width": extrema.mu_width,
@@ -325,7 +378,6 @@ def certify_bounds(
         "q_lower": dict(model.q_lower),
         "v_lower": model.v,
         "V_upper": model.V,
-        "threads": threads,
         "runtime_ms": runtime_ms,
     }
     return BoundCertificate(

@@ -11,6 +11,8 @@ Presentation rounding is asymmetric on purpose: upper bounds round up, lower
 bounds round down, three significant digits, and the ratio row is truncated
 (never rounded up).  JSON reports carry full-precision floats plus the rounded
 strings; runtime_ms is the only field allowed to vary between identical runs.
+The sup K_m search takes its worker count from the CPUs the process may run
+on (certify._worker_count), so no flag sets it, and no report depends on it.
 
 Exit codes: 0 success, 1 a usage error, invalid parameters (message names
 the violated precondition) or a table row that mismatches the reference, 2
@@ -140,14 +142,9 @@ def _certificates(args):
     for n in args.n:
         rho = args.rho if args.rho is not None else default_rho(args.d, n)
         if args.verbose:
-            print(
-                f"certifying d={args.d} n={n} rho={rho} "
-                f"t={args.t} threads={args.threads}",
-                file=sys.stderr,
-            )
+            print(f"certifying d={args.d} n={n} rho={rho} t={args.t}", file=sys.stderr)
         yield n, certify_bounds(
-            args.d, n, rho, t=args.t, search_radius=args.search_radius,
-            threads=args.threads,
+            args.d, n, rho, t=args.t, search_radius=args.search_radius
         )
 
 
@@ -338,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="search |k| < radius; default 2*rho",
         )
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
         p.add_argument("-v", "--verbose", action="count", default=0)
     p_cert.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p_table.add_argument("--format", choices=("human", "csv"), default="human")

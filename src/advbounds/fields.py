@@ -26,6 +26,7 @@ with repr-precision floats, so text round-trips are exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,6 +293,10 @@ def witness_prediction(d, n, alpha, alpha_vec, beta, beta_vec) -> float:
 
         ratio^2 = (2^n/(2 pi)^d) |alpha|^2 (|beta|^2/2 + |bvec|^2)
                   / ((|alpha|^2+|avec|^2)(|beta|^2+|bvec|^2)).
+
+    A ratio^2 below the smallest normal float is refused: a subnormal ratio^2
+    holds fewer than 53 significant bits, and the witness's weighted terms,
+    which are of the same size, lose digits too.
     """
     a_amp, b_amp = _amplitude_vectors(d, alpha, alpha_vec, beta, beta_vec)
     a2 = float(np.sum(np.abs(a_amp) ** 2))
@@ -306,9 +311,10 @@ def witness_prediction(d, n, alpha, alpha_vec, beta, beta_vec) -> float:
         * (0.5 * beta2 + bvec2)
         / (a2 * b2)
     )
-    if ratio_sq == 0.0:
+    if ratio_sq < sys.float_info.min:
         raise ParameterError(
-            f"the predicted ratio^2 underflows to 0 at n={n}; requires a larger n"
+            f"the predicted ratio^2 underflows to 0 or below the normal float "
+            f"range ({ratio_sq!r}) at n={n}; requires a larger n"
         )
     return math.sqrt(ratio_sq)
 

@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -130,12 +130,6 @@ def enumerate_ball(d: int, rho, *, budget: int = DEFAULT_POINT_BUDGET) -> BallEn
     pts = np.vstack(chunks) if chunks else np.empty((0, d), dtype=np.int64)
     pts = pts[np.any(pts != 0, axis=1)]
     return BallEnumeration(radius=rho, points=pts)
-
-
-@lru_cache(maxsize=3)
-def shared_ball(d: int, rho, budget: int = DEFAULT_POINT_BUDGET) -> BallEnumeration:
-    """Cached enumerate_ball for hashable radii; used for large repeated enumerations."""
-    return enumerate_ball(d, rho, budget=budget)
 
 
 def wedge_norm_sq(p, q) -> float:

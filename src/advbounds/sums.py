@@ -5,9 +5,8 @@ K_m is the near-region part of the convolution sum
     |k|^(2n) * sum_h |h ^ k|^2 / (|h|^(2n+2) |k-h|^(2n+2)),
 
 restricted to |h| < rho or |k-h| < rho and folded onto the ball by the h -> k-h
-symmetry (weight 2 where both copies land outside each other's ball).  KK_direct
-is an interval oracle for the full sum.  Z_n, build_Q and vV_nt produce the
-coefficients of the large-|k| sandwich
+symmetry (weight 2 where both copies land outside each other's ball).  Z_n,
+build_Q and vV_nt produce the coefficients of the large-|k| sandwich
 
     Z_n + sum_l q_nl |k|^(-l) + v_nt |k|^(-t)
         <= K_m(k) <=
@@ -17,7 +16,7 @@ where the q/Q come from extremizing sphere polynomials over the unit sphere.
 
 All certificate-bound reductions are correctly rounded sums, hence
 independent of term order, which is what makes the bitwise symmetry and
-thread-count guarantees real rather than incidental.  Most go through
+worker-count guarantees real rather than incidental.  Most go through
 math.fsum.  The sup K_m search sums its rows with _exact_row_sums instead:
 exponent buckets make each row's sum exact before it is rounded once to
 nearest, so it returns fsum's value bit for bit, from array operations.  The
@@ -38,13 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import EnclosureWidthError, substituted_coeff
-from .lattice import (
-    BallEnumeration,
-    enumerate_ball,
-    max_norm_sq_inside,
-    shared_ball,
-)
-from .tail import ParameterError, TailBoundInputs, check_parameters, tail_sum_bound
+from .lattice import BallEnumeration, enumerate_ball, max_norm_sq_inside
+from .tail import ParameterError, check_even_t, check_parameters
 
 
 class Interval(NamedTuple):
@@ -104,31 +98,30 @@ def _as_k(k, d: int) -> np.ndarray:
     return kt
 
 
-#: Most entries a |k-h|^-(2n+2) table may hold; a larger search computes the
-#: power directly, like a lone K_m call.
+#: Most entries a fold table may hold; a larger search folds each block.
 _TABLE_MAX = 2**22
 
 
-def _power_table(cfg: SumConfig, k2_max: int) -> np.ndarray | None:
-    """[1 + (m > boundary_norm_sq)] * m^-(n+1) for every m = |k-h|^2 that a k
-    with |k|^2 <= k2_max meets; entry 0 (h = k) is 0.
+def _fold(cfg: SumConfig, m: np.ndarray) -> np.ndarray:
+    """[1 + (m > boundary_norm_sq)] * m^-(n+1), in place, for exact integers
+    m = |k-h|^2 held as floats; 0 at m = 0 (h = k)."""
+    zero = m == 0.0
+    far = m > cfg.boundary_norm_sq
+    m[zero] = 1.0
+    np.power(m, -(cfg.n + 1.0), out=m)
+    m[far] *= 2.0
+    m[zero] = 0.0
+    return m
 
-    Returns None where the table could not reproduce the direct terms bit for
-    bit -- float64 h.k may be inexact, or a doubled term may be subnormal,
-    where scaling by 2 is no longer exact -- or would exceed _TABLE_MAX.
-    """
+
+def _power_table(cfg: SumConfig, k2_max: int) -> np.ndarray | None:
+    """_fold of every m = |k-h|^2 that a k with |k|^2 <= k2_max meets, or None
+    past _TABLE_MAX entries."""
     h2_max = cfg._max_norm_sq
     size = k2_max + h2_max + 2 * math.isqrt(k2_max * h2_max) + 3
-    if size > _TABLE_MAX or k2_max * h2_max >= 2**53:
+    if size > _TABLE_MAX:
         return None
-    table = np.arange(size, dtype=float)
-    table[0] = 1.0
-    table = table ** (-(cfg.n + 1.0))
-    if table[-1] * cfg._inv_pow_np1.min() < 2.0**-1021:
-        return None
-    table[cfg.boundary_norm_sq + 1:] *= 2.0
-    table[0] = 0.0
-    return table
+    return _fold(cfg, np.arange(size, dtype=float))
 
 
 class _FoldedTerms:
@@ -137,30 +130,34 @@ class _FoldedTerms:
         [1 + (|k-h| >= rho)] * |h^k|^2 / (|h|^(2n+2) |k-h|^(2n+2))
 
     over the N ball points h, with 0 at h = k.  Row i sums, times |k_i|^(2n),
-    to K_m(k_i).  With a table from _power_table the block runs in float64
-    (h.k is a matmul, exact under the table's bound) in buffers of `rows`
-    rows that every call overwrites, so each thread needs its own instance.
-    Without one it takes the direct power in int64 arithmetic.
+    to K_m(k_i).  h.k is a float64 matmul, exact while |k|^2 max|h|^2 < 2^53;
+    a larger k is refused.  The fold of |k-h|^2 is looked up in `table`, from
+    _power_table, or else computed by _fold for the block.  Every call
+    overwrites the same buffers of `rows` rows, so each worker keeps its own
+    instance.
     """
 
     def __init__(self, cfg: SumConfig, rows: int = 1, table=None):
         self.cfg = cfg
         self.table = table
-        if table is not None:
-            n_pts = len(cfg.ball)
-            self._points_t = np.ascontiguousarray(cfg.ball.points.T, dtype=float)
-            self._a = np.empty((rows, n_pts))
-            self._b = np.empty((rows, n_pts))
-            self._idx = np.empty((rows, n_pts), dtype=np.intp)
+        n_pts = len(cfg.ball)
+        self._points_t = np.ascontiguousarray(cfg.ball.points.T, dtype=float)
+        self._a = np.empty((rows, n_pts))
+        self._b = np.empty((rows, n_pts))
+        self._idx = np.empty((rows, n_pts), dtype=np.intp)
 
     def __call__(self, ks: np.ndarray) -> np.ndarray:
-        if self.table is None:
-            return self._direct(ks)
         cfg = self.cfg
         b = ks.shape[0]
-        k2 = np.einsum("ij,ij->i", ks, ks).astype(float)[:, None]
+        kf = ks.astype(float)
+        k2 = np.einsum("ij,ij->i", kf, kf)[:, None]
+        if k2.max() * cfg._max_norm_sq >= 2.0**53:
+            raise ParameterError(
+                f"|k|^2 = {k2.max():.17g} too large: float64 h.k is exact only "
+                f"while |k|^2 max|h|^2 < 2^53"
+            )
         dot, acc, idx = self._a[:b], self._b[:b], self._idx[:b]
-        np.matmul(ks.astype(float), self._points_t, out=dot)
+        np.matmul(kf, self._points_t, out=dot)
         np.multiply(dot, -2.0, out=acc)
         acc += cfg._h2f
         acc += k2
@@ -169,25 +166,13 @@ class _FoldedTerms:
         np.multiply(k2, cfg._h2f, out=acc)
         acc -= dot  # |h^k|^2, an exact integer
         acc *= cfg._inv_pow_np1
-        np.take(self.table, idx, out=dot)
+        if self.table is None:
+            np.copyto(dot, idx)
+            _fold(cfg, dot)
+        else:
+            np.take(self.table, idx, out=dot)
         acc *= dot
         return acc
-
-    def _direct(self, ks: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        k2 = np.einsum("ij,ij->i", ks, ks)[:, None]
-        if int(k2.max()) * cfg._max_norm_sq >= 2**62:
-            raise ValueError(
-                f"|k|^2 = {int(k2.max())} too large for the int64 fast path"
-            )
-        h2 = cfg.ball.norm_sq
-        dot = ks @ cfg.ball.points.T
-        km2 = k2 - 2 * dot + h2
-        wedge = h2 * k2 - dot * dot
-        terms = wedge * cfg._inv_pow_np1
-        terms *= np.maximum(km2, 1).astype(float) ** (-(cfg.n + 1.0))
-        terms *= np.where(km2 > cfg.boundary_norm_sq, 2.0, 1.0)
-        return terms
 
 
 def _k_scale(k2: int, n: float) -> float:
@@ -275,45 +260,6 @@ def _exact_row_sums(terms) -> list[float]:
             row, b = divmod(i, width)
             totals[row] += ((int(h) << 26) + int(f)) << (b + low - _MIN_EXP)
     return [t / (1 << 1126) for t in totals]
-
-
-_CHUNK = 2_000_000
-
-
-def KK_direct(k, cfg: SumConfig, truncation_radius) -> Interval:
-    """Certified interval for the full (untruncated) convolution sum at k.
-
-    [S, S+T]: S is the exact sum over |h| < truncation_radius, and T bounds the
-    discarded tail using |h^k|^2 <= |h|^2 |k|^2 and |k-h| >= |h|/2 (valid since
-    the truncation radius exceeds 2|k|).  Requires truncation_radius >
-    2 (|k| + rho) so that the tail lies past both cutoff regions.
-    """
-    kt = _as_k(k, cfg.d)
-    k2 = int(kt @ kt)
-    need = 2.0 * (math.sqrt(k2) + float(cfg.rho))
-    if not float(truncation_radius) > need:
-        raise ValueError(
-            f"requires truncation_radius > 2*(|k|+rho) = {need:.6f}, "
-            f"got {truncation_radius}"
-        )
-    big = shared_ball(cfg.d, truncation_radius)
-    partials = []
-    for start in range(0, len(big), _CHUNK):
-        pts = big.points[start:start + _CHUNK]
-        h2 = big.norm_sq[start:start + _CHUNK]
-        dot = pts @ kt
-        km2 = k2 - 2 * dot + h2
-        wedge = h2 * k2 - dot * dot
-        live = km2 != 0
-        terms = wedge[live] * (h2[live].astype(float) ** (-(cfg.n + 1.0)))
-        terms = terms * (km2[live].astype(float) ** (-(cfg.n + 1.0)))
-        partials.append(math.fsum(terms.tolist()))
-    s_val = float(k2) ** cfg.n * math.fsum(partials)
-    tail = tail_sum_bound(
-        TailBoundInputs(d=cfg.d, nu=4.0 * cfg.n + 2.0, rho=float(truncation_radius))
-    )
-    t_val = float(k2) ** (cfg.n + 1.0) * 2.0 ** (2.0 * cfg.n + 2.0) * tail
-    return Interval(s_val, s_val + t_val)
 
 
 def Z_n(cfg: SumConfig) -> float:
@@ -618,7 +564,6 @@ def extremize_Q(
 def vV_nt(cfg: SumConfig, t: int, extrema) -> tuple[float, float]:
     """Endpoint coefficients of the |k|^(-t) remainder term in the sandwich:
     (2 mu S, 2 M S) with S = sum_{|h|<rho} |h|^(t-2n)."""
-    if t < 2 or t % 2 != 0:
-        raise ValueError(f"requires even t >= 2, got {t}")
+    check_even_t(t)
     s = math.fsum(cfg.h_pow(t - 2.0 * cfg.n).tolist())
     return 2.0 * extrema.mu * s, 2.0 * extrema.M * s

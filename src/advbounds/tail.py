@@ -48,6 +48,12 @@ def check_parameters(d: int, n, rho) -> None:
         )
 
 
+def check_even_t(t) -> None:
+    """The expansion order t must be an even integer >= 2."""
+    if not (t >= 2 and t % 2 == 0):
+        raise ParameterError(f"requires even t >= 2, got t={t}")
+
+
 def gamma_half(d: int) -> float:
     """Gamma(d/2) for positive integer d, by the exact closed form.
 
@@ -95,7 +101,13 @@ def tail_sum_bound(inputs: TailBoundInputs) -> float:
     for i in range(d):
         p = nu - 1.0 - i
         # p >= nu - d > 0 is guaranteed by the input invariants
-        power = base**p
+        try:
+            power = base**p
+        except OverflowError:
+            raise ParameterError(
+                f"(rho - 2 sqrt(d))^(nu-1-i) = {base!r}^{p} overflows a float; "
+                f"requires a smaller rho or a smaller nu"
+            ) from None
         if power == 0.0:
             raise ParameterError(
                 f"(rho - 2 sqrt(d))^(nu-1-i) = {base!r}^{p} underflows to 0; "

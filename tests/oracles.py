@@ -2,6 +2,7 @@
 implementation: nothing here imports ``advbounds``.
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -32,6 +33,94 @@ def km_exact(k, d, n, rho):
             weight * (h2 * k2 - dot * dot), h2 ** (n + 1) * km2 ** (n + 1)
         )
     return Fraction(k2) ** n * total
+
+
+@functools.lru_cache(maxsize=1)
+def ball(d, radius):
+    """Every nonzero h in Z^d with |h| < radius, as read-only int64 rows in lex
+    order, and their |h|^2.  The last ball is kept, since callers probe many k
+    against one truncation radius."""
+    m = math.ceil(Fraction(radius) ** 2) - 1  # largest integer |h|^2 < radius^2
+    c = math.isqrt(m)
+    axis = np.arange(-c, c + 1, dtype=np.int64)
+    rest = np.stack(np.meshgrid(*[axis] * (d - 1), indexing="ij"), axis=-1)
+    rest = rest.reshape(-1, d - 1)
+    rest2 = np.einsum("ij,ij->i", rest, rest)
+    slices = []
+    for x in axis.tolist():
+        inside = rest[rest2 <= m - x * x]
+        slices.append(np.hstack([np.full((len(inside), 1), x), inside]))
+    pts = np.vstack(slices)
+    pts = pts[np.any(pts != 0, axis=1)]
+    norms = np.einsum("ij,ij->i", pts, pts)
+    pts.setflags(write=False)
+    norms.setflags(write=False)
+    return pts, norms
+
+
+def tail_sum(d, nu, rho):
+    """The closed-form bound on sum_{|h| >= rho} |h|^(-nu) (nu > d,
+    rho > 2 sqrt(d)), from shell counting:
+
+        (2 pi^(d/2) / Gamma(d/2)) * sum_{i=0}^{d-1}
+            C(d-1, i) d^((d-1-i)/2) / ((nu-1-i) (rho - 2 sqrt(d))^(nu-1-i)),
+
+    with Gamma(d/2) = (d/2 - 1)! for even d and (2m)! sqrt(pi) / (4^m m!)
+    for odd d = 2m + 1.
+    """
+    if d % 2 == 0:
+        gamma = float(math.factorial(d // 2 - 1))
+    else:
+        m = (d - 1) // 2
+        gamma = math.factorial(2 * m) * math.sqrt(math.pi) / (4**m * math.factorial(m))
+    base = rho - 2.0 * math.sqrt(d)
+    terms = [
+        math.comb(d - 1, i) * d ** ((d - 1 - i) / 2.0)
+        / ((nu - 1.0 - i) * base ** (nu - 1.0 - i))
+        for i in range(d)
+    ]
+    return 2.0 * math.pi ** (d / 2.0) / gamma * math.fsum(terms)
+
+
+#: Ball points per fsum partial in kk_direct.
+CHUNK = 2_000_000
+
+
+def kk_direct(k, d, n, rho, truncation_radius):
+    """Interval (S, S + T) for the full, untruncated convolution sum at k,
+
+        |k|^(2n) sum_{h != 0, k} |h^k|^2 / (|h|^(2n+2) |k-h|^(2n+2)).
+
+    S is the exact sum over |h| < truncation_radius (an fsum per CHUNK points,
+    then an fsum of those), and T bounds the discarded tail using
+    |h^k|^2 <= |h|^2 |k|^2 and |k-h| >= |h|/2, which holds since the
+    truncation radius exceeds 2 |k|.  Requires truncation_radius >
+    2 (|k| + rho), so that the tail lies past both cutoff regions.
+    """
+    n = float(n)
+    k = np.asarray(k, dtype=np.int64)
+    k2 = int(k @ k)
+    need = 2.0 * (math.sqrt(k2) + float(rho))
+    if not float(truncation_radius) > need:
+        raise ValueError(
+            f"requires truncation_radius > 2*(|k|+rho) = {need:.6f}, "
+            f"got {truncation_radius}"
+        )
+    pts, norms = ball(d, truncation_radius)
+    partials = []
+    for start in range(0, len(pts), CHUNK):
+        h2 = norms[start:start + CHUNK]
+        dot = pts[start:start + CHUNK] @ k
+        km2 = k2 - 2 * dot + h2
+        wedge = h2 * k2 - dot * dot
+        live = km2 != 0
+        terms = wedge[live] * (h2[live].astype(float) ** (-(n + 1.0)))
+        terms = terms * (km2[live].astype(float) ** (-(n + 1.0)))
+        partials.append(math.fsum(terms.tolist()))
+    s_val = float(k2) ** n * math.fsum(partials)
+    tail = tail_sum(d, 4.0 * n + 2.0, float(truncation_radius))
+    t_val = float(k2) ** (n + 1.0) * 2.0 ** (2.0 * n + 2.0) * tail
+    return s_val, s_val + t_val
 
 
 # Reference loops for the fields layer.  A field is a plain dict mapping an

@@ -25,6 +25,7 @@ import time
 import numpy as np
 import pytest
 
+import advbounds.certify as certify_mod
 from advbounds.certify import certify_bounds
 from advbounds.cli import (
     GOLDEN_TABLE,
@@ -46,9 +47,9 @@ from advbounds.lattice import (
     signed_permutations,
     wedge_norm_sq,
 )
-from advbounds.sums import K_m, KK_direct, SumConfig
+from advbounds.sums import K_m, SumConfig
 from advbounds.tail import delta_K, wedge_power_bound
-from oracles import km_exact
+from oracles import kk_direct, km_exact
 
 ORDERS = (2, 3, 4, 5, 10)
 
@@ -208,11 +209,11 @@ def test_criterion_5_interval_oracle_sandwich():
     for cfg, radius, cases in jobs:
         dk = delta_K(cfg.d, cfg.n, float(cfg.rho))
         for k in cases:
-            iv = KK_direct(k, cfg, radius)
+            lower, upper = kk_direct(k, cfg.d, cfg.n, cfg.rho, radius)
             km = K_m(k, cfg)
-            assert iv.lower <= iv.upper
-            assert km <= iv.upper, (cfg.d, cfg.n, k, km, iv)
-            assert iv.lower <= km + dk, (cfg.d, cfg.n, k, km, iv)
+            assert lower <= upper
+            assert km <= upper, (cfg.d, cfg.n, k, km, lower, upper)
+            assert lower <= km + dk, (cfg.d, cfg.n, k, km, lower, upper)
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"oracle sweep took {elapsed:.1f}s"
@@ -331,7 +332,7 @@ def test_criterion_7_invariant_properties(production_certs):
             break
         k2 = float(sum(x * x for x in k))
         lhs = k2**2 * float((np.abs(proj.coeffs[k]) ** 2).sum())
-        kk_up = KK_direct(k, cfg_h, 25.0).upper
+        kk_up = kk_direct(k, 3, cfg_h.n, cfg_h.rho, 25.0)[1]
         d_n = 0.0
         for h, vh in v.coeffs.items():
             g = tuple(a - b for a, b in zip(k, h))
@@ -352,10 +353,11 @@ def test_criterion_7_invariant_properties(production_certs):
     )
 
 
-def test_criterion_8_deterministic_reports():
+def test_criterion_8_deterministic_reports(monkeypatch):
     reports = []
     for threads in (1, 1, 4):
-        cert = certify_bounds(3, 3, 10.0, threads=threads)
+        monkeypatch.setattr(certify_mod, "_worker_count", lambda groups: threads)
+        cert = certify_bounds(3, 3, 10.0)
         rep = certificate_report(cert)
         rep.pop("runtime_ms")
         reports.append(rep)

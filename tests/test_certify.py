@@ -1,5 +1,8 @@
 import math
+import os
 import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,8 +20,13 @@ from advbounds.certify import (
     search_sup_Km,
 )
 from advbounds.kernel import remainder_extrema
-from advbounds.lattice import enumerate_ball, enumerate_canonical, is_canonical
-from advbounds.sums import K_m, SumConfig, _FoldedTerms, _power_table, build_Q
+from advbounds.lattice import (
+    enumerate_ball,
+    enumerate_canonical,
+    is_canonical,
+    max_norm_sq_inside,
+)
+from advbounds.sums import K_m, SumConfig, _FoldedTerms, _fold, _power_table, build_Q
 from conftest import rel_err
 
 DIAG_KEYS = {
@@ -35,7 +43,6 @@ DIAG_KEYS = {
     "q_lower",
     "v_lower",
     "V_upper",
-    "threads",
     "runtime_ms",
 }
 
@@ -150,16 +157,24 @@ def test_search_ties_keep_lex_smallest(monkeypatch):
 
 
 def test_search_without_table_matches(monkeypatch):
-    cfg = SumConfig.create(3, 2.5, 5.0)
-    want = reference_search(cfg, 10.0)
     monkeypatch.setattr(certify_mod, "_power_table", lambda cfg, k2_max: None)
-    assert_same_search(search_sup_Km(cfg, 10.0), want)
+    for d, n, rho in ((3, 2.5, 5.0), (3, 150, 4.0)):
+        cfg = SumConfig.create(d, n, rho)
+        want = reference_search(cfg, 2 * rho)
+        assert_same_search(search_sup_Km(cfg, 2 * rho), want)
 
 
-def test_power_table_refuses_inexact_folds():
-    assert _power_table(SumConfig.create(3, 3, 5.0), 99) is not None
-    # a doubled term would be subnormal, where scaling by 2 can round
-    assert _power_table(SumConfig.create(3, 150, 4.0), 63) is None
+@pytest.mark.parametrize("d,n,rho", [(3, 150, 4.0), (3, 3, 5.0)])
+def test_power_table_is_the_fold(d, n, rho):
+    """The table holds, bit for bit, what _fold gives each |k-h|^2 alone."""
+    cfg = SumConfig.create(d, n, rho)
+    k2_max = max_norm_sq_inside(2 * rho)
+    table = _power_table(cfg, k2_max)
+    h2_max = int(cfg.ball.norm_sq.max())
+    assert len(table) > k2_max + h2_max + 2 * math.isqrt(k2_max * h2_max)
+    single = [_fold(cfg, np.array([float(m)]))[0] for m in range(len(table))]
+    assert table.view(np.int64).tolist() == np.array(single).view(np.int64).tolist()
+    assert table[0] == 0.0 and table[cfg.boundary_norm_sq + 1] > 0.0
 
 
 @pytest.mark.parametrize(
@@ -277,7 +292,6 @@ def test_certificate_structure():
     assert cert.diagnostics["canonical_candidates"] == len(
         enumerate_canonical(3, 10.0)
     )
-    assert cert.diagnostics["threads"] == 1
     assert cert.diagnostics["runtime_ms"] > 0.0
 
 
@@ -308,16 +322,75 @@ def _strip_runtime(cert):
     )
 
 
-def test_certify_deterministic_and_thread_independent():
+def test_certify_deterministic_and_thread_independent(monkeypatch):
+    monkeypatch.setattr(certify_mod, "_worker_count", lambda groups: 1)
     a = certify_bounds(3, 3, 5.0)
     b = certify_bounds(3, 3, 5.0)
-    c = certify_bounds(3, 3, 5.0, threads=4)
+    monkeypatch.setattr(certify_mod, "_worker_count", lambda groups: 4)
+    c = certify_bounds(3, 3, 5.0)
     assert _strip_runtime(a) == _strip_runtime(b)
-    sa, sc = _strip_runtime(a), _strip_runtime(c)
-    assert sa[:-1] == sc[:-1]
-    da, dc = dict(sa[-1]), dict(sc[-1])
-    assert da.pop("threads") == 1 and dc.pop("threads") == 4
-    assert da == dc
+    assert _strip_runtime(a) == _strip_runtime(c)
+
+
+def test_worker_count_from_the_machine():
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    assert certify_mod._worker_count(1) == 1
+    assert certify_mod._worker_count(10**6) == min(cpus, certify_mod._MAX_WORKERS)
+
+
+def test_certify_enumerates_canonical_reps_once(monkeypatch):
+    calls = []
+
+    def counted(d, radius):
+        calls.append((d, radius))
+        return enumerate_canonical(d, radius)
+
+    monkeypatch.setattr(certify_mod, "enumerate_canonical", counted)
+    cert = certify_bounds(3, 3, 5.0)
+    assert calls == [(3, 10.0)]
+    assert cert.diagnostics["canonical_candidates"] == len(enumerate_canonical(3, 10.0))
+
+
+def test_search_interrupt_stops_within_one_group_per_worker(monkeypatch):
+    """An interrupt in one worker propagates, and once the search halts each
+    other worker starts at most one more shell group.  With one row per
+    block, each shell is one group."""
+    workers, fail_at = 3, 40
+    calls, halted_at = [], []
+
+    class Halt(threading.Event):
+        def set(self):
+            super().set()
+            if not halted_at:
+                halted_at.append(len(calls))
+
+    def kernel(ks):
+        calls.append(int(ks[0] @ ks[0]))
+        if len(calls) >= fail_at:
+            raise KeyboardInterrupt
+        return np.ones((len(ks), 7))
+
+    monkeypatch.setattr(
+        certify_mod, "threading", SimpleNamespace(Event=Halt, Lock=threading.Lock)
+    )
+    monkeypatch.setattr(certify_mod, "_FoldedTerms", lambda cfg, rows, table: kernel)
+    monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", 1)
+    cfg = SumConfig.create(3, 2, 5.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            search_sup_Km(cfg, 30.0, threads=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    shells = len({sum(c * c for c in k) for k in enumerate_canonical(3, 30.0)})
+    halt = halted_at[0]
+    assert fail_at <= halt
+    assert len(set(calls[halt:]) - set(calls[:halt])) <= workers - 1
+    assert len(set(calls)) < shells
 
 
 def test_certify_parameter_errors():
@@ -334,16 +407,6 @@ def test_certify_parameter_errors():
         certify_bounds(3, 2, 5.0, search_radius=8.0)
     with pytest.raises(ParameterError, match="finite search_radius"):
         certify_bounds(3, 2, 5.0, search_radius=math.inf)
-
-
-@pytest.mark.parametrize("threads", [0, -3, 2.0])
-def test_certify_threads_precondition(threads, monkeypatch):
-    def no_stage(*args, **kwargs):
-        raise AssertionError("a stage ran before threads was checked")
-
-    monkeypatch.setattr(certify_mod.SumConfig, "create", no_stage)
-    with pytest.raises(ParameterError, match="requires integer threads >= 1"):
-        certify_bounds(3, 3, 5.0, threads=threads)
 
 
 def test_inconclusive_search_radius(monkeypatch):

@@ -205,6 +205,32 @@ def test_out_of_float_range_exit_1(argv, message, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "d,n", [(2, -1068), (2, -1059), (2, -1040), (2, -1023), (2, -1016), (3, -1015)]
+)
+def test_witness_subnormal_ratio_exit_1(d, n, capsys):
+    """A subnormal predicted ratio^2 has lost digits, and so have the
+    witness's terms of the same size (unchecked, d=2 n=-1068 gives ratio
+    0.0), so the witness refuses."""
+    assert cli.main(["witness", "--d", str(d), "--n", str(n)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the predicted ratio^2 underflows")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d,n", [(2, -1000), (2, -1015), (3, -1014)])
+def test_witness_small_normal_ratio_is_accurate(d, n, capsys):
+    """Down to the smallest accepted n, the ratio matches the closed form
+    evaluated without underflow, 2^(n/2) (2 pi)^(-d/2) |projected amplitude|."""
+    assert cli.main(["witness", "--d", str(d), "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("rel. diff  = ")[1]) < 1e-12
+    ratio = float(out.split("ratio      = ")[1].split()[0])
+    projected = math.sqrt(0.5) if d == 2 else 1.0
+    exact = 2.0 ** (n / 2) * (2.0 * math.pi) ** (-d / 2) * projected
+    assert abs(ratio - exact) / exact < 1e-15
+
+
 def test_table_single_rows(capsys):
     assert cli.main(["table", "--n", "3", "--format", "csv"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -272,34 +298,19 @@ def test_sums_subcommand(capsys):
     assert f"delta_K = {delta_K(3, 2.0, 5.0)!r}" in out
 
 
-def test_cli_thread_count_does_not_change_results(tmp_path):
+def test_cli_thread_count_does_not_change_results(tmp_path, monkeypatch):
     reports = []
     for threads, name in ((1, "a.json"), (4, "b.json")):
+        monkeypatch.setattr(certify_mod, "_worker_count", lambda groups: threads)
         out = tmp_path / name
         assert cli.main(
-            ["certify", "--d", "3", "--n", "3", "--rho", "5", "--threads",
-             str(threads), "--format", "json", "--out", str(out)]
+            ["certify", "--d", "3", "--n", "3", "--rho", "5",
+             "--format", "json", "--out", str(out)]
         ) == 0
         rep = json.loads(out.read_text())
         rep.pop("runtime_ms")
         reports.append(rep)
     assert reports[0] == reports[1]
-
-
-def test_threads_only_from_flag(monkeypatch, capsys):
-    monkeypatch.setenv("ADVBOUNDS_THREADS", "3")
-    assert cli.main(
-        ["certify", "--d", "3", "--n", "3", "--rho", "5", "-v"]
-    ) == 0
-    assert "threads=1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_threads_below_one_exit_1(threads, capsys):
-    argv = ["certify", "--d", "3", "--n", "3", "--rho", "5", "--threads", threads]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: requires integer threads >= 1, got threads={threads}")
 
 
 @pytest.mark.parametrize(
@@ -310,6 +321,8 @@ def test_threads_below_one_exit_1(threads, capsys):
         ["witness", "--canonical"],
         ["sums", "--t", "8"],
         ["sums", "--threads", "2"],
+        ["certify", "--threads", "2"],
+        ["table", "--threads", "2"],
         ["table", "--format", "json"],
     ],
 )

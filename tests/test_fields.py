@@ -14,9 +14,9 @@ from advbounds.fields import (
     trial_pair,
     witness_prediction,
 )
-from advbounds.sums import KK_direct, SumConfig
+from advbounds.sums import SumConfig
 from conftest import rel_err
-from oracles import advect_loop, leray_loop, sobolev_loop
+from oracles import advect_loop, kk_direct, leray_loop, sobolev_loop
 
 
 def random_field(rng, d, n_modes=4, span=2):
@@ -304,7 +304,7 @@ def test_per_mode_cauchy_schwarz_chain(rng):
     for k in keys:
         k2 = float(sum(x * x for x in k))
         lhs = k2**n * float((np.abs(proj.coeffs[k]) ** 2).sum())
-        kk_up = KK_direct(k, cfg, 25.0).upper
+        kk_up = kk_direct(k, 3, cfg.n, cfg.rho, 25.0)[1]
         d_n = 0.0
         for h, vh in v.coeffs.items():
             g = tuple(a - b for a, b in zip(k, h))

@@ -12,9 +12,7 @@ import advbounds.sums as sums_mod
 from advbounds.kernel import EnclosureWidthError, remainder_extrema, substituted_coeff
 from advbounds.lattice import max_norm_sq_inside, signed_permutations
 from advbounds.sums import (
-    Interval,
     K_m,
-    KK_direct,
     ParameterError,
     SpherePolynomial,
     SumConfig,
@@ -26,7 +24,7 @@ from advbounds.sums import (
 )
 from advbounds.tail import delta_K
 from conftest import rel_err
-from oracles import km_exact
+from oracles import kk_direct, km_exact
 
 
 def km_union_oracle(k, d, n, rho):
@@ -224,36 +222,35 @@ def test_K_m_all_far_weights_beyond_2rho():
 
 def test_KK_direct_interval():
     cfg = SumConfig.create(3, 2, 5.0)
-    iv = KK_direct((3, 2, 1), cfg, 41.0)
-    assert isinstance(iv, Interval)
-    assert rel_err(iv.lower, 20.985676356283257) < 1e-12
-    assert rel_err(iv.upper, 20.98567960670058) < 1e-12
-    assert 0.0 < iv.upper - iv.lower < 1e-4 * iv.lower
+    lower, upper = kk_direct((3, 2, 1), 3, cfg.n, cfg.rho, 41.0)
+    assert rel_err(lower, 20.985676356283257) < 1e-12
+    assert rel_err(upper, 20.98567960670058) < 1e-12
+    assert 0.0 < upper - lower < 1e-4 * lower
 
 
 def test_KK_direct_sandwiches_K_m():
     cfg = SumConfig.create(3, 2, 5.0)
     dk = delta_K(3, 2.0, 5.0)
     for k in [(1, 1, 0), (3, 2, 1), (5, 0, 0)]:
-        iv = KK_direct(k, cfg, 41.0)
+        lower, upper = kk_direct(k, 3, cfg.n, cfg.rho, 41.0)
         km = K_m(k, cfg)
-        assert km <= iv.upper
-        assert iv.lower <= km + dk
+        assert km <= upper
+        assert lower <= km + dk
 
 
 def test_KK_direct_nested_in_radius():
     cfg = SumConfig.create(3, 2, 5.0)
-    wide = KK_direct((2, 1, 0), cfg, 31.0)
-    tight = KK_direct((2, 1, 0), cfg, 61.0)
-    assert wide.lower <= tight.lower
-    assert tight.upper <= wide.upper
-    assert tight.upper - tight.lower < wide.upper - wide.lower
+    wide = kk_direct((2, 1, 0), 3, cfg.n, cfg.rho, 31.0)
+    tight = kk_direct((2, 1, 0), 3, cfg.n, cfg.rho, 61.0)
+    assert wide[0] <= tight[0]
+    assert tight[1] <= wide[1]
+    assert tight[1] - tight[0] < wide[1] - wide[0]
 
 
 def test_KK_direct_radius_validation():
     cfg = SumConfig.create(3, 2, 5.0)
     with pytest.raises(ValueError, match="truncation_radius"):
-        KK_direct((3, 2, 1), cfg, 16.0)
+        kk_direct((3, 2, 1), 3, cfg.n, cfg.rho, 16.0)
 
 
 def test_Z_n_exact_and_limit():

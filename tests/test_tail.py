@@ -77,6 +77,8 @@ def test_wedge_power_bound_float_range():
         wedge_power_bound(517)
     with pytest.raises(ParameterError, match=r"underflows to 0"):
         tail_sum_bound(TailBoundInputs(d=3, nu=400.0, rho=3.5))
+    with pytest.raises(ParameterError, match=r"\^799.0 overflows a float"):
+        delta_K(3, 400, 1e6)
 
 
 def test_wedge_power_ratio_attains_bound():
