@@ -33,8 +33,6 @@ from .fields import (
 from .kernel import (
     EnclosureWidthError,
     RemainderExtrema,
-    eval_E,
-    eval_remainder,
     remainder_extrema,
     substituted_coeff,
     taylor_coeff,
@@ -42,11 +40,8 @@ from .kernel import (
 from .lattice import (
     BallEnumeration,
     PointBudgetExceeded,
-    canonical_representative,
     enumerate_ball,
     enumerate_canonical,
-    orbit_size,
-    wedge_norm_sq,
 )
 from .sums import (
     Interval,
@@ -58,7 +53,7 @@ from .sums import (
     extremize_Q,
     vV_nt,
 )
-from .tail import TailBoundInputs, delta_K, tail_sum_bound, wedge_power_bound
+from .tail import delta_K, tail_sum_bound, wedge_power_bound
 
 __version__ = "0.1.0"
 
@@ -77,25 +72,20 @@ __all__ = [
     "RemainderExtrema",
     "SpherePolynomial",
     "SumConfig",
-    "TailBoundInputs",
     "Z_n",
     "advect",
     "asymptotic_upper",
     "build_Q",
     "build_asymptotic_model",
-    "canonical_representative",
     "certify_bounds",
     "delta_K",
     "enumerate_ball",
     "enumerate_canonical",
-    "eval_E",
-    "eval_remainder",
     "extremize_Q",
     "field_from_text",
     "field_to_text",
     "leray_project",
     "lower_bound_witness",
-    "orbit_size",
     "remainder_extrema",
     "search_sup_Km",
     "sobolev_norm",
@@ -104,7 +94,6 @@ __all__ = [
     "taylor_coeff",
     "trial_pair",
     "vV_nt",
-    "wedge_norm_sq",
     "wedge_power_bound",
     "witness_prediction",
 ]

@@ -248,10 +248,17 @@ def _amplitude_vectors(d, alpha, alpha_vec, beta, beta_vec):
         )
     a_amp = np.array([0.0, complex(alpha), *av], dtype=complex)
     b_amp = np.array([complex(beta), 0.0, *bv], dtype=complex)
-    if not np.abs(a_amp).max() > 0.0:
-        raise ValueError("zero trial amplitude: (alpha, alpha_vec) vanishes")
-    if not np.abs(b_amp).max() > 0.0:
-        raise ValueError("zero trial amplitude: (beta, beta_vec) vanishes")
+    for name, amp in (("(alpha, alpha_vec)", a_amp), ("(beta, beta_vec)", b_amp)):
+        biggest = float(np.abs(amp).max())
+        if not biggest > 0.0:
+            raise ValueError(f"zero trial amplitude: {name} vanishes")
+        # the norms square the amplitudes; a subnormal square has lost digits
+        if biggest * biggest < sys.float_info.min:
+            raise ParameterError(
+                f"trial amplitude {name} is too small: its largest |component|^2 "
+                f"= {biggest * biggest!r} is below the normal float range; "
+                f"requires a larger amplitude"
+            )
     return a_amp, b_amp
 
 

@@ -1,19 +1,18 @@
-"""Integer-lattice geometry: ball enumeration, wedge norms, signed-permutation orbits.
+"""Integer-lattice geometry: ball enumeration and signed-permutation orbits.
 
-Everything downstream (cutoff sums, symmetry-reduced searches, tail certificates)
-sits on top of three primitives defined here:
+The cutoff sums and the symmetry-reduced search sit on two primitives defined
+here:
 
 * enumeration of the open lattice ball {h in Z^d \\ {0} : |h| < rho} with an exact,
-  type-independent boundary rule,
-* the squared wedge norm |p ^ q|^2 = |p|^2 |q|^2 - (p.q)^2, and
-* the canonical representative of a vector under the group generated by coordinate
-  sign flips and permutations (the symmetry group of all the lattice sums).
+  type-independent boundary rule, and
+* enumeration of the canonical representatives (sorted descending, nonnegative)
+  of the orbits of the group generated by coordinate sign flips and
+  permutations, the symmetry group of all the lattice sums.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +22,7 @@ import numpy as np
 LatticeVector = tuple[int, ...]
 
 #: Hard cap on the number of candidate cube points an enumeration may visit.
-DEFAULT_POINT_BUDGET = 80_000_000
+POINT_BUDGET = 80_000_000
 
 #: Hard cap on the canonical representatives enumerate_canonical may build.
 #: Each costs about 240 bytes once the sup K_m search holds it (its tuple,
@@ -75,25 +74,13 @@ class BallEnumeration:
         ns.setflags(write=False)
         return ns
 
-    @cached_property
-    def by_norm_sq(self) -> dict[int, np.ndarray]:
-        """Map from each attained |h|^2 to the (sorted) row indices attaining it."""
-        ns = self.norm_sq
-        order = np.argsort(ns, kind="stable")
-        svals = ns[order]
-        uniq, starts = np.unique(svals, return_index=True)
-        ends = list(starts[1:]) + [len(ns)]
-        return {
-            int(v): np.sort(order[s:e]) for v, s, e in zip(uniq, starts, ends)
-        }
 
-
-def enumerate_ball(d: int, rho, *, budget: int = DEFAULT_POINT_BUDGET) -> BallEnumeration:
+def enumerate_ball(d: int, rho) -> BallEnumeration:
     """Enumerate every nonzero h in Z^d with |h| < rho, exactly once, in lex order.
 
-    Raises PointBudgetExceeded when the bounding cube holds more than `budget`
-    candidates (the check happens before any allocation, so an oversized radius
-    fails fast instead of exhausting memory).
+    Raises PointBudgetExceeded when the bounding cube holds more than
+    POINT_BUDGET candidates (the check happens before any allocation, so an
+    oversized radius fails fast instead of exhausting memory).
     """
     if d < 2:
         raise ValueError(f"requires d >= 2, got d={d}")
@@ -104,9 +91,10 @@ def enumerate_ball(d: int, rho, *, budget: int = DEFAULT_POINT_BUDGET) -> BallEn
         return BallEnumeration(radius=rho, points=np.empty((0, d), dtype=np.int64))
     c = math.isqrt(m)
     side = 2 * c + 1
-    if side**d > budget:
+    if side**d > POINT_BUDGET:
         raise PointBudgetExceeded(
-            f"ball d={d}, rho={rho} needs {side ** d} cube candidates, budget is {budget}"
+            f"ball d={d}, rho={rho} needs {side ** d} cube candidates, "
+            f"budget is {POINT_BUDGET}"
         )
     if d * c * c >= 2**62:
         raise ValueError(f"rho={rho} too large: |h|^2 would overflow the int64 fast path")
@@ -130,46 +118,6 @@ def enumerate_ball(d: int, rho, *, budget: int = DEFAULT_POINT_BUDGET) -> BallEn
     pts = np.vstack(chunks) if chunks else np.empty((0, d), dtype=np.int64)
     pts = pts[np.any(pts != 0, axis=1)]
     return BallEnumeration(radius=rho, points=pts)
-
-
-def wedge_norm_sq(p, q) -> float:
-    """|p|^2 |q|^2 - (p.q)^2, clamped at 0 against rounding.
-
-    Equals the squared area of the parallelogram spanned by p and q.
-    """
-    pa = np.asarray(p, dtype=float)
-    qa = np.asarray(q, dtype=float)
-    val = pa.dot(pa) * qa.dot(qa) - pa.dot(qa) ** 2
-    return float(max(val, 0.0))
-
-
-def canonical_representative(k) -> LatticeVector:
-    """Sorted-descending absolute values of k: the orbit representative under
-    coordinate sign flips and permutations. Rejects the zero vector."""
-    kt = tuple(int(x) for x in k)
-    if not any(kt):
-        raise ValueError("zero vector has no canonical representative")
-    return tuple(sorted((abs(x) for x in kt), reverse=True))
-
-
-def is_canonical(k) -> bool:
-    kt = tuple(int(x) for x in k)
-    return all(a >= b for a, b in zip(kt, kt[1:])) and (not kt or kt[-1] >= 0)
-
-
-def orbit_size(k_canonical) -> int:
-    """Number of distinct signed-permutation images of a canonical vector.
-
-    Equals d!/(prod of multiplicities!) * 2^(number of nonzero coordinates).
-    """
-    kt = tuple(int(x) for x in k_canonical)
-    if not is_canonical(kt) or not any(kt):
-        raise ValueError(f"{kt} is not a nonzero canonical representative")
-    perms = math.factorial(len(kt))
-    for mult in Counter(kt).values():
-        perms //= math.factorial(mult)
-    signs = 2 ** sum(1 for x in kt if x != 0)
-    return perms * signs
 
 
 def enumerate_canonical(d: int, radius) -> list[LatticeVector]:
@@ -208,18 +156,3 @@ def enumerate_canonical(d: int, radius) -> list[LatticeVector]:
     out.sort()
     return out
 
-
-def signed_permutations(k) -> set[LatticeVector]:
-    """The full orbit of k under coordinate sign flips and permutations."""
-    from itertools import permutations, product
-
-    kt = tuple(int(x) for x in k)
-    orbit = set()
-    for perm in permutations(kt):
-        nz = [i for i, x in enumerate(perm) if x != 0]
-        for signs in product((1, -1), repeat=len(nz)):
-            img = list(perm)
-            for i, s in zip(nz, signs):
-                img[i] = s * img[i]
-            orbit.add(tuple(img))
-    return orbit

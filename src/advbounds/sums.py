@@ -280,15 +280,6 @@ class SpherePolynomial:
     d: int
     terms: dict
 
-    def eval(self, u):
-        ua = np.asarray(u, dtype=float)
-        single = ua.ndim == 1
-        pts = np.atleast_2d(ua)
-        acc = np.zeros(pts.shape[0])
-        for expo, coeff in sorted(self.terms.items()):
-            acc = acc + coeff * np.prod(pts ** np.asarray(expo), axis=1)
-        return float(acc[0]) if single else acc
-
 
 def _even_multi_indices(total: int, d: int):
     """All d-tuples of even nonnegative ints summing to total, descending-lex."""
@@ -322,18 +313,17 @@ def build_Q(cfg: SumConfig, ell: int) -> SpherePolynomial:
     norms = cfg.h_pow(1.0)
     uhat = cfg.ball.points / norms[:, None]
     terms: dict = {}
-    for j, a in enumerate(ehat.coeffs):
+    for j, a in enumerate(ehat):
         if a == 0:
             continue
-        af = float(a)
         if j == 0:
             key = (0,) * cfg.d
-            terms[key] = terms.get(key, 0.0) + af * 2.0 * math.fsum(w.tolist())
+            terms[key] = terms.get(key, 0.0) + a * 2.0 * math.fsum(w.tolist())
             continue
         for m in _even_multi_indices(j, cfg.d):
             mono = np.prod(uhat ** np.asarray(m), axis=1) * w
             moment = 2.0 * math.fsum(mono.tolist())
-            coeff = af * _multinomial(j, m) * moment
+            coeff = a * _multinomial(j, m) * moment
             terms[m] = terms.get(m, 0.0) + coeff
     return SpherePolynomial(ell=ell, d=cfg.d, terms=terms)
 
@@ -538,24 +528,28 @@ def _simplex_max(monos, d, target_rel, max_nodes):
     return upper, best, full_point
 
 
-def extremize_Q(
-    q: SpherePolynomial, *, target_rel: float = 1e-6, max_nodes: int = 400_000
-):
+#: Relative width each sphere-polynomial enclosure must reach.
+TARGET_REL = 1e-6
+#: Most boxes the simplex search may bisect for one enclosure.
+MAX_NODES = 400_000
+
+
+def extremize_Q(q: SpherePolynomial):
     """Outward enclosures of min/max of the sphere polynomial, plus the argmax.
 
     Works on the simplex image s_i = u_i^2 (the polynomial is even), with the
     level-synchronous branch-and-bound of _simplex_max: each endpoint lies
-    within target_rel of a sampled value, and raises EnclosureWidthError once
-    more than max_nodes boxes would be split.  The result is deterministic;
+    within TARGET_REL of a sampled value, and raises EnclosureWidthError once
+    more than MAX_NODES boxes would be split.  The result is deterministic;
     the argmax is reported as the canonical (sorted descending, nonnegative)
     unit vector.
     """
     monos = _s_monomials(q)
     if not monos:
         monos = [((0,) * q.d, 0.0)]
-    q_max, _, arg_s = _simplex_max(monos, q.d, target_rel, max_nodes)
+    q_max, _, arg_s = _simplex_max(monos, q.d, TARGET_REL, MAX_NODES)
     neg = [(a, -c) for a, c in monos]
-    neg_max, _, _ = _simplex_max(neg, q.d, target_rel, max_nodes)
+    neg_max, _, _ = _simplex_max(neg, q.d, TARGET_REL, MAX_NODES)
     q_min = -neg_max
     u = tuple(sorted((math.sqrt(max(s, 0.0)) for s in arg_s), reverse=True))
     return q_min, q_max, u

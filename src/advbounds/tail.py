@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -67,40 +66,25 @@ def gamma_half(d: int) -> float:
     return math.factorial(2 * m) * math.sqrt(math.pi) / (4**m * math.factorial(m))
 
 
-@dataclass(frozen=True)
-class TailBoundInputs:
-    """Parameters of the tail estimate: dimension d, decay exponent nu, cutoff rho.
-
-    Convergence needs nu > d; the closed form needs rho > 2*sqrt(d).
-    """
-
-    d: int
-    nu: float
-    rho: float
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"requires d >= 2, got d={self.d}")
-        if not self.nu > self.d:
-            raise ValueError(f"requires nu > d, got nu={self.nu}, d={self.d}")
-        if not self.rho > 2.0 * math.sqrt(self.d):
-            raise ValueError(
-                f"requires rho > 2*sqrt(d) = {2.0 * math.sqrt(self.d):.6f}, got rho={self.rho}"
-            )
-
-
-def tail_sum_bound(inputs: TailBoundInputs) -> float:
+def tail_sum_bound(d: int, nu, rho) -> float:
     """Upper bound on sum over h in Z^d, |h| >= rho of |h|^(-nu):
 
         (2 pi^(d/2) / Gamma(d/2)) * sum_{i=0}^{d-1}
             C(d-1, i) d^((d-1-i)/2) / ((nu-1-i) (rho - 2 sqrt(d))^(nu-1-i))
+
+    for d >= 2, nu > d (the sum converges) and rho > 2 sqrt(d) (the closed
+    form's base is positive).
     """
-    d, nu, rho = inputs.d, float(inputs.nu), float(inputs.rho)
+    nu, rho = float(nu), float(rho)
+    if not (d >= 2 and nu > d and rho > 2.0 * math.sqrt(d)):
+        raise ParameterError(
+            f"requires d >= 2, nu > d and rho > 2*sqrt(d), "
+            f"got d={d}, nu={nu}, rho={rho}"
+        )
     base = rho - 2.0 * math.sqrt(d)
     terms = []
     for i in range(d):
-        p = nu - 1.0 - i
-        # p >= nu - d > 0 is guaranteed by the input invariants
+        p = nu - 1.0 - i  # p >= nu - d > 0
         try:
             power = base**p
         except OverflowError:
@@ -117,17 +101,9 @@ def tail_sum_bound(inputs: TailBoundInputs) -> float:
     return 2.0 * math.pi ** (d / 2.0) / gamma_half(d) * math.fsum(terms)
 
 
-def wedge_power_ratio(n, c, u) -> float:
-    """(1-c^2)(1+2*c*u+u^2)^n / (1+u^(2n)): the wedge-power inequality's ratio
-    written in terms of c = cos(angle(p,q)) and u = |p|/|q|."""
-    c = float(c)
-    u = float(u)
-    n = float(n)
-    return (1.0 - c * c) * (1.0 + 2.0 * c * u + u * u) ** n / (1.0 + u ** (2.0 * n))
-
-
 def wedge_power_bound(n) -> float:
-    """B_n = 2^(2n+1)(n+1)^(n+1)/(n+2)^(n+2), the sup of wedge_power_ratio.
+    """B_n = 2^(2n+1)(n+1)^(n+1)/(n+2)^(n+2), the sup over c = cos(angle(p,q))
+    and u = |p|/|q| of the wedge-power ratio (1-c^2)(1+2cu+u^2)^n / (1+u^(2n)).
 
     An integer n >= 0 takes the exact rational value, rounded once.  For
     n > -1, ln B_n = (2n+1) ln 2 - (n+1) ln(1 + 1/(n+1)) - ln(n+2) is checked
@@ -163,8 +139,7 @@ def delta_K(d: int, n, rho) -> float:
     2 * B_n * tail_sum_bound(d, 2n, rho), under check_parameters.  A bound
     that overflows a float is refused."""
     check_parameters(d, n, rho)
-    inputs = TailBoundInputs(d=d, nu=2.0 * float(n), rho=float(rho))
-    bound = 2.0 * wedge_power_bound(n) * tail_sum_bound(inputs)
+    bound = 2.0 * wedge_power_bound(n) * tail_sum_bound(d, 2.0 * float(n), rho)
     if bound == math.inf:
         raise ParameterError(
             f"delta_K = 2 B_n T overflows a float at n={n}, rho={rho}; "

@@ -4,8 +4,9 @@ implementation: nothing here imports ``advbounds``.
 
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -37,22 +38,31 @@ def km_exact(k, d, n, rho):
 
 @functools.lru_cache(maxsize=1)
 def ball(d, radius):
-    """Every nonzero h in Z^d with |h| < radius, as read-only int64 rows in lex
-    order, and their |h|^2.  The last ball is kept, since callers probe many k
-    against one truncation radius."""
+    """Every nonzero h in Z^d with |h| < radius, as read-only int16 rows in lex
+    order, and their |h|^2 as int32.  The rows are counted first and filled in
+    place, so the ball is built once, at 2 bytes an entry.  The last ball is
+    kept, since callers probe many k against one truncation radius."""
     m = math.ceil(Fraction(radius) ** 2) - 1  # largest integer |h|^2 < radius^2
     c = math.isqrt(m)
+    if c > np.iinfo(np.int16).max:
+        raise ValueError(f"radius {radius} too large for int16 rows")
     axis = np.arange(-c, c + 1, dtype=np.int64)
     rest = np.stack(np.meshgrid(*[axis] * (d - 1), indexing="ij"), axis=-1)
     rest = rest.reshape(-1, d - 1)
     rest2 = np.einsum("ij,ij->i", rest, rest)
-    slices = []
+    size = sum(int(np.count_nonzero(rest2 <= m - x * x)) for x in axis.tolist())
+    pts = np.empty((size - 1, d), dtype=np.int16)  # all but h = 0
+    norms = np.empty(len(pts), dtype=np.int32)
+    row = 0
     for x in axis.tolist():
-        inside = rest[rest2 <= m - x * x]
-        slices.append(np.hstack([np.full((len(inside), 1), x), inside]))
-    pts = np.vstack(slices)
-    pts = pts[np.any(pts != 0, axis=1)]
-    norms = np.einsum("ij,ij->i", pts, pts)
+        keep = rest2 <= m - x * x
+        if x == 0:
+            keep &= rest2 != 0
+        end = row + int(np.count_nonzero(keep))
+        pts[row:end, 0] = x
+        pts[row:end, 1:] = rest[keep]
+        norms[row:end] = rest2[keep] + x * x
+        row = end
     pts.setflags(write=False)
     norms.setflags(write=False)
     return pts, norms
@@ -95,7 +105,9 @@ def kk_direct(k, d, n, rho, truncation_radius):
     then an fsum of those), and T bounds the discarded tail using
     |h^k|^2 <= |h|^2 |k|^2 and |k-h| >= |h|/2, which holds since the
     truncation radius exceeds 2 |k|.  Requires truncation_radius >
-    2 (|k| + rho), so that the tail lies past both cutoff regions.
+    2 (|k| + rho), so that the tail lies past both cutoff regions, and
+    truncation_radius^2 |k|^2 < 2^31, so that the lattice invariants, of
+    which |h|^2 |k|^2 is the largest, are exact in int32.
     """
     n = float(n)
     k = np.asarray(k, dtype=np.int64)
@@ -106,11 +118,14 @@ def kk_direct(k, d, n, rho, truncation_radius):
             f"requires truncation_radius > 2*(|k|+rho) = {need:.6f}, "
             f"got {truncation_radius}"
         )
+    if float(truncation_radius) ** 2 * k2 >= 2.0**31:
+        raise ValueError("requires truncation_radius^2 |k|^2 < 2^31")
     pts, norms = ball(d, truncation_radius)
+    k32 = k.astype(np.int32)
     partials = []
     for start in range(0, len(pts), CHUNK):
         h2 = norms[start:start + CHUNK]
-        dot = pts[start:start + CHUNK] @ k
+        dot = pts[start:start + CHUNK] @ k32  # int32, like every invariant here
         km2 = k2 - 2 * dot + h2
         wedge = h2 * k2 - dot * dot
         live = km2 != 0
@@ -121,6 +136,129 @@ def kk_direct(k, d, n, rho, truncation_radius):
     tail = tail_sum(d, 4.0 * n + 2.0, float(truncation_radius))
     t_val = float(k2) ** (n + 1.0) * 2.0 ** (2.0 * n + 2.0) * tail
     return s_val, s_val + t_val
+
+
+# The kernel (1-c^2)/(1-2*c*xi+xi^2)^(n+1) and its wedge-power bound.
+
+
+class KernelDomainError(ValueError):
+    """Raised where 1 - 2*c*xi + xi^2 <= 0 and the kernel is undefined."""
+
+
+def eval_E(n, c, xi):
+    """(1-c^2) / (1-2*c*xi+xi^2)^(n+1); errors where the denominator base <= 0."""
+    c = float(c)
+    xi = float(xi)
+    den = 1.0 - 2.0 * c * xi + xi * xi
+    if den <= 0.0:
+        raise KernelDomainError(
+            f"kernel undefined at c={c}, xi={xi}: 1-2*c*xi+xi^2 = {den} <= 0"
+        )
+    return (1.0 - c * c) * den ** (-(float(n) + 1.0))
+
+
+@functools.lru_cache(maxsize=None)
+def taylor_exact(n, ell):
+    """Exact coefficients of E_nl(c), the xi**l coefficient of the kernel, for
+    a rational n; entry j multiplies c**j.  E_nl = (1 - c^2) C_l with
+
+        C_0 = 1,  C_1 = 2(n+1)c,  l C_l = 2c(l+n) C_{l-1} - (l+2n) C_{l-2},
+
+    the recurrence of the generating function (1-2*c*xi+xi^2)^(-(n+1)), run
+    in Fractions."""
+    n = Fraction(n)
+    prev2, prev1 = [Fraction(1)], [Fraction(0), 2 * (n + 1)]
+    cl = prev1 if ell == 1 else prev2
+    for l in range(2, ell + 1):
+        a = [Fraction(0)] + [2 * (l + n) * x for x in prev1]
+        b = [(l + 2 * n) * x for x in prev2] + [Fraction(0)] * 2
+        cl = [(x - y) / l for x, y in zip(a, b)]
+        prev2, prev1 = prev1, cl
+    e = cl + [Fraction(0)] * 2
+    for j, x in enumerate(cl):
+        e[j + 2] -= x
+    return tuple(e)
+
+
+def wedge_power_ratio(n, c, u):
+    """(1-c^2)(1+2*c*u+u^2)^n / (1+u^(2n)): the wedge-power inequality's ratio
+    written in terms of c = cos(angle(p,q)) and u = |p|/|q|."""
+    c = float(c)
+    u = float(u)
+    n = float(n)
+    return (1.0 - c * c) * (1.0 + 2.0 * c * u + u * u) ** n / (1.0 + u ** (2.0 * n))
+
+
+# Lattice geometry: wedge norms, signed-permutation orbits, shells.
+
+
+def wedge_norm_sq(p, q):
+    """|p|^2 |q|^2 - (p.q)^2, clamped at 0 against rounding: the squared area
+    of the parallelogram spanned by p and q."""
+    pa = np.asarray(p, dtype=float)
+    qa = np.asarray(q, dtype=float)
+    val = pa.dot(pa) * qa.dot(qa) - pa.dot(qa) ** 2
+    return float(max(val, 0.0))
+
+
+def canonical_representative(k):
+    """Sorted-descending absolute values of k: the orbit representative under
+    coordinate sign flips and permutations.  Rejects the zero vector."""
+    kt = tuple(int(x) for x in k)
+    if not any(kt):
+        raise ValueError("zero vector has no canonical representative")
+    return tuple(sorted((abs(x) for x in kt), reverse=True))
+
+
+def is_canonical(k):
+    kt = tuple(int(x) for x in k)
+    return all(a >= b for a, b in zip(kt, kt[1:])) and (not kt or kt[-1] >= 0)
+
+
+def orbit_size(k_canonical):
+    """Number of distinct signed-permutation images of a canonical vector:
+    d!/(prod of multiplicities!) * 2^(number of nonzero coordinates)."""
+    kt = tuple(int(x) for x in k_canonical)
+    if not is_canonical(kt) or not any(kt):
+        raise ValueError(f"{kt} is not a nonzero canonical representative")
+    perms = math.factorial(len(kt))
+    for mult in Counter(kt).values():
+        perms //= math.factorial(mult)
+    return perms * 2 ** sum(1 for x in kt if x != 0)
+
+
+def signed_permutations(k):
+    """The full orbit of k under coordinate sign flips and permutations."""
+    kt = tuple(int(x) for x in k)
+    orbit = set()
+    for perm in permutations(kt):
+        nz = [i for i, x in enumerate(perm) if x != 0]
+        for signs in product((1, -1), repeat=len(nz)):
+            img = list(perm)
+            for i, s in zip(nz, signs):
+                img[i] = s * img[i]
+            orbit.add(tuple(img))
+    return orbit
+
+
+def shells(norm_sq):
+    """Map from each attained |h|^2 to the sorted row indices attaining it."""
+    norm_sq = np.asarray(norm_sq)
+    return {
+        int(v): np.flatnonzero(norm_sq == v) for v in np.unique(norm_sq).tolist()
+    }
+
+
+def sphere_eval(terms, u):
+    """A sphere polynomial sum_expo coeff * prod_i u_i^expo_i, given as its
+    terms dict, at one point u (a float) or at each row of a 2-D u (an
+    array); terms are added in sorted order."""
+    ua = np.asarray(u, dtype=float)
+    pts = np.atleast_2d(ua)
+    acc = np.zeros(pts.shape[0])
+    for expo, coeff in sorted(terms.items()):
+        acc = acc + coeff * np.prod(pts ** np.asarray(expo), axis=1)
+    return float(acc[0]) if ua.ndim == 1 else acc
 
 
 # Reference loops for the fields layer.  A field is a plain dict mapping an

@@ -42,14 +42,10 @@ from advbounds.fields import (
     sobolev_norm,
 )
 from advbounds.kernel import remainder_values
-from advbounds.lattice import (
-    enumerate_canonical,
-    signed_permutations,
-    wedge_norm_sq,
-)
+from advbounds.lattice import enumerate_canonical
 from advbounds.sums import K_m, SumConfig
 from advbounds.tail import delta_K, wedge_power_bound
-from oracles import kk_direct, km_exact
+from oracles import kk_direct, km_exact, signed_permutations, wedge_norm_sq
 
 ORDERS = (2, 3, 4, 5, 10)
 

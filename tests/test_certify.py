@@ -20,14 +20,10 @@ from advbounds.certify import (
     search_sup_Km,
 )
 from advbounds.kernel import remainder_extrema
-from advbounds.lattice import (
-    enumerate_ball,
-    enumerate_canonical,
-    is_canonical,
-    max_norm_sq_inside,
-)
+from advbounds.lattice import enumerate_ball, enumerate_canonical, max_norm_sq_inside
 from advbounds.sums import K_m, SumConfig, _FoldedTerms, _fold, _power_table, build_Q
 from conftest import rel_err
+from oracles import is_canonical, sphere_eval
 
 DIAG_KEYS = {
     "delta_k",
@@ -251,12 +247,12 @@ def test_build_asymptotic_model_structure():
     for ell in (2, 4):
         assert model.q_lower[ell] <= model.q_upper[ell]
         # the argmax is a canonical unit vector where Q attains its upper
-        # endpoint to within extremize_Q's target_rel of 1e-6
+        # endpoint to within extremize_Q's TARGET_REL of 1e-6
         arg = model.q_argmax[ell]
         assert len(arg) == 3
         assert list(arg) == sorted(arg, reverse=True) and arg[-1] >= 0.0
         assert abs(math.fsum(a * a for a in arg) - 1.0) < 1e-12
-        value = build_Q(cfg, ell).eval(arg)
+        value = sphere_eval(build_Q(cfg, ell).terms, arg)
         top = model.q_upper[ell]
         assert top - 1.001e-6 * abs(top) <= value <= top + 1e-12 * abs(top)
     assert model.v <= model.V

@@ -174,6 +174,17 @@ def test_enclosure_failure_exit_3(monkeypatch, capsys):
     assert err.startswith("error: sphere-polynomial extremum stuck")
 
 
+def test_certify_large_n_hits_cell_cap_exit_3(capsys):
+    """Past n = 13 the remainder refinement would split more cells than
+    kernel.MAX_ACTIVE_CELLS; the run stops with exit 3 instead of growing
+    without bound (n = 20 was OOM-killed before the cap)."""
+    assert cli.main(["certify", "--d", "3", "--n", "30"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: extrema enclosure at width")
+    assert "active cells, more than the cap of 262144" in err
+    assert err.count("\n") == 1
+
+
 def test_sums_overflowing_scale_exit_1(capsys):
     argv = ["sums", "--d", "3", "--n", "200", "--rho", "4", "--k", "7,0,0"]
     assert cli.main(argv) == 1
@@ -287,6 +298,31 @@ def test_witness_zero_amplitude_exit_1(capsys):
     assert "zero trial amplitude" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--d", "2", "--n", "2", "--alpha", "1e-160"],
+        ["--d", "2", "--n", "2", "--alpha", "1e-165"],
+        ["--d", "3", "--beta-vec", "1e-165"],
+    ],
+)
+def test_witness_tiny_amplitude_exit_1(argv, capsys):
+    """An amplitude whose largest |component|^2 is subnormal loses digits in
+    the norms (1e-160 gave rel. diff 1e-2) or zeroes the denominator (1e-165
+    raised ZeroDivisionError), so the witness refuses it."""
+    assert cli.main(["witness", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trial amplitude")
+    assert "below the normal float range" in err
+    assert err.count("\n") == 1
+
+
+def test_witness_small_normal_amplitude_is_accurate(capsys):
+    assert cli.main(["witness", "--d", "2", "--n", "2", "--alpha", "1e-150"]) == 0
+    out = capsys.readouterr().out
+    assert float(out.split("rel. diff  = ")[1]) < 1e-15
+
+
 def test_sums_subcommand(capsys):
     assert cli.main(
         ["sums", "--d", "3", "--n", "2", "--rho", "5", "--k", "3,2,1"]
@@ -344,3 +380,8 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
             cli.main(argv)
         assert exc.value.code == 0
     assert "--search-radius" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "Rows n=5 and n=10 always mismatch" in help_text

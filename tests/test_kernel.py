@@ -4,13 +4,12 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
+import advbounds.kernel as kernel_mod
 from advbounds.kernel import (
     EnclosureWidthError,
     _grid_values,
-    KernelDomainError,
-    eval_E,
-    eval_remainder,
     remainder_extrema,
     remainder_values,
     series_switch,
@@ -18,6 +17,12 @@ from advbounds.kernel import (
     taylor_coeff,
 )
 from conftest import rel_err
+from oracles import KernelDomainError, eval_E, taylor_exact
+
+
+def eval_remainder(n, t, c, xi):
+    """remainder_values at one point, as a float."""
+    return float(remainder_values(n, t, c, xi))
 
 
 def test_eval_E_examples():
@@ -37,44 +42,49 @@ def test_eval_E_domain_error():
 
 
 def test_taylor_coeff_low_orders_exact():
-    """First three coefficient polynomials against the closed forms."""
+    """First three coefficient polynomials against the closed forms, as floats
+    and in the exact oracle."""
     for n in (2, 3, 10):
-        e0 = taylor_coeff(n, 0)
-        assert e0.coeffs == (1, 0, -1)
-        assert all(isinstance(c, Fraction) for c in e0.coeffs)
-        e1 = taylor_coeff(n, 1)
-        assert e1.coeffs == (0, 2 * (n + 1), 0, -2 * (n + 1))
-        e2 = taylor_coeff(n, 2)
-        assert e2.coeffs == (
-            -(n + 1),
-            0,
-            2 * n * n + 7 * n + 5,
-            0,
-            -(2 * n * n + 6 * n + 4),
-        )
+        for coeffs in (taylor_coeff(n, 0), taylor_exact(n, 0)):
+            assert coeffs == (1, 0, -1)
+        for coeffs in (taylor_coeff(n, 1), taylor_exact(n, 1)):
+            assert coeffs == (0, 2 * (n + 1), 0, -2 * (n + 1))
+        for coeffs in (taylor_coeff(n, 2), taylor_exact(n, 2)):
+            assert coeffs == (
+                -(n + 1),
+                0,
+                2 * n * n + 7 * n + 5,
+                0,
+                -(2 * n * n + 6 * n + 4),
+            )
+        assert all(type(c) is float for c in taylor_coeff(n, 2))
 
 
 def test_taylor_coeff_fractional_order():
-    e2 = taylor_coeff(Fraction(5, 2), 2)
-    assert e2.coeffs == (Fraction(-7, 2), 0, 35, 0, Fraction(-63, 2))
-    assert all(isinstance(c, Fraction) for c in e2.coeffs)
-    # float order gives float coefficients with the same values
-    f2 = taylor_coeff(2.5, 2)
-    assert all(isinstance(c, float) for c in f2.coeffs)
-    assert f2.coeffs == (-3.5, 0.0, 35.0, 0.0, -31.5)
+    e2 = taylor_exact(Fraction(5, 2), 2)
+    assert e2 == (Fraction(-7, 2), 0, 35, 0, Fraction(-63, 2))
+    # the float path gives the same values, in floats, for every spelling of n
+    for n in (2.5, Fraction(5, 2), np.float64(2.5)):
+        f2 = taylor_coeff(n, 2)
+        assert all(type(c) is float for c in f2)
+        assert f2 == (-3.5, 0.0, 35.0, 0.0, -31.5)
 
 
-def test_taylor_coeff_exactness_survives_float_calls():
-    # int and float orders hash alike; the caches must not bleed into each other
-    taylor_coeff(3.0, 4)
-    assert all(isinstance(c, Fraction) for c in taylor_coeff(3, 4).coeffs)
+@pytest.mark.parametrize("n", [2, 2.5, 3, 4, 5, 10, 12])
+def test_taylor_coeff_matches_exact_recurrence(n):
+    """The float recurrence returns the exact coefficients rounded to nearest,
+    bit for bit, at every order the pipeline asks for (l <= 19)."""
+    for ell in range(20):
+        want = tuple(float(x) for x in taylor_exact(Fraction(n), ell))
+        got = taylor_coeff(n, ell)
+        assert [x.hex() for x in got] == [x.hex() for x in want], ell
 
 
 def test_taylor_coeff_degree_and_parity():
     for ell in range(13):
         e = taylor_coeff(2, ell)
-        assert e.degree == ell + 2
-        for j, c in enumerate(e.coeffs):
+        assert len(e) == ell + 3 and e[-1] != 0
+        for j, c in enumerate(e):
             if j % 2 != ell % 2:
                 assert c == 0
     with pytest.raises(ValueError):
@@ -87,17 +97,17 @@ def test_taylor_partial_sums_converge_to_kernel():
         for c in (-0.7, 0.0, 0.31, 0.95):
             xi = 0.05
             total = math.fsum(
-                taylor_coeff(n, l)(c) * xi**l for l in range(31)
+                npp.polyval(c, taylor_coeff(n, l)) * xi**l for l in range(31)
             )
             assert rel_err(total, eval_E(n, c, xi)) < 1e-10
 
 
 def test_substituted_coeff():
-    base = taylor_coeff(2, 2)
+    base = taylor_exact(2, 2)
     sub = substituted_coeff(2, 2, 3)
-    assert sub.coeff(2) == 0
-    assert sub.coeff(0) == base.coeff(0) + Fraction(base.coeff(2), 3)
-    assert sub.coeff(4) == base.coeff(4)
+    assert sub[2] == 0
+    assert rel_err(sub[0], float(base[0] + base[2] / 3)) < 1e-15
+    assert sub[4] == base[4]
     with pytest.raises(ValueError, match="even ell"):
         substituted_coeff(2, 3, 3)
     with pytest.raises(ValueError, match="d >= 2"):
@@ -106,7 +116,7 @@ def test_substituted_coeff():
 
 def test_eval_remainder_at_zero_equals_coefficient():
     for n, t, c in ((2, 6, 0.37), (3, 4, -0.9), (5, 6, 0.0)):
-        want = float(taylor_coeff(n, t)(c))
+        want = float(npp.polyval(c, taylor_coeff(n, t)))
         assert rel_err(eval_remainder(n, t, c, 0.0), want) < 1e-13
 
 
@@ -115,15 +125,6 @@ def test_eval_remainder_vanishes_at_endpoint_c():
     for xi in (0.0, 0.01, 0.3, 0.5):
         assert eval_remainder(2, 4, 1.0, xi) == 0.0
         assert eval_remainder(2, 4, -1.0, xi) == 0.0
-
-
-def test_eval_remainder_validation():
-    with pytest.raises(ValueError, match="t >= 1"):
-        eval_remainder(2, 0, 0.3, 0.1)
-    with pytest.raises(ValueError, match=r"c in \[-1, 1\]"):
-        eval_remainder(2, 6, 1.5, 0.1)
-    with pytest.raises(ValueError, match=r"xi in \[0, 1/2\]"):
-        eval_remainder(2, 6, 0.3, 0.6)
 
 
 def _mp_remainder(n_exact, t, cv, xv):
@@ -136,7 +137,7 @@ def _mp_remainder(n_exact, t, cv, xv):
         head = mp.mpf(0)
         for l in range(t):
             pl = mp.mpf(0)
-            for a in reversed(taylor_coeff(n_exact, l).coeffs):
+            for a in reversed(taylor_exact(n_exact, l)):
                 pl = pl * cm + mp.mpf(a.numerator) / a.denominator
             head += pl * xm**l
         return float((e - head) / xm**t)
@@ -199,16 +200,16 @@ def test_remainder_extrema_known_values():
     ex = remainder_extrema(2, 6)
     assert rel_err(ex.mu, -22.72069717513955) < 1e-5
     assert rel_err(ex.M, 73.83576628350347) < 1e-5
-    assert ex.n == 2.0 and ex.t == 6
     assert ex.mu_width >= 0.0 and ex.M_width >= 0.0
     ex5 = remainder_extrema(5, 6)
     assert rel_err(ex5.mu, -264.4475230) < 1e-5
     assert rel_err(ex5.M, 7252.9785274) < 1e-5
 
 
-def test_remainder_extrema_enclose_grid_samples():
+def test_remainder_extrema_enclose_grid_samples(monkeypatch):
     """Outwardness: every sampled value lies inside [mu, M]."""
-    ex = remainder_extrema(2, 6, grid_resolution=301)
+    monkeypatch.setattr(kernel_mod, "GRID_RESOLUTION", 301)
+    ex = remainder_extrema(2, 6)
     c = np.linspace(-1.0, 1.0, 217)
     xi = np.linspace(0.0, 0.5, 131)
     vals = remainder_values(2, 6, c[:, None], xi[None, :])
@@ -216,10 +217,30 @@ def test_remainder_extrema_enclose_grid_samples():
     assert float(vals.max()) <= ex.M
 
 
-def test_remainder_extrema_validation_and_failure():
+def test_remainder_extrema_validation_and_failure(monkeypatch):
     with pytest.raises(ValueError, match="t >= 1"):
         remainder_extrema(2, 0)
-    with pytest.raises(ValueError, match="grid_resolution"):
-        remainder_extrema(2, 6, grid_resolution=5)
-    with pytest.raises(EnclosureWidthError):
-        remainder_extrema(2, 6, grid_resolution=101, target_rel=1e-18, max_levels=2)
+    monkeypatch.setattr(kernel_mod, "GRID_RESOLUTION", 101)
+    monkeypatch.setattr(kernel_mod, "TARGET_REL", 1e-18)
+    monkeypatch.setattr(kernel_mod, "MAX_LEVELS", 2)
+    with pytest.raises(EnclosureWidthError, match="after 2 refinement levels"):
+        remainder_extrema(2, 6)
+
+
+def test_remainder_extrema_active_cell_cap(monkeypatch):
+    """A refinement level that would split more than MAX_ACTIVE_CELLS cells is
+    refused, naming the count."""
+    monkeypatch.setattr(kernel_mod, "GRID_RESOLUTION", 101)
+    monkeypatch.setattr(kernel_mod, "MAX_ACTIVE_CELLS", 3)
+    with pytest.raises(EnclosureWidthError, match=r"needs \d+ active cells, more "
+                       r"than the cap of 3"):
+        remainder_extrema(2, 6)
+
+
+def test_remainder_extrema_int_and_float_order_agree():
+    """An integer order runs the same float recurrence as its float spelling,
+    in either call order, so both give the same enclosure bit for bit."""
+    first = remainder_extrema(3, 6)
+    second = remainder_extrema(3.0, 6)
+    assert first == second
+    assert taylor_coeff(3, 8) is taylor_coeff(3.0, 8)

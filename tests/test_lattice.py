@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import advbounds.lattice as lattice_mod
 from advbounds.lattice import (
     PointBudgetExceeded,
-    canonical_representative,
     enumerate_ball,
     enumerate_canonical,
-    is_canonical,
     max_norm_sq_inside,
+)
+from oracles import (
+    canonical_representative,
+    is_canonical,
     orbit_size,
+    shells,
     signed_permutations,
     wedge_norm_sq,
 )
@@ -48,9 +52,9 @@ def test_ball_small_radii():
     assert len(enumerate_ball(3, 1)) == 0
     ball = enumerate_ball(3, 1.2)
     assert len(ball) == 6
-    assert set(ball.by_norm_sq) == {1}
+    assert set(shells(ball.norm_sq)) == {1}
     ball2 = enumerate_ball(3, 2)
-    counts = {v: len(idx) for v, idx in ball2.by_norm_sq.items()}
+    counts = {v: len(idx) for v, idx in shells(ball2.norm_sq).items()}
     assert counts == {1: 6, 2: 12, 3: 8}
     assert len(ball2) == 26
 
@@ -58,8 +62,8 @@ def test_ball_small_radii():
 def test_ball_strict_boundary():
     # |h| < 5 must exclude the 30 vectors with |h|^2 = 25 exactly
     ball = enumerate_ball(3, 5)
-    assert 25 not in ball.by_norm_sq
-    assert 24 in ball.by_norm_sq
+    assert 25 not in shells(ball.norm_sq)
+    assert 24 in shells(ball.norm_sq)
     assert int(ball.norm_sq.max()) == 24
 
 
@@ -82,9 +86,10 @@ def test_ball_norm_sq_consistency():
     ball = enumerate_ball(3, 4.0)
     ns = np.einsum("ij,ij->i", ball.points, ball.points)
     assert np.array_equal(ball.norm_sq, ns)
-    for v, idx in ball.by_norm_sq.items():
+    by_norm_sq = shells(ball.norm_sq)
+    for v, idx in by_norm_sq.items():
         assert np.all(ball.norm_sq[idx] == v)
-    assert sum(len(idx) for idx in ball.by_norm_sq.values()) == len(ball)
+    assert sum(len(idx) for idx in by_norm_sq.values()) == len(ball)
 
 
 def test_ball_points_frozen():
@@ -93,13 +98,14 @@ def test_ball_points_frozen():
         ball.points[0, 0] = 7
 
 
-def test_ball_validation():
+def test_ball_validation(monkeypatch):
     with pytest.raises(ValueError, match="d >= 2"):
         enumerate_ball(1, 3.0)
     with pytest.raises(ValueError, match="rho > 0"):
         enumerate_ball(3, 0.0)
-    with pytest.raises(PointBudgetExceeded):
-        enumerate_ball(3, 50.0, budget=1000)
+    monkeypatch.setattr(lattice_mod, "POINT_BUDGET", 1000)
+    with pytest.raises(PointBudgetExceeded, match="budget is 1000"):
+        enumerate_ball(3, 50.0)
 
 
 def test_wedge_examples():
@@ -203,8 +209,6 @@ def test_enumerate_canonical_sorted_and_strict():
 
 
 def test_enumerate_canonical_budget_checked_before_building(monkeypatch):
-    import advbounds.lattice as lattice_mod
-
     monkeypatch.setattr(lattice_mod, "CANONICAL_BUDGET", 10)
     assert len(enumerate_canonical(2, 4.0)) == 8  # c = 3: C(5, 2) = 10 tuples
     with pytest.raises(PointBudgetExceeded, match="15 sorted tuples"):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import advbounds.sums as sums_mod
+from numpy.polynomial import polynomial as npp
+
 from advbounds.kernel import EnclosureWidthError, remainder_extrema, substituted_coeff
-from advbounds.lattice import max_norm_sq_inside, signed_permutations
+from advbounds.lattice import max_norm_sq_inside
 from advbounds.sums import (
     K_m,
     ParameterError,
@@ -24,7 +26,7 @@ from advbounds.sums import (
 )
 from advbounds.tail import delta_K
 from conftest import rel_err
-from oracles import kk_direct, km_exact
+from oracles import kk_direct, km_exact, signed_permutations, sphere_eval
 
 
 def km_union_oracle(k, d, n, rho):
@@ -305,8 +307,8 @@ def test_build_Q_matches_direct_sum(rng):
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
             cosines = pts @ u / norms
-            direct = 2.0 * math.fsum((ehat(cosines) * w).tolist())
-            assert rel_err(q.eval(u), direct) < 1e-10
+            direct = 2.0 * math.fsum((npp.polyval(cosines, ehat) * w).tolist())
+            assert rel_err(sphere_eval(q.terms, u), direct) < 1e-10
 
 
 def test_sphere_polynomial_eval_invariance(rng):
@@ -317,11 +319,11 @@ def test_sphere_polynomial_eval_invariance(rng):
     for perm in ([1, 0, 2], [2, 1, 0]):
         for signs in ([1, -1, 1], [-1, -1, -1]):
             v = u[perm] * np.asarray(signs)
-            assert rel_err(q.eval(v), q.eval(u)) < 1e-12
+            assert rel_err(sphere_eval(q.terms, v), sphere_eval(q.terms, u)) < 1e-12
     # batch evaluation agrees with scalar path
-    batch = q.eval(np.stack([u, -u]))
+    batch = sphere_eval(q.terms, np.stack([u, -u]))
     assert batch.shape == (2,)
-    assert batch[0] == q.eval(u)
+    assert batch[0] == sphere_eval(q.terms, u)
 
 
 def _mono_eval(monos, s):
@@ -510,7 +512,7 @@ def test_extremize_Q_encloses_samples(rng):
     qmin, qmax, _ = extremize_Q(q)
     u = rng.normal(size=(500, 3))
     u /= np.linalg.norm(u, axis=1)[:, None]
-    vals = q.eval(u)
+    vals = sphere_eval(q.terms, u)
     pad = 1e-9 * max(abs(qmin), abs(qmax))
     assert qmin - pad <= float(vals.min())
     assert float(vals.max()) <= qmax + pad
@@ -537,11 +539,13 @@ def test_extremize_known_polynomials():
         extremize_Q(odd)
 
 
-def test_extremize_Q_node_budget():
+def test_extremize_Q_node_budget(monkeypatch):
     cfg = SumConfig.create(3, 2, 20.0)
     q = build_Q(cfg, 4)
-    with pytest.raises(EnclosureWidthError):
-        extremize_Q(q, target_rel=1e-30, max_nodes=20)
+    monkeypatch.setattr(sums_mod, "TARGET_REL", 1e-30)
+    monkeypatch.setattr(sums_mod, "MAX_NODES", 20)
+    with pytest.raises(EnclosureWidthError, match="after 20 nodes"):
+        extremize_Q(q)
 
 
 def test_vV_nt():

@@ -6,14 +6,13 @@ import pytest
 
 from advbounds.tail import (
     ParameterError,
-    TailBoundInputs,
     delta_K,
     gamma_half,
     tail_sum_bound,
     wedge_power_bound,
-    wedge_power_ratio,
 )
 from conftest import rel_err
+from oracles import wedge_power_ratio
 
 
 def test_gamma_half_matches_math_gamma():
@@ -27,12 +26,12 @@ def test_gamma_half_matches_math_gamma():
 
 
 def test_tail_inputs_validation():
-    with pytest.raises(ValueError, match="d >= 2"):
-        TailBoundInputs(d=1, nu=5.0, rho=8.0)
-    with pytest.raises(ValueError, match="nu > d"):
-        TailBoundInputs(d=3, nu=3.0, rho=8.0)
-    with pytest.raises(ValueError, match=r"rho > 2\*sqrt\(d\)"):
-        TailBoundInputs(d=3, nu=7.0, rho=2.0 * math.sqrt(3.0))
+    with pytest.raises(ParameterError, match="d >= 2.*got d=1,"):
+        tail_sum_bound(1, 5.0, 8.0)
+    with pytest.raises(ParameterError, match="nu > d.*got d=3, nu=3.0,"):
+        tail_sum_bound(3, 3.0, 8.0)
+    with pytest.raises(ParameterError, match=r"rho > 2\*sqrt\(d\)"):
+        tail_sum_bound(3, 7.0, 2.0 * math.sqrt(3.0))
 
 
 def test_tail_sum_bound_majorizes_lattice_sum():
@@ -42,7 +41,7 @@ def test_tail_sum_bound_majorizes_lattice_sum():
     gx, gy = np.meshgrid(ax, ax, indexing="ij")
     h2 = (gx * gx + gy * gy).astype(float)
     partial = float(np.sum(h2[h2 >= 64.0] ** -2.5))
-    bound = tail_sum_bound(TailBoundInputs(d=2, nu=5.0, rho=8.0))
+    bound = tail_sum_bound(2, 5.0, 8.0)
     assert partial < bound < 10.0 * partial
 
 
@@ -51,11 +50,11 @@ def test_tail_sum_bound_3d_soundness():
     gx, gy, gz = np.meshgrid(ax, ax, ax, indexing="ij")
     h2 = (gx * gx + gy * gy + gz * gz).astype(float)
     partial = float(np.sum(h2[h2 >= 100.0] ** -3.0))
-    assert partial < tail_sum_bound(TailBoundInputs(d=3, nu=6.0, rho=10.0))
+    assert partial < tail_sum_bound(3, 6.0, 10.0)
 
 
 def test_tail_sum_bound_monotone():
-    b = lambda nu, rho: tail_sum_bound(TailBoundInputs(d=2, nu=nu, rho=rho))
+    b = lambda nu, rho: tail_sum_bound(2, nu, rho)
     assert b(5.0, 9.0) < b(5.0, 8.0)
     assert b(6.0, 8.0) < b(5.0, 8.0)  # base 8 - 2*sqrt(2) > 1
 
@@ -76,7 +75,7 @@ def test_wedge_power_bound_float_range():
     with pytest.raises(ParameterError, match=r"overflows a float at n=517"):
         wedge_power_bound(517)
     with pytest.raises(ParameterError, match=r"underflows to 0"):
-        tail_sum_bound(TailBoundInputs(d=3, nu=400.0, rho=3.5))
+        tail_sum_bound(3, 400.0, 3.5)
     with pytest.raises(ParameterError, match=r"\^799.0 overflows a float"):
         delta_K(3, 400, 1e6)
 
@@ -132,9 +131,7 @@ def test_delta_K_reference_values():
 
 def test_delta_K_factorization():
     for d, n, rho in [(3, 2.0, 20.0), (3, 3.0, 10.0), (2, 2.0, 7.0)]:
-        want = 2.0 * wedge_power_bound(n) * tail_sum_bound(
-            TailBoundInputs(d=d, nu=2.0 * n, rho=rho)
-        )
+        want = 2.0 * wedge_power_bound(n) * tail_sum_bound(d, 2.0 * n, rho)
         assert delta_K(d, n, rho) == want
 
 
