@@ -169,9 +169,10 @@ def _screen(terms: np.ndarray, scales: np.ndarray):
 
 
 #: Most workers a search starts.  On two CPUs two workers ran the search
-#: 1.55x faster than one; `certify --d 3 --n 3,4,5,10` peaked at 141.8 MB RSS
-#: with one worker, 148.5 MB with two and 157.2 MB with four, since each pool
-#: thread's malloc arena keeps its working set.  Unmeasured on more CPUs.
+#: 1.55x faster than one; `certify --d 3 --n 3,4,5,10` peaked at 51-53 MB RSS
+#: with one worker, 58-59 MB with two and 80 MB with four, since each worker
+#: holds its own block working set and each pool thread's malloc arena keeps
+#: it.  Unmeasured on more CPUs.
 _MAX_WORKERS = 2
 
 

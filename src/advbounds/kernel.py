@@ -8,7 +8,8 @@ Gegenbauer-type three-term recurrence of the generating function
 
 is evaluated through a cancellation-safe branch switch, and its extrema over
 [-1,1] x [0,1/2] are enclosed by a grid scan plus local-slope branch-and-bound
-refinement.  Those enclosures feed the large-|k| sandwich of the lattice sums.
+refinement, run in blocks of grid rows.  Those enclosures feed the large-|k|
+sandwich of the lattice sums.
 """
 
 from __future__ import annotations
@@ -118,14 +119,16 @@ def _grid_values(n, t: int, cgrid, xgrid) -> np.ndarray:
     bit for bit as on the meshgrid, without building it.
 
     The branch switch depends on xi alone, so each branch owns a block of
-    columns and runs once on the broadcast pair (cgrid[:, None], xi[None, :]):
-    the same point set, so the series stops at the same term, and the same
-    elementwise arithmetic, but each E_nl(c) is evaluated once per c."""
+    columns and runs on broadcast pairs (c[:, None], xi[None, :]), so each
+    E_nl(c) is evaluated once per c.  remainder_extrema says why only the
+    direct columns are filled in row blocks."""
     split = int(np.searchsorted(xgrid, series_switch(t), side="right"))
-    c = cgrid[:, None]
-    series = _remainder_series(n, t, c, xgrid[None, :split])
-    direct = _remainder_direct(n, t, c, xgrid[None, split:])
-    return np.hstack([series, direct])
+    out = np.empty((cgrid.size, xgrid.size))
+    out[:, :split] = _remainder_series(n, t, cgrid[:, None], xgrid[None, :split])
+    for i in range(0, cgrid.size, _BLOCK_ROWS):
+        out[i:i + _BLOCK_ROWS, split:] = _remainder_direct(
+            n, t, cgrid[i:i + _BLOCK_ROWS, None], xgrid[None, split:])
+    return out
 
 
 def remainder_values(n, t: int, c, xi) -> np.ndarray:
@@ -160,14 +163,19 @@ class RemainderExtrema:
 
 #: Vertices of the base grid along c; xi gets (GRID_RESOLUTION + 1) // 2.
 GRID_RESOLUTION = 2001
+#: Grid rows (c values) per base-grid block.  remainder_extrema(n, 6), n = 2,
+#: 3, 5, 10, took 144-166 ms a call at 32 rows, 152-168 at 16, 136-161 at 64,
+#: 165-177 at 128 and 250-277 as one block (2-core Xeon VM, numpy 2.4).
+_BLOCK_ROWS = 32
 #: Relative width each enclosure must reach.
 TARGET_REL = 1e-6
 #: Most refinement levels, each halving the cell size.
 MAX_LEVELS = 30
 #: Most active cells one refinement level may split.  A split cell costs
-#: about 700 bytes of vertex values and cell arrays, so a level stays under
-#: about 180 MB on top of the base grid's 100 MB.  At t = 6 the largest level
-#: splits 94,858 cells at n = 12 and 253,639 at n = 13; n = 14 needs 727,004.
+#: about 730 bytes of vertex values and cell arrays, so a level stays under
+#: about 190 MB; the base grid is freed before the first level.  At t = 6 the
+#: largest level splits 94,858 cells at n = 12 (69 MB traced peak) and
+#: 253,639 at n = 13 (177 MB); n = 14 needs 727,004.
 MAX_ACTIVE_CELLS = 2**18
 
 
@@ -192,25 +200,39 @@ def _corners(vals):
     return vals[:-1, :-1], vals[1:, :-1], vals[:-1, 1:], vals[1:, 1:]
 
 
-def _branch_bound_max(evalf, base_vals, base_ub, cgrid, xgrid):
+def _base_cells(base, cgrid, xgrid):
+    """Bound the cells of the vertex grid `base` _BLOCK_ROWS rows at a time,
+    in row-major order, and keep those that could beat its best sample.
+    Returns (best, cells) for R and for -R, cells as _branch_bound_max takes
+    them.  One pass serves both signs: the corner spreads of -R are those of
+    R, so its margins are the same, and max(-f) = -min(f) exactly."""
+    best = (float(base.max()), -float(base.min()))
+    kept = ([], [])
+    for i in range(0, base.shape[0] - 1, _BLOCK_ROWS):
+        corners = _corners(base[i:i + _BLOCK_ROWS + 1])
+        ub, margin = _cell_upper(*corners)
+        cmin = np.minimum.reduce(corners)
+        for sign, bound in enumerate((ub, margin - cmin)):
+            keep = bound > best[sign]
+            rows, cols = np.nonzero(keep)
+            fs = [-f[keep] if sign else f[keep] for f in corners]
+            kept[sign].append((cgrid[i + rows], xgrid[cols], *fs, bound[keep]))
+    return [(b, [np.concatenate(col) for col in zip(*parts)])
+            for b, parts in zip(best, kept)]
+
+
+def _branch_bound_max(evalf, best, cells, hc, hx):
     """Certified upper bound for max evalf over the grid's rectangle.
 
-    base_vals holds evalf on the full vertex grid and base_ub the cells'
-    _cell_upper bounds.  Active cells whose upper bound exceeds the best
-    sampled value are split level-synchronously; each level halves the cell
-    size and re-estimates local slopes.  Raises EnclosureWidthError when a
-    level would split more than MAX_ACTIVE_CELLS cells, or when the width is
-    still above TARGET_REL after MAX_LEVELS levels.  Returns (upper, width).
+    best is the best base-grid sample and hc, hx the base cell sides; cells
+    are (c0, x0, f00, f10, f01, f11, ub) of the cells whose _cell_upper
+    bound ub beats best.  Active cells are split level-synchronously; each
+    level halves the cell size and re-estimates local slopes.  Raises
+    EnclosureWidthError when a level would split more than MAX_ACTIVE_CELLS
+    cells, or when the width is still above TARGET_REL after MAX_LEVELS
+    levels.  Returns (upper, width).
     """
-    best = float(base_vals.max())
-    hc = float(cgrid[1] - cgrid[0])
-    hx = float(xgrid[1] - xgrid[0])
-    keep = base_ub > best
-    c0 = np.broadcast_to(cgrid[:-1, None], keep.shape)[keep]
-    x0 = np.broadcast_to(xgrid[None, :-1], keep.shape)[keep]
-    cells = (c0, x0, *(f[keep] for f in _corners(base_vals)))
-    ub = base_ub[keep]
-
+    *cells, ub = cells
     for _ in range(MAX_LEVELS):
         if ub.size == 0:
             return best, 0.0
@@ -261,21 +283,20 @@ def remainder_extrema(n, t: int) -> RemainderExtrema:
     grid c and no meshgrid is built), bound each cell by corner values plus a
     finite-difference slope margin (safety factor 4), then refine only the
     cells that could still beat the best sample, halving the cell size per
-    level (_branch_bound_max).  Raises EnclosureWidthError if the relative
-    width TARGET_REL is out of reach within MAX_LEVELS levels and
-    MAX_ACTIVE_CELLS cells a level.
+    level (_branch_bound_max).  Only the vertex grid is held whole: its
+    direct-quotient columns are filled, and its cells bounded, _BLOCK_ROWS
+    rows at a time.  Its series columns (about 3%) run in one call: the
+    series stops once its terms are small over its whole point set, so row
+    blocks could stop it at other terms and change bits.  Raises
+    EnclosureWidthError if the relative width TARGET_REL is out of reach
+    within MAX_LEVELS levels and MAX_ACTIVE_CELLS cells a level.
     """
     if t < 1:
         raise ValueError(f"requires t >= 1, got {t}")
     cgrid = np.linspace(-1.0, 1.0, GRID_RESOLUTION)
     xgrid = np.linspace(0.0, 0.5, (GRID_RESOLUTION + 1) // 2)
-    base = _grid_values(n, t, cgrid, xgrid)
-    # One base pass serves both signs: the corner spreads of -R are those of
-    # R, so its margins are the same, and max(-f) = -min(f) exactly.
-    corners = _corners(base)
-    ub, margin = _cell_upper(*corners)
-    cmin = np.minimum(np.minimum(corners[0], corners[1]),
-                      np.minimum(corners[2], corners[3]))
+    pos, neg = _base_cells(_grid_values(n, t, cgrid, xgrid), cgrid, xgrid)
+    hc, hx = float(cgrid[1] - cgrid[0]), float(xgrid[1] - xgrid[0])
 
     def f_pos(c, x):
         return remainder_values(n, t, c, x)
@@ -283,6 +304,6 @@ def remainder_extrema(n, t: int) -> RemainderExtrema:
     def f_neg(c, x):
         return -remainder_values(n, t, c, x)
 
-    m_up, m_w = _branch_bound_max(f_pos, base, ub, cgrid, xgrid)
-    neg_up, mu_w = _branch_bound_max(f_neg, -base, margin - cmin, cgrid, xgrid)
+    m_up, m_w = _branch_bound_max(f_pos, *pos, hc, hx)
+    neg_up, mu_w = _branch_bound_max(f_neg, *neg, hc, hx)
     return RemainderExtrema(mu=-neg_up, M=m_up, mu_width=mu_w, M_width=m_w)

@@ -184,9 +184,11 @@ def test_remainder_values_vectorized_matches_scalar(rng):
 
 @pytest.mark.parametrize("n", [3, 2.5, Fraction(7, 2)])
 @pytest.mark.parametrize("t", [2, 6, 14])
-def test_grid_values_bitwise_match_meshgrid(n, t):
+def test_grid_values_bitwise_match_meshgrid(monkeypatch, n, t):
     """The separable base grid of remainder_extrema is remainder_values on the
-    meshgrid, bit for bit, with both branches present."""
+    meshgrid, bit for bit, with both branches present.  A block size that does
+    not divide the 41 rows crosses several row blocks and a ragged last one."""
+    monkeypatch.setattr(kernel_mod, "_BLOCK_ROWS", 7)
     cgrid = np.linspace(-1.0, 1.0, 41)
     xgrid = np.linspace(0.0, 0.5, 21)
     assert 0 < np.searchsorted(xgrid, series_switch(t), side="right") < 21
@@ -204,6 +206,58 @@ def test_remainder_extrema_known_values():
     ex5 = remainder_extrema(5, 6)
     assert rel_err(ex5.mu, -264.4475230) < 1e-5
     assert rel_err(ex5.M, 7252.9785274) < 1e-5
+
+
+#: float.hex of (mu, M, mu_width, M_width), recorded before the base grid was
+#: built in row blocks; any changed bit of the enclosure shows here.
+REMAINDER_EXTREMA_PINS = {
+    (2, 6): ("-0x1.6b87f9c2d8b40p+4", "0x1.2757d31ddafcdp+6",
+             "0x1.6645f8b800000p-16", "0x1.d126150800000p-15"),
+    (2.5, 6): ("-0x1.337b1603d7240p+5", "0x1.6933d261d6766p+7",
+               "0x1.4895cef800000p-16", "0x1.5757105200000p-13"),
+    (3, 6): ("-0x1.e9eb42d23aac0p+5", "0x1.9abfb89bb2bb7p+8",
+             "0x1.192228fa00000p-15", "0x1.d400cea800000p-13"),
+    (5, 6): ("-0x1.087290de28763p+8", "0x1.c54fa80c5df83p+12",
+             "0x1.798f508c00000p-13", "0x1.f4c1d2fa00000p-9"),
+    (10, 6): ("-0x1.42d07685a665ap+11", "0x1.1b07f18ba4635p+22",
+              "0x1.3c76a4ec00000p-9", "0x1.d97a904e00000p+1"),
+    (13, 6): ("-0x1.97aa177039b32p+12", "0x1.ba435bbcbb04dp+27",
+              "0x1.c23d77b000000p-11", "0x1.0d54f88500000p+7"),
+    (2, 4): ("-0x1.311af5c8739e6p+3", "0x1.270fc071e708ep+5",
+             "0x1.36e4fb7a00000p-17", "0x1.fdb3ccce00000p-16"),
+    (2, 8): ("-0x1.6276ba06c0e1ep+5", "0x1.02b9f5912ccf6p+7",
+             "0x1.d216923000000p-16", "0x1.80f64c3c00000p-14"),
+}
+
+
+@pytest.mark.parametrize("n,t", list(REMAINDER_EXTREMA_PINS))
+def test_remainder_extrema_pinned_bits(n, t):
+    ex = remainder_extrema(n, t)
+    got = (ex.mu.hex(), ex.M.hex(), ex.mu_width.hex(), ex.M_width.hex())
+    assert got == REMAINDER_EXTREMA_PINS[n, t]
+
+
+def test_remainder_extrema_independent_of_block_size(monkeypatch):
+    """Row blocks of 7 leave ragged last blocks on the 2001-row vertex grid and
+    its 2000 cell rows; the enclosure keeps every bit of the default's."""
+    monkeypatch.setattr(kernel_mod, "_BLOCK_ROWS", 7)
+    ex = remainder_extrema(2, 6)
+    got = (ex.mu.hex(), ex.M.hex(), ex.mu_width.hex(), ex.M_width.hex())
+    assert got == REMAINDER_EXTREMA_PINS[2, 6]
+
+
+def test_remainder_extrema_peak_memory():
+    """Only the vertex grid (16 MB) is held whole; the cell bounds and the
+    direct branch run on row blocks, so no other full-grid array is built."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        remainder_extrema(2, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_remainder_extrema_enclose_grid_samples(monkeypatch):
