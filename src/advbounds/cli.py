@@ -15,10 +15,10 @@ The sup K_m search takes its worker count from the CPUs the process may run
 on (certify._worker_count), so no flag sets it, and no report depends on it.
 
 Exit codes: 0 success, 1 a usage error, invalid parameters (message names
-the violated precondition) or a table row that mismatches the reference, 2
-inconclusive search radius, 3 an enclosure (remainder extrema or
-sphere-polynomial extremum) that did not reach its target width within its
-budget, or a remainder refinement past its active-cell cap.
+the violated precondition, t <= 10 at d >= 3 among them) or a table row that
+mismatches the reference, 2 inconclusive search radius, 3 a remainder-extrema
+enclosure that did not reach its target width within its budget, or a
+remainder refinement past its active-cell cap.
 """
 
 from __future__ import annotations

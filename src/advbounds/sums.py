@@ -12,7 +12,11 @@ build_Q and vV_nt produce the coefficients of the large-|k| sandwich
         <= K_m(k) <=
     Z_n + sum_l Q_nl |k|^(-l) + V_nt |k|^(-t)    (|k| >= 2 rho),
 
-where the q/Q come from extremizing sphere polynomials over the unit sphere.
+where the q/Q bound the extrema of sphere polynomials over the unit sphere.
+extremize_Q bounds them exactly, in rational arithmetic, over a finite
+candidate set, the points whose squared coordinates take at most two distinct
+nonzero values, which hold the extrema for t <= 10 (any t at d = 2) by the
+half-degree principle for symmetric polynomials, and rounds them outward.
 
 All certificate-bound reductions are correctly rounded sums, hence
 independent of term order, which is what makes the bitwise symmetry and
@@ -30,13 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations_with_replacement
+from fractions import Fraction
+from functools import cached_property, reduce
+from itertools import combinations_with_replacement, permutations
 from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import EnclosureWidthError, substituted_coeff
+from .kernel import substituted_coeff
 from .lattice import BallEnumeration, enumerate_ball, max_norm_sq_inside
 from .tail import ParameterError, check_even_t, check_parameters
 
@@ -98,10 +103,6 @@ def _as_k(k, d: int) -> np.ndarray:
     return kt
 
 
-#: Most entries a fold table may hold; a larger search folds each block.
-_TABLE_MAX = 2**22
-
-
 def _fold(cfg: SumConfig, m: np.ndarray) -> np.ndarray:
     """[1 + (m > boundary_norm_sq)] * m^-(n+1), in place, for exact integers
     m = |k-h|^2 held as floats; 0 at m = 0 (h = k)."""
@@ -114,13 +115,17 @@ def _fold(cfg: SumConfig, m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _power_table(cfg: SumConfig, k2_max: int) -> np.ndarray | None:
-    """_fold of every m = |k-h|^2 that a k with |k|^2 <= k2_max meets, or None
-    past _TABLE_MAX entries."""
+def _power_table(cfg: SumConfig, k2_max: int) -> np.ndarray:
+    """_fold of every m = |k-h|^2 that a k with |k|^2 <= k2_max meets.
+
+    It has (|k| + |h|)^2 + 3 entries at most.  The search reaches it only
+    after enumerate_canonical has accepted its radius R, so
+    comb(isqrt(k2_max) + d, d) <= CANONICAL_BUDGET = 2^19; that keeps
+    isqrt(k2_max) <= 1022 at d = 2 and smaller for d >= 3, so |k| < 1023.
+    With |h| < rho <= R / 2 < 512, the table holds under 1535^2 + 3, about
+    2.36M entries (19 MB), for every admissible input."""
     h2_max = cfg._max_norm_sq
     size = k2_max + h2_max + 2 * math.isqrt(k2_max * h2_max) + 3
-    if size > _TABLE_MAX:
-        return None
     return _fold(cfg, np.arange(size, dtype=float))
 
 
@@ -132,9 +137,9 @@ class _FoldedTerms:
     over the N ball points h, with 0 at h = k.  Row i sums, times |k_i|^(2n),
     to K_m(k_i).  h.k is a float64 matmul, exact while |k|^2 max|h|^2 < 2^53;
     a larger k is refused.  The fold of |k-h|^2 is looked up in `table`, from
-    _power_table, or else computed by _fold for the block.  Every call
-    overwrites the same buffers of `rows` rows, so each worker keeps its own
-    instance.
+    _power_table, or, with no table (K_m at a lone k), computed by _fold.
+    Every call overwrites the same buffers of `rows` rows, so each worker
+    keeps its own instance.
     """
 
     def __init__(self, cfg: SumConfig, rows: int = 1, table=None):
@@ -283,21 +288,8 @@ class SpherePolynomial:
 
 def _even_multi_indices(total: int, d: int):
     """All d-tuples of even nonnegative ints summing to total, descending-lex."""
-    half = total // 2
-    seen = []
-    for combo in combinations_with_replacement(range(d), half):
-        m = [0] * d
-        for i in combo:
-            m[i] += 2
-        seen.append(tuple(m))
-    return sorted(set(seen), reverse=True)
-
-
-def _multinomial(total: int, m) -> int:
-    out = math.factorial(total)
-    for mi in m:
-        out //= math.factorial(mi)
-    return out
+    halves = combinations_with_replacement(range(d), total // 2)
+    return sorted({tuple(2 * h.count(i) for i in range(d)) for h in halves})[::-1]
 
 
 def build_Q(cfg: SumConfig, ell: int) -> SpherePolynomial:
@@ -310,249 +302,128 @@ def build_Q(cfg: SumConfig, ell: int) -> SpherePolynomial:
         raise ValueError(f"requires even ell >= 2, got {ell}")
     ehat = substituted_coeff(cfg.n, ell, cfg.d)
     w = cfg.h_pow(ell - 2.0 * cfg.n)
-    norms = cfg.h_pow(1.0)
-    uhat = cfg.ball.points / norms[:, None]
+    uhat = cfg.ball.points / cfg.h_pow(1.0)[:, None]
     terms: dict = {}
     for j, a in enumerate(ehat):
         if a == 0:
             continue
-        if j == 0:
-            key = (0,) * cfg.d
-            terms[key] = terms.get(key, 0.0) + a * 2.0 * math.fsum(w.tolist())
-            continue
         for m in _even_multi_indices(j, cfg.d):
             mono = np.prod(uhat ** np.asarray(m), axis=1) * w
             moment = 2.0 * math.fsum(mono.tolist())
-            coeff = a * _multinomial(j, m) * moment
-            terms[m] = terms.get(m, 0.0) + coeff
+            multinomial = math.factorial(j) // math.prod(map(math.factorial, m))
+            terms[m] = terms.get(m, 0.0) + a * multinomial * moment
     return SpherePolynomial(ell=ell, d=cfg.d, terms=terms)
 
 
-def _s_monomials(q: SpherePolynomial):
-    """Rewrite the even sphere polynomial over s_i = u_i^2 (simplex variables)."""
-    monos = []
-    for expo, coeff in sorted(q.terms.items()):
+def _s_poly(q: SpherePolynomial, pick) -> dict:
+    """Q over s_i = u_i^2 as {s-monomial: coefficient}, each permutation orbit
+    taking `pick` (max or min) of its members' coefficients, absent ones 0."""
+    given = {}
+    for expo, coeff in q.terms.items():
         if any(e % 2 for e in expo):
             raise ValueError(f"sphere polynomial has an odd monomial {expo}")
-        monos.append((tuple(e // 2 for e in expo), float(coeff)))
-    return monos
+        given[tuple(e // 2 for e in expo)] = float(coeff)
+    out = {}
+    for key in {tuple(sorted(a)) for a in given}:
+        orbit = set(permutations(key))
+        out.update(dict.fromkeys(orbit, pick(given.get(m, 0.0) for m in orbit)))
+    return out
 
 
-def _bounded_multi(total: int, slots: int):
-    """All multi-indices in slots variables with sum <= total, deterministic."""
-    if slots == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in _bounded_multi(total - first, slots - 1):
-            yield (first,) + rest
+def _family_poly(poly: dict, a: int, b: int) -> list:
+    """Exact coefficients, lowest degree first, of x -> Q(s(x)), s(x) having
+    a entries x/a, then b entries (1-x)/b, then zeros."""
+    out = [Fraction(0)] * (1 + max(map(sum, poly), default=0))
+    for m, c in poly.items():
+        if c and not any(m[a + b:]):
+            p, q = sum(m[:a]), sum(m[a:])
+            for j in range(q + 1):  # (1-x)^q
+                out[p + j] += Fraction(c) * (-1) ** j * math.comb(q, j) / (a**p * b**q)
+    return out
 
 
-def _reduce_to_free(monos, d):
-    """Substitute s_d = 1 - sum(x) to get a polynomial in the free variables.
-
-    The raw monomial coefficients of the sphere polynomial can exceed its
-    actual range by orders of magnitude (massive cancellation); the reduced
-    form is a Taylor expansion around the vertex s = e_d, so its coefficients
-    live at the scale of the function itself and interval bounds on it are
-    well conditioned.
-    """
-    nfree = d - 1
-    out: dict = {}
-    for a, c in monos:
-        base = a[:nfree]
-        ad = a[nfree]
-        for beta in _bounded_multi(ad, nfree):
-            rest = ad - sum(beta)
-            coef = math.factorial(ad)
-            for bi in beta:
-                coef //= math.factorial(bi)
-            coef //= math.factorial(rest)
-            sign = -1.0 if sum(beta) % 2 else 1.0
-            key = tuple(b + e for b, e in zip(base, beta))
-            out[key] = out.get(key, 0.0) + c * sign * coef
-    return sorted(out.items())
+def _peval(p, x):
+    return reduce(lambda acc, c: acc * x + c, reversed(p), 0)  # Horner
 
 
-def _derivative_free(monos, i):
-    out: dict = {}
-    for a, c in monos:
-        if a[i]:
-            na = list(a)
-            na[i] -= 1
-            key = tuple(na)
-            out[key] = out.get(key, 0.0) + c * a[i]
-    return sorted(out.items())
+def _root_brackets(p) -> list:
+    """Disjoint brackets (lo, hi), at most 2^-64 wide, in order, holding every
+    root of p in [0, 1]: those of p', and between them, where p is monotone,
+    one where p changes sign or vanishes at an end, halved by bisection."""
+    if len(p) < 2:
+        return []
+    inner = _root_brackets([i * c for i, c in enumerate(p)][1:])
+    out, edges = list(inner), [0, *(x for lh in inner for x in lh), 1]
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        flo = _peval(p, lo)
+        if flo * _peval(p, hi) <= 0:
+            while (hi - lo) * 2**64 > 1:
+                mid = Fraction(lo + hi) / 2
+                fmid = _peval(p, mid)
+                lo, hi, flo = (lo, mid, flo) if flo * fmid <= 0 else (mid, hi, fmid)
+            out.append((lo, hi))
+    return sorted(out)
 
 
-class _ArrayPoly(NamedTuple):
-    """sum_j coeffs[j] * prod_i x_i^expos[j, i] in the free coordinates."""
-
-    expos: np.ndarray
-    coeffs: np.ndarray
-
-
-def _array_poly(monos, nfree: int) -> _ArrayPoly:
-    return _ArrayPoly(
-        np.array([a for a, _ in monos], dtype=np.intp).reshape(len(monos), nfree),
-        np.array([c for _, c in monos], dtype=float),
-    )
-
-
-def _powers(x: np.ndarray, deg: int) -> np.ndarray:
-    """x_bi ** j for j = 0..deg, as a B x nfree x (deg+1) array."""
-    return x[:, :, None] ** np.arange(deg + 1)
-
-
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """Left-to-right sum of each row.  np.sum may pair terms differently as
-    the number of rows changes; an accumulate may not."""
-    return np.cumsum(x, axis=1)[:, -1] if x.shape[1] else np.zeros(len(x))
-
-
-def _box_range(poly: _ArrayPoly, lo_pw: np.ndarray, hi_pw: np.ndarray):
-    """Plain interval bound (lower, upper) of poly on each box [lo, hi] >= 0,
-    given the powers of the box corners; at lo = hi both are the value there.
-
-    A monomial is monotone on the nonnegative orthant, so its coefficient
-    times the corner values brackets it; the bounds sum the brackets."""
-    at_lo = at_hi = poly.coeffs
-    for i in range(poly.expos.shape[1]):
-        at_lo = at_lo * lo_pw[:, i, poly.expos[:, i]]
-        at_hi = at_hi * hi_pw[:, i, poly.expos[:, i]]
-    return _row_sums(np.minimum(at_lo, at_hi)), _row_sums(np.maximum(at_lo, at_hi))
-
-
-#: Most boxes one array evaluation of the simplex search holds.
-_BOX_CHUNK = 4096
-
-
-def _bound_boxes(poly, derivs, deg, lo, hi):
-    """Clip boxes to sum(x) <= 1 and bound the polynomial on each.
-
-    Returns (ub, inner, point, hi): the smaller of the plain interval bound
-    and a centered form with interval-bounded partial derivatives, the larger
-    of the values at the center and at lo, the point attaining it, and the
-    clipped upper corners.  The center is the midpoint when that is feasible,
-    else lo (with the reach doubled to match)."""
-    lo_sum = _row_sums(lo)[:, None]
-    hi = np.minimum(hi, 1.0 - (lo_sum - lo))
-    lo_pw, hi_pw = _powers(lo, deg), _powers(hi, deg)
-    plain_ub = _box_range(poly, lo_pw, hi_pw)[1]
-    mid = (lo + hi) / 2.0
-    at_mid = (_row_sums(mid) <= 1.0)[:, None]
-    center = np.where(at_mid, mid, lo)
-    reach = np.where(at_mid, (hi - lo) / 2.0, hi - lo)
-    slopes = np.empty_like(lo)
-    for i, deriv in enumerate(derivs):
-        dl, du = _box_range(deriv, lo_pw, hi_pw)
-        slopes[:, i] = np.maximum(np.abs(dl), np.abs(du))
-    spread = _row_sums(slopes * reach)
-    c_pw = _powers(center, deg)
-    fc = _box_range(poly, c_pw, c_pw)[1]
-    f0 = _box_range(poly, lo_pw, lo_pw)[1]
-    ub = np.minimum(plain_ub, fc + spread)
-    inner = np.maximum(fc, f0)
-    point = np.where((fc >= f0)[:, None], center, lo)
-    return ub, inner, point, hi
-
-
-def _bisect(lo, hi):
-    """Halve each box across its widest axis (ties: lowest axis); the two
-    halves of box b are rows 2b and 2b + 1."""
-    rows = np.arange(len(lo))
-    axis = np.argmax(hi - lo, axis=1)
-    cut = (lo[rows, axis] + hi[rows, axis]) / 2.0
-    lo2, hi2 = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
-    hi2[2 * rows, axis] = cut
-    lo2[2 * rows + 1, axis] = cut
-    return lo2, hi2
-
-
-def _simplex_max(monos, d, target_rel, max_nodes):
-    """Level-synchronous branch-and-bound max of the s-polynomial over the simplex.
-
-    Works on the reduced polynomial in the free coordinates x = (s_1..s_{d-1})
-    over the corner region {x >= 0, sum(x) <= 1}, with the monomials held as
-    an exponent matrix and a coefficient vector.  Each level bounds all its
-    boxes as arrays (_bound_boxes), in chunks of at most _BOX_CHUNK boxes so
-    that memory does not grow with the level, then takes the best inner value.
-    A box with ub <= best is dropped.  A box with best < ub <= best + tol is
-    settled: never split again, but its ub still counts toward the returned
-    upper bound.  Every other box is bisected into the next level, and
-    max_nodes caps the number of boxes bisected.  The inner maximum is the
-    first box's in array order on ties, so the search is deterministic and
-    independent of the chunk size.  Returns (upper, best, point).
-    """
-    nfree = d - 1
-    free = _reduce_to_free(monos, d)
-    poly = _array_poly(free, nfree)
-    derivs = [_array_poly(_derivative_free(free, i), nfree) for i in range(nfree)]
-    deg = int(poly.expos.max())
-
-    best = -math.inf
-    best_point = None
-    settled = -math.inf
-    nodes = 0
-    lo, hi = np.zeros((1, nfree)), np.ones((1, nfree))
-    while True:
-        parts = []
-        for start in range(0, len(lo), _BOX_CHUNK):
-            chunk = slice(start, start + _BOX_CHUNK)
-            ub, inner, point, clipped = _bound_boxes(
-                poly, derivs, deg, lo[chunk], hi[chunk]
-            )
-            i = int(np.argmax(inner))
-            if inner[i] > best:
-                best, best_point = float(inner[i]), point[i]
-            alive = ub > best
-            parts.append((lo[chunk][alive], clipped[alive], ub[alive]))
-        lo, hi, ub = (np.concatenate(p) for p in zip(*parts))
-        tol = target_rel * max(1.0, abs(best))
-        split = ub - best > tol
-        in_band = ub[(ub > best) & ~split]
-        settled = max(settled, float(in_band.max(initial=-math.inf)))
-        if not split.any():
-            break
-        nodes += int(split.sum())
-        if nodes > max_nodes:
-            raise EnclosureWidthError(
-                f"sphere-polynomial extremum stuck at width "
-                f"{float(ub[split].max()) - best:.3e} after {max_nodes} nodes"
-            )
-        lo, hi = _bisect(lo[split], hi[split])
-        feasible = _row_sums(lo) <= 1.0
-        lo, hi = lo[feasible], hi[feasible]
-    upper = max(settled, best)
-    full_point = tuple(best_point.tolist()) + (max(0.0, 1.0 - math.fsum(best_point)),)
-    return upper, best, full_point
-
-
-#: Relative width each sphere-polynomial enclosure must reach.
-TARGET_REL = 1e-6
-#: Most boxes the simplex search may bisect for one enclosure.
-MAX_NODES = 400_000
+def _candidates(poly: dict, d: int) -> list:
+    """(lower, upper, s) of Q at the face centres (b = 0) and at the ends and
+    critical-point brackets of the two-value families: p(lo) -/+ (hi - lo)
+    sum |p'_k| encloses p on [lo, hi], as |p'| <= sum |p'_k| on [0, 1]."""
+    out = []
+    for a in range(1, d + 1):
+        for b in range(min(a, d - a) + 1):
+            p = _family_poly(poly, a, b)
+            dp = [i * c for i, c in enumerate(p)][1:]
+            for lo, hi in [(1, 1)] + ([(0, 0)] + _root_brackets(dp) if b else []):
+                value, spread = _peval(p, lo), (hi - lo) * sum(map(abs, dp))
+                s = [Fraction(lo, a)] * a + [Fraction(1 - lo, b or 1)] * b
+                out.append((value - spread, value + spread, s + [0] * (d - a - b)))
+    return out
 
 
 def extremize_Q(q: SpherePolynomial):
-    """Outward enclosures of min/max of the sphere polynomial, plus the argmax.
+    """Outward enclosures (q_min, q_max) of the min and max of the sphere
+    polynomial, and the canonical (sorted descending, nonnegative) unit
+    vector at the candidate that gives q_max.
 
-    Works on the simplex image s_i = u_i^2 (the polynomial is even), with the
-    level-synchronous branch-and-bound of _simplex_max: each endpoint lies
-    within TARGET_REL of a sampled value, and raises EnclosureWidthError once
-    more than MAX_NODES boxes would be split.  The result is deterministic;
-    the argmax is reported as the canonical (sorted descending, nonnegative)
-    unit vector.
+    With s_i = u_i^2 on the simplex S = {s >= 0, p_1 = 1}, p_k = sum_i s_i^k,
+    the polynomial is Q(s) of degree D.  Q+ (Q-) gives each permutation orbit
+    of s-monomials its largest (smallest) coefficient: Q- <= Q <= Q+ on S, as
+    every s^m >= 0 there, and both are symmetric (build_Q's Q is already).
+    A symmetric P of degree D has its extrema over S at points with at most
+    two distinct nonzero coordinates if d = 2 (every point is one), or if
+      * D <= 3: P = alpha + beta p_2 + gamma p_3 on S.  An extremum is one on
+        the relative interior of its support's face, so by Lagrange each
+        nonzero s_i solves 2 beta s_i + 3 gamma s_i^2 = lambda.
+      * D = 4, 5, by the half-degree principle on the orthant (Timofte,
+        J. Math. Anal. Appl. 284, 2003; Riener, J. Pure Appl. Algebra 216,
+        2012): a symmetric polynomial F of degree D in d variables is >= 0 on
+        R^d_+ if and only if it is >= 0 at every point of R^d_+ with at most
+        max(floor(D/2), 1) distinct nonzero coordinates.  With lambda the max
+        of P = sum_m c_m s^m over two-value points of S, the form F = lambda
+        p_1^D - sum_m c_m s^m p_1^(D-|m|) is p_1(s)^D (lambda - P(s/p_1(s)))
+        >= 0 at each two-value s != 0, so F >= 0 on R^d_+ and P <= lambda on
+        S.  The min is the max of -P.
+    At d >= 3 and D >= 6 (t >= 12) three values may be needed: ParameterError.
+    Up to permutation the two-value points are the face centres and the
+    families of _family_poly, where Q+ and Q- are polynomials in x with exact
+    rational coefficients (floats are rationals), extreme at the ends or in
+    brackets of the roots of the derivative (_root_brackets).  _candidates
+    bounds them exactly; the extreme bounds are then rounded one ulp outward.
     """
-    monos = _s_monomials(q)
-    if not monos:
-        monos = [((0,) * q.d, 0.0)]
-    q_max, _, arg_s = _simplex_max(monos, q.d, TARGET_REL, MAX_NODES)
-    neg = [(a, -c) for a, c in monos]
-    neg_max, _, _ = _simplex_max(neg, q.d, TARGET_REL, MAX_NODES)
-    q_min = -neg_max
-    u = tuple(sorted((math.sqrt(max(s, 0.0)) for s in arg_s), reverse=True))
-    return q_min, q_max, u
+    plus, minus = _s_poly(q, max), _s_poly(q, min)
+    degree = max((sum(e) // 2 for e, c in q.terms.items() if c), default=0)
+    if q.d >= 3 and degree >= 6:
+        raise ParameterError(
+            f"requires t <= 10 when d >= 3: the sphere polynomial at l = {q.ell} has "
+            f"degree {2 * degree} > 10, so its extrema need not be two-value points"
+        )
+    top = _candidates(plus, q.d)
+    lower = min(c[0] for c in (top if minus == plus else _candidates(minus, q.d)))
+    _, upper, point = max(top, key=lambda c: c[1])
+    u = sorted((math.sqrt(s) for s in point), reverse=True)
+    return (math.nextafter(float(lower), -math.inf),
+            math.nextafter(float(upper), math.inf), tuple(u))
 
 
 def vV_nt(cfg: SumConfig, t: int, extrema) -> tuple[float, float]:

@@ -20,7 +20,13 @@ from advbounds.certify import (
     search_sup_Km,
 )
 from advbounds.kernel import remainder_extrema
-from advbounds.lattice import enumerate_ball, enumerate_canonical, max_norm_sq_inside
+from advbounds.lattice import (
+    CANONICAL_BUDGET,
+    PointBudgetExceeded,
+    enumerate_ball,
+    enumerate_canonical,
+    max_norm_sq_inside,
+)
 from advbounds.sums import K_m, SumConfig, _FoldedTerms, _fold, _power_table, build_Q
 from conftest import rel_err
 from oracles import is_canonical, sphere_eval
@@ -152,12 +158,23 @@ def test_search_ties_keep_lex_smallest(monkeypatch):
     assert profile == {s: float(s) ** 2 * 3.0 for s in profile}
 
 
-def test_search_without_table_matches(monkeypatch):
-    monkeypatch.setattr(certify_mod, "_power_table", lambda cfg, k2_max: None)
-    for d, n, rho in ((3, 2.5, 5.0), (3, 150, 4.0)):
-        cfg = SumConfig.create(d, n, rho)
-        want = reference_search(cfg, 2 * rho)
-        assert_same_search(search_sup_Km(cfg, 2 * rho), want)
+def test_power_table_size_at_the_canonical_budget():
+    """The largest search enumerate_canonical accepts keeps the fold table
+    under 2^22 entries: comb(c + d, d) <= CANONICAL_BUDGET allows c =
+    isqrt(max |k|^2) up to 1022 at d = 2 (less for d >= 3), and rho <= R/2."""
+    for d in (2, 3, 4):
+        c = 0
+        while math.comb(c + 1 + d, d) <= CANONICAL_BUDGET:
+            c += 1
+        assert c == {2: 1022, 3: 144, 4: 57}[d]
+        with pytest.raises(PointBudgetExceeded):
+            enumerate_canonical(d, c + 1.5)  # refused before any tuple is built
+        radius = c + 1.0  # the largest radius with isqrt(max |k|^2) = c
+        k2_max = max_norm_sq_inside(radius)
+        h2_max = max_norm_sq_inside(radius / 2)
+        assert math.isqrt(k2_max) == c
+        size = k2_max + h2_max + 2 * math.isqrt(k2_max * h2_max) + 3
+        assert size < 2.4e6 < 2**22
 
 
 @pytest.mark.parametrize("d,n,rho", [(3, 150, 4.0), (3, 3, 5.0)])
@@ -181,7 +198,6 @@ def test_screened_interval_holds_exact_value(d, n, rho):
     reps = enumerate_canonical(d, 2 * rho)
     k2 = [sum(c * c for c in k) for k in reps]
     table = _power_table(cfg, max(k2))
-    assert table is not None
     terms = _FoldedTerms(cfg, len(reps), table)(np.array(reps, dtype=np.int64))
     scales = [float(s) ** cfg.n for s in k2]
     lo, hi = certify_mod._screen(terms, np.array(scales))
@@ -214,19 +230,19 @@ def test_search_radius_validation():
 
 
 def test_asymptotic_upper_reference():
-    """The d=3 n=2 pin moved with the Q extrema of the level-synchronous
-    search (its l=4 maximum is 6.2e-8 tighter); it is no looser than the pin
-    of the heap search, 21.910979721925912, beyond 1e-12 relative."""
+    """The pins moved with the Q extrema, now the exact extrema over the
+    candidate set rounded outward instead of the upper ends of 1e-6 wide
+    branch-and-bound enclosures: d=3 n=2 from 21.91097971913652 and d=3 n=4
+    from 9.615042235928517, each lower by 1.6e-8 or 3.4e-8 relative."""
     cfg = SumConfig.create(3, 2, 20.0)
     model = build_asymptotic_model(cfg, 6, remainder_extrema(2, 6))
     got = asymptotic_upper(model, 40.0)
-    assert rel_err(got, 21.91097971913652) < 1e-12
-    assert got <= 21.910979721925912 * (1.0 + 1e-12)
+    assert rel_err(got, 21.910979374635044) < 1e-12
     assert got <= 21.912
     cfg4 = SumConfig.create(3, 4, 10.0)
     model4 = build_asymptotic_model(cfg4, 6, remainder_extrema(4, 6))
     got4 = asymptotic_upper(model4, 20.0)
-    assert rel_err(got4, 9.615042235928517) < 1e-12
+    assert rel_err(got4, 9.615041907888003) < 1e-12
     assert got4 <= 9.6152
 
 
@@ -247,14 +263,14 @@ def test_build_asymptotic_model_structure():
     for ell in (2, 4):
         assert model.q_lower[ell] <= model.q_upper[ell]
         # the argmax is a canonical unit vector where Q attains its upper
-        # endpoint to within extremize_Q's TARGET_REL of 1e-6
+        # endpoint, up to the rounding of the point and of sphere_eval
         arg = model.q_argmax[ell]
         assert len(arg) == 3
         assert list(arg) == sorted(arg, reverse=True) and arg[-1] >= 0.0
         assert abs(math.fsum(a * a for a in arg) - 1.0) < 1e-12
         value = sphere_eval(build_Q(cfg, ell).terms, arg)
         top = model.q_upper[ell]
-        assert top - 1.001e-6 * abs(top) <= value <= top + 1e-12 * abs(top)
+        assert top - 1e-12 * abs(top) <= value <= top + 1e-12 * abs(top)
     assert model.v <= model.V
     with pytest.raises(ParameterError, match="even t"):
         build_asymptotic_model(cfg, 5, remainder_extrema(2, 6))

@@ -165,13 +165,37 @@ def test_inconclusive_exit_2(monkeypatch, capsys):
 def test_enclosure_failure_exit_3(monkeypatch, capsys):
     def stuck(*args, **kwargs):
         raise EnclosureWidthError(
-            "sphere-polynomial extremum stuck at width 2.102e-02 after 400000 nodes"
+            "extrema enclosure at width 1.0e+00 needs 295935 active cells, more "
+            "than the cap of 262144"
         )
 
-    monkeypatch.setattr(certify_mod, "extremize_Q", stuck)
+    monkeypatch.setattr(certify_mod, "remainder_extrema", stuck)
     assert cli.main(["certify", "--d", "3", "--n", "3", "--rho", "5"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: sphere-polynomial extremum stuck")
+    assert err.startswith("error: extrema enclosure at width")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--d", "2", "--n", "2", "--t", "12"],
+        ["--d", "5", "--n", "3", "--rho", "5", "--search-radius", "12"],
+    ],
+    ids=["d2-t12", "d5-rho5-R12"],
+)
+def test_certify_other_t_and_d_exit_0(argv, capsys):
+    """d = 2 takes any t: two-value points are the whole simplex there.  At
+    d = 5 the sphere-polynomial extrema come from the same candidate set."""
+    assert cli.main(["certify"] + argv) == 0
+    assert "K_plus  (round up)" in capsys.readouterr().out
+
+
+def test_certify_t_past_the_degree_limit_exit_1(capsys):
+    assert cli.main(["certify", "--d", "3", "--n", "3", "--t", "12"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: requires t <= 10 when d >= 3: the sphere "
+                          "polynomial at l = 10 has degree 12 > 10")
+    assert err.count("\n") == 1
 
 
 def test_certify_large_n_hits_cell_cap_exit_3(capsys):

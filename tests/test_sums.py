@@ -357,12 +357,64 @@ def _poly_range(monos, lo, hi):
     return lb, ub
 
 
-def heap_simplex_max(monos, d, target_rel, max_nodes):
-    """Reference: best-first (heap) branch-and-bound, one scalar box at a time,
-    with the same box bounds as sums._simplex_max."""
+def _bounded_multi(total: int, slots: int):
+    """All multi-indices in slots variables with sum <= total, deterministic."""
+    if slots == 0:
+        yield ()
+        return
+    for first in range(total + 1):
+        for rest in _bounded_multi(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def _reduce_to_free(monos, d):
+    """Substitute s_d = 1 - sum(x) to get a polynomial in the free variables.
+
+    The raw monomial coefficients of the sphere polynomial can exceed its
+    actual range by orders of magnitude (massive cancellation); the reduced
+    form is a Taylor expansion around the vertex s = e_d, so its coefficients
+    live at the scale of the function itself and interval bounds on it are
+    well conditioned.
+    """
     nfree = d - 1
-    free = sums_mod._reduce_to_free(monos, d)
-    derivs = [sums_mod._derivative_free(free, i) for i in range(nfree)]
+    out: dict = {}
+    for a, c in monos:
+        base = a[:nfree]
+        ad = a[nfree]
+        for beta in _bounded_multi(ad, nfree):
+            rest = ad - sum(beta)
+            coef = math.factorial(ad)
+            for bi in beta:
+                coef //= math.factorial(bi)
+            coef //= math.factorial(rest)
+            sign = -1.0 if sum(beta) % 2 else 1.0
+            key = tuple(b + e for b, e in zip(base, beta))
+            out[key] = out.get(key, 0.0) + c * sign * coef
+    return sorted(out.items())
+
+
+def _derivative_free(monos, i):
+    out: dict = {}
+    for a, c in monos:
+        if a[i]:
+            na = list(a)
+            na[i] -= 1
+            key = tuple(na)
+            out[key] = out.get(key, 0.0) + c * a[i]
+    return sorted(out.items())
+
+
+def heap_simplex_max(monos, d, target_rel, max_nodes):
+    """Reference: best-first (heap) branch-and-bound over the free
+    coordinates x = (s_1, ..., s_{d-1}), one scalar box at a time.  Each box
+    is bounded by the smaller of a plain interval bound and a centered form
+    with interval-bounded partial derivatives; the search stops once the
+    largest bound is within target_rel of the best sample.  Returns (upper,
+    best, point), the point a full simplex point whose free coordinates are
+    where `best` was sampled."""
+    nfree = d - 1
+    free = _reduce_to_free(monos, d)
+    derivs = [_derivative_free(free, i) for i in range(nfree)]
 
     def box_info(lo, hi):
         lo_sum = math.fsum(lo)
@@ -430,43 +482,54 @@ def heap_simplex_max(monos, d, target_rel, max_nodes):
 
 
 def signed_monos(q, sign):
-    return [(a, sign * c) for a, c in sums_mod._s_monomials(q)]
+    """sign * q over s_i = u_i^2, as (s-exponents, coefficient) pairs."""
+    return [(tuple(e // 2 for e in a), sign * c) for a, c in sorted(q.terms.items())]
 
 
-def assert_in_band(upper, best, target_rel=1e-6):
-    """upper encloses the search's best sample and sits within target_rel of it."""
-    assert best <= upper <= best + target_rel * max(1.0, abs(best))
+def exact_at(monos, point):
+    """The s-polynomial at the simplex point whose free coordinates are
+    point[:-1], in exact rational arithmetic."""
+    free = [Fraction(x) for x in point[:-1]]
+    s = free + [1 - sum(free)]
+    total = Fraction(0)
+    for a, c in monos:
+        term = Fraction(c)
+        for si, ai in zip(s, a):
+            term *= si**ai
+        total += term
+    return total
+
+
+def assert_matches_heap(q, sign, got):
+    """`got`, extremize_Q's endpoint for sign = 1 (max) or -1 (min), encloses
+    the heap search's best sample, evaluated exactly at its point, and is no
+    looser than the heap's upper bound beyond 1e-9 relative."""
+    monos = signed_monos(q, sign)
+    upper, _, point = heap_simplex_max(monos, q.d, 1e-6, 400_000)
+    assert exact_at(monos, point) <= sign * got
+    assert sign * got <= upper + 1e-9 * abs(upper)
 
 
 def test_extremize_Q_reference():
-    """Pins of the level-synchronous search at d=3 n=2 rho=20.
-
-    The heap (best-first) search stopped elsewhere inside the same 1e-6 band,
-    so its pins (OLD) moved; each new endpoint is no looser than its old pin
-    beyond 1e-12 relative, and lies within the band of the best sample.
-    """
+    """Pins at d=3 n=2 rho=20.  The branch-and-bound enclosures that
+    extremize_Q used to return (OLD) were 1e-6 wide; each new endpoint lies
+    inside its old enclosure."""
     old = {
-        (2, 1): 598.2733381963862,
+        (2, 1): 598.2733381963864,
         (2, -1): 554.9832152851241,
-        (4, 1): 115062.6077577715,
-        (4, -1): 114131.32519252066,
+        (4, 1): 115062.6006169254,
+        (4, -1): 114131.32519252067,
     }
     cfg = SumConfig.create(3, 2, 20.0)
     qmin, qmax, arg = extremize_Q(build_Q(cfg, 2))
-    assert rel_err(qmax, 598.2733381963864) < 1e-10
-    assert rel_err(qmin, 554.9832152851241) < 1e-10
-    assert max(abs(a - 1.0 / math.sqrt(3.0)) for a in arg) < 1e-3
+    assert (qmin, qmax) == (554.9835868398767, 598.2728531110147)
+    assert max(abs(a - 1.0 / math.sqrt(3.0)) for a in arg) < 1e-9
     qmin4, qmax4, _ = extremize_Q(build_Q(cfg, 4))
-    assert rel_err(qmin4, 114131.32519252067) < 1e-10
-    assert rel_err(qmax4, 115062.6006169254) < 1e-10
+    assert (qmin4, qmax4) == (114131.4390179595, 115062.49482974072)
     got = {(2, 1): qmax, (2, -1): qmin, (4, 1): qmax4, (4, -1): qmin4}
     for (ell, sign), value in got.items():
-        assert sign * (value - old[ell, sign]) <= 1e-12 * abs(old[ell, sign])
-        upper, best, _ = sums_mod._simplex_max(
-            signed_monos(build_Q(cfg, ell), sign), 3, 1e-6, 400_000
-        )
-        assert sign * value == upper
-        assert_in_band(upper, best)
+        assert sign * value <= sign * old[ell, sign]
+        assert sign * value >= sign * old[ell, sign] - 1e-6 * abs(old[ell, sign])
 
 
 BENCH_CASES = [
@@ -477,33 +540,63 @@ BENCH_CASES = [
 
 @pytest.mark.parametrize("d,n,rho", BENCH_CASES)
 def test_simplex_max_against_heap_reference(d, n, rho):
-    """Every (l, sign) of a benchmark case: the level-synchronous bound is no
-    looser than the heap search's beyond 1e-12 relative, encloses the heap
-    search's best sample and lies within the band of its own."""
+    """Every (l, sign) of a benchmark case against the heap search."""
     cfg = SumConfig.create(d, n, rho)
     for ell in (2, 4):
         q = build_Q(cfg, ell)
-        for sign in (1, -1):
-            monos = signed_monos(q, sign)
-            upper, best, point = sums_mod._simplex_max(monos, d, 1e-6, 400_000)
-            ref_upper, ref_best, _ = heap_simplex_max(monos, d, 1e-6, 400_000)
-            slack = 1e-12 * max(1.0, abs(ref_upper))
-            assert upper <= ref_upper + slack
-            assert ref_best <= upper + slack
-            assert_in_band(upper, best)
-            assert len(point) == d and abs(math.fsum(point) - 1.0) < 1e-12
+        qmin, qmax, arg = extremize_Q(q)
+        assert_matches_heap(q, 1, qmax)
+        assert_matches_heap(q, -1, qmin)
+        assert len(arg) == d and abs(math.fsum(a * a for a in arg) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "d,n,rho,ell,sign",
-    [(3, 3, 10.0, 4, 1), (3, 3, 10.0, 4, -1), (4, 3, 10.0, 2, -1), (2, 2, 10.0, 2, 1)],
-)
-def test_simplex_max_chunk_independent(d, n, rho, ell, sign, monkeypatch):
-    monos = signed_monos(build_Q(SumConfig.create(d, n, rho), ell), sign)
-    want = sums_mod._simplex_max(monos, d, 1e-6, 400_000)
-    for chunk in (1, 10**9):
-        monkeypatch.setattr(sums_mod, "_BOX_CHUNK", chunk)
-        assert sums_mod._simplex_max(monos, d, 1e-6, 400_000) == want
+#: heap_simplex_max(signed_monos(q, sign), 3, 1e-6, 400_000)[:2] for
+#: q = build_Q(SumConfig.create(3, n, 10.0), 8), keyed by (n, sign): the heap
+#: search takes 2-9 s per sign there, too long to rerun in every test run.
+HEAP_L8 = {
+    (1.6, 1): (213620765.97827697, 213620552.3773568),
+    (1.6, -1): (-149135202.87330723, -149135351.7532519),
+    (2, 1): (103097043.43311721, 103096940.35487683),
+    (2, -1): (-87553268.45604837, -87553356.00698656),
+}
+
+
+@pytest.mark.parametrize("n,ell", [(1.6, 6), (1.6, 8), (2, 6), (2, 8)])
+def test_extremize_Q_high_degree_against_heap_reference(n, ell):
+    """l = 6 and 8 (degree 4 and 5 in s), where the two-value candidates rest
+    on the half-degree principle."""
+    q = build_Q(SumConfig.create(3, n, 10.0), ell)
+    qmin, qmax, _ = extremize_Q(q)
+    for sign, got in ((1, qmax), (-1, qmin)):
+        if ell == 6:
+            assert_matches_heap(q, sign, got)
+        else:
+            upper, best = HEAP_L8[n, sign]
+            assert best - 1e-12 * abs(best) <= sign * got <= upper + 1e-9 * abs(upper)
+
+
+@pytest.mark.parametrize("ell", [6, 8])
+def test_extremize_Q_encloses_three_value_points(ell, rng):
+    """d = 4: random sphere points and a grid of points with three distinct
+    nonzero values s = (x/a, ..., y/b, ..., z/c, ...), a + b + c <= 4, none
+    of which the two-value candidates cover."""
+    q = build_Q(SumConfig.create(4, 2.2, 6.0), ell)
+    qmin, qmax, arg = extremize_Q(q)
+    u = rng.normal(size=(4000, 4))
+    grid = []
+    for a, b, c in ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)):
+        for i, j in product(range(41), repeat=2):
+            if i + j <= 40:
+                x, y, z = i / 40, j / 40, (40 - i - j) / 40
+                s = [x / a] * a + [y / b] * b + [z / c] * c + [0.0] * (4 - a - b - c)
+                grid.append(np.sqrt(s))
+    for points in (u / np.linalg.norm(u, axis=1)[:, None], np.array(grid)):
+        vals = sphere_eval(q.terms, points)
+        pad = 1e-12 * max(abs(qmin), abs(qmax))
+        assert qmin - pad <= float(vals.min())
+        assert float(vals.max()) <= qmax + pad
+    top = sphere_eval(q.terms, np.array(arg))
+    assert qmax - 1e-12 * abs(qmax) <= top <= qmax + 1e-12 * abs(qmax)
 
 
 def test_extremize_Q_encloses_samples(rng):
@@ -524,28 +617,52 @@ def test_extremize_known_polynomials():
         ell=2, d=3, terms={(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0}
     )
     qmin, qmax, arg = extremize_Q(quartic)
-    assert abs(qmax - 1.0) < 1e-6
-    assert abs(qmin - 1.0 / 3.0) < 1e-6
-    assert abs(arg[0] - 1.0) < 1e-3 and abs(arg[1]) < 1e-3
+    assert qmax == math.nextafter(1.0, 2.0)  # one ulp outward
+    assert qmin == math.nextafter(1.0 / 3.0, 0.0)
+    assert arg == (1.0, 0.0, 0.0)
     const = SpherePolynomial(ell=2, d=3, terms={(0, 0, 0): 5.0})
     cmin, cmax, _ = extremize_Q(const)
-    assert cmin == pytest.approx(5.0, abs=1e-12)
-    assert cmax == pytest.approx(5.0, abs=1e-12)
+    assert (cmin, cmax) == (math.nextafter(5.0, 0.0), math.nextafter(5.0, 6.0))
     empty = SpherePolynomial(ell=2, d=2, terms={})
     emin, emax, _ = extremize_Q(empty)
-    assert emin == 0.0 and emax == 0.0
+    assert -1e-300 < emin < 0.0 < emax < 1e-300
     odd = SpherePolynomial(ell=2, d=2, terms={(1, 0): 1.0})
     with pytest.raises(ValueError, match="odd monomial"):
         extremize_Q(odd)
 
 
-def test_extremize_Q_node_budget(monkeypatch):
-    cfg = SumConfig.create(3, 2, 20.0)
-    q = build_Q(cfg, 4)
-    monkeypatch.setattr(sums_mod, "TARGET_REL", 1e-30)
-    monkeypatch.setattr(sums_mod, "MAX_NODES", 20)
-    with pytest.raises(EnclosureWidthError, match="after 20 nodes"):
-        extremize_Q(q)
+def test_extremize_Q_symmetrizes_outward():
+    """u_1^4 alone is not symmetric: its orbit's largest coefficient is 1 and
+    its smallest is 0 (the absent u_2^4, u_3^4), so the enclosure is that of
+    sum u_i^4 above and of 0 below, and it holds the true range [0, 1]."""
+    lone = SpherePolynomial(ell=2, d=3, terms={(4, 0, 0): 1.0})
+    qmin, qmax, _ = extremize_Q(lone)
+    assert -1e-300 < qmin < 0.0 and qmax == math.nextafter(1.0, 2.0)
+
+
+def test_extremize_Q_multiple_critical_point():
+    """(u_1^2 - u_2^2)^4 on the circle is (2x - 1)^4 in x = u_1^2, whose
+    derivative has a triple root at x = 1/2.  Its bracket, 2^-64 wide, still
+    bounds the minimum 0 from below, by its slope bound (about 1e-17)."""
+    terms = {(8 - 2 * j, 2 * j): float((-1) ** j * math.comb(4, j)) for j in range(5)}
+    qmin, qmax, arg = extremize_Q(SpherePolynomial(ell=6, d=2, terms=terms))
+    assert -1e-15 <= qmin < 0.0
+    assert qmax == math.nextafter(1.0, 2.0) and arg == (1.0, 0.0)
+
+
+def test_extremize_Q_degree_limit():
+    """Past degree 10 in u (l = 10, t = 12) at d >= 3 two-value points need
+    not hold the extrema, so extremize_Q refuses; d = 2 has no such limit."""
+    cfg = SumConfig.create(3, 3, 10.0)
+    with pytest.raises(ParameterError, match=r"t <= 10 when d >= 3: .* at l = 10 has"):
+        extremize_Q(build_Q(cfg, 10))
+    q = build_Q(SumConfig.create(2, 2, 10.0), 10)
+    qmin, qmax, _ = extremize_Q(q)
+    u = np.stack([np.cos(np.linspace(0, np.pi / 2, 2001)),
+                  np.sin(np.linspace(0, np.pi / 2, 2001))], axis=1)
+    vals = sphere_eval(q.terms, u)
+    pad = 1e-12 * max(abs(qmin), abs(qmax))
+    assert qmin - pad <= float(vals.min()) and float(vals.max()) <= qmax + pad
 
 
 def test_vV_nt():
