@@ -36,6 +36,7 @@ from .sums import (
     _k_scale,
     _power_table,
     build_Q,
+    check_two_value_degree,
     extremize_Q,
     vV_nt,
 )
@@ -342,6 +343,7 @@ def certify_bounds(
     check_parameters(d, n, rho)
     nf, rf = float(n), float(rho)
     check_even_t(t)
+    check_two_value_degree(d, t - 2, t // 2)
     if search_radius is None:
         search_radius = 2.0 * rf
     _check_search_radius(search_radius, rf)

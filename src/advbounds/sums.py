@@ -18,16 +18,11 @@ candidate set, the points whose squared coordinates take at most two distinct
 nonzero values, which hold the extrema for t <= 10 (any t at d = 2) by the
 half-degree principle for symmetric polynomials, and rounds them outward.
 
-All certificate-bound reductions are correctly rounded sums, hence
-independent of term order, which is what makes the bitwise symmetry and
-worker-count guarantees real rather than incidental.  Most go through
-math.fsum.  The sup K_m search sums its rows with _exact_row_sums instead:
-exponent buckets make each row's sum exact before it is rounded once to
-nearest, so it returns fsum's value bit for bit, from array operations.  The
-search also takes np.sum of each row of terms, but only to rank candidates:
-for positive terms any summation order lies within gamma_{N-1} of the exact
-sum, so the search can discard a row whose whole interval falls below another
-row's, and every reported value is still the correctly rounded sum of its row.
+Every certificate-bound reduction is a correctly rounded sum, independent of
+term order, which makes the bitwise symmetry and worker-count guarantees real:
+SumConfig.shell_sum for Z_n, build_Q and vV_nt, math.fsum for K_m at one k,
+and _exact_row_sums, equal to fsum, for the search's rows, which it ranks by
+np.sum only under a proven error bound (certify._screen).
 """
 
 from __future__ import annotations
@@ -54,7 +49,8 @@ class Interval(NamedTuple):
 @dataclass(eq=False)
 class SumConfig:
     """Immutable bundle (d, n, rho, ball) shared by every cutoff sum; build it
-    with create, which checks the preconditions before sizing the ball."""
+    with create, which checks the preconditions before sizing the ball.  The
+    sums outside the search go shell by shell, through shell_sum."""
 
     d: int
     n: float
@@ -89,9 +85,24 @@ class SumConfig:
         """|h|^(-(2n+2)) over the ball."""
         return self._h2f ** (-(self.n + 1.0))
 
-    def h_pow(self, exponent: float) -> np.ndarray:
-        """|h|^exponent over the ball (via the exact integer |h|^2)."""
-        return self._h2f ** (exponent / 2.0)
+    @cached_property
+    def shells(self) -> tuple:
+        """(order, starts, m): the stable argsort of the ball's |h|^2, the
+        sorted row where each shell begins and each shell's |h|^2, ascending."""
+        order = np.argsort(self.ball.norm_sq, kind="stable")
+        norm_sq = self.ball.norm_sq[order]
+        starts = np.flatnonzero(np.diff(norm_sq, prepend=0))
+        return order, starts, norm_sq[starts]
+
+    def shell_sum(self, values, p: float) -> float:
+        """sum_h values[h] |h|^(2p), values integers on the rows in `shells` order
+        (or a scalar) whose shell totals c(m) fit their dtype: the exact sum_m c(m)
+        fl(m^p), an int over a power of 2, rounded once by int true division."""
+        _, starts, m = self.shells
+        totals = np.add.reduceat(np.broadcast_to(values, len(self.ball)), starts)
+        ratios = [w.as_integer_ratio() for w in (m.astype(float) ** p).tolist()]
+        den = max(q for _, q in ratios)
+        return sum(int(c) * a * (den // q) for c, (a, q) in zip(totals, ratios)) / den
 
 
 def _as_k(k, d: int) -> np.ndarray:
@@ -269,8 +280,7 @@ def _exact_row_sums(terms) -> list[float]:
 
 def Z_n(cfg: SumConfig) -> float:
     """Limit value of K_m at infinity: 2 (1 - 1/d) sum_{|h|<rho} |h|^(-2n)."""
-    s = math.fsum(cfg.h_pow(-2.0 * cfg.n).tolist())
-    return 2.0 * (1.0 - 1.0 / cfg.d) * s
+    return 2.0 * (1.0 - 1.0 / cfg.d) * cfg.shell_sum(1, -cfg.n)
 
 
 @dataclass(eq=False)
@@ -286,30 +296,30 @@ class SpherePolynomial:
     terms: dict
 
 
-def _even_multi_indices(total: int, d: int):
-    """All d-tuples of even nonnegative ints summing to total, descending-lex."""
-    halves = combinations_with_replacement(range(d), total // 2)
-    return sorted({tuple(2 * h.count(i) for i in range(d)) for h in halves})[::-1]
-
-
 def build_Q(cfg: SumConfig, ell: int) -> SpherePolynomial:
     """Direction coefficient of |k|^(-ell) in the large-|k| sandwich:
 
         u -> 2 sum_{|h|<rho} Ehat_nl(u . h/|h|) / |h|^(2n-ell),
 
-    expanded over monomials of u via the ball's symmetric tensor moments."""
+    expanded over monomials of u: u^alpha (|alpha| = j, all even) takes
+    a_j (j; alpha) 2 sum_h h^alpha |h|^(ell-2n-j), Ehat_nl = sum_j a_j c^j, with
+    h^alpha int64 while (largest shell) (max |h|^2)^(j/2) < 2^63, else an int."""
     if ell < 2 or ell % 2 != 0:
         raise ValueError(f"requires even ell >= 2, got {ell}")
     ehat = substituted_coeff(cfg.n, ell, cfg.d)
-    w = cfg.h_pow(ell - 2.0 * cfg.n)
-    uhat = cfg.ball.points / cfg.h_pow(1.0)[:, None]
+    order, starts, _ = cfg.shells
+    points = cfg.ball.points[order]
+    most = int(np.diff(starts, append=len(order)).max())
     terms: dict = {}
     for j, a in enumerate(ehat):
         if a == 0:
             continue
-        for m in _even_multi_indices(j, cfg.d):
-            mono = np.prod(uhat ** np.asarray(m), axis=1) * w
-            moment = 2.0 * math.fsum(mono.tolist())
+        big = most * cfg._max_norm_sq ** (j // 2) >= 2**63
+        coords = points.T.astype(object) if big else points.T
+        for half in combinations_with_replacement(range(cfg.d), j // 2):
+            m = tuple(2 * half.count(i) for i in range(cfg.d))
+            mono = np.prod([x**e for x, e in zip(coords, m)], axis=0)
+            moment = 2.0 * cfg.shell_sum(mono, (ell - 2.0 * cfg.n - j) / 2.0)
             multinomial = math.factorial(j) // math.prod(map(math.factorial, m))
             terms[m] = terms.get(m, 0.0) + a * multinomial * moment
     return SpherePolynomial(ell=ell, d=cfg.d, terms=terms)
@@ -381,6 +391,15 @@ def _candidates(poly: dict, d: int) -> list:
     return out
 
 
+def check_two_value_degree(d: int, ell: int, degree: int) -> None:
+    """At d >= 3, extremize_Q needs degree <= 5 in s = u^2; Q_l has (l + 2) / 2."""
+    if d >= 3 and degree >= 6:
+        raise ParameterError(
+            f"requires t <= 10 when d >= 3: the sphere polynomial at l = {ell} has "
+            f"degree {2 * degree} > 10, so its extrema need not be two-value points"
+        )
+
+
 def extremize_Q(q: SpherePolynomial):
     """Outward enclosures (q_min, q_max) of the min and max of the sphere
     polynomial, and the canonical (sorted descending, nonnegative) unit
@@ -412,12 +431,8 @@ def extremize_Q(q: SpherePolynomial):
     bounds them exactly; the extreme bounds are then rounded one ulp outward.
     """
     plus, minus = _s_poly(q, max), _s_poly(q, min)
-    degree = max((sum(e) // 2 for e, c in q.terms.items() if c), default=0)
-    if q.d >= 3 and degree >= 6:
-        raise ParameterError(
-            f"requires t <= 10 when d >= 3: the sphere polynomial at l = {q.ell} has "
-            f"degree {2 * degree} > 10, so its extrema need not be two-value points"
-        )
+    check_two_value_degree(q.d, q.ell, max(
+        (sum(e) // 2 for e, c in q.terms.items() if c), default=0))
     top = _candidates(plus, q.d)
     lower = min(c[0] for c in (top if minus == plus else _candidates(minus, q.d)))
     _, upper, point = max(top, key=lambda c: c[1])
@@ -430,5 +445,5 @@ def vV_nt(cfg: SumConfig, t: int, extrema) -> tuple[float, float]:
     """Endpoint coefficients of the |k|^(-t) remainder term in the sandwich:
     (2 mu S, 2 M S) with S = sum_{|h|<rho} |h|^(t-2n)."""
     check_even_t(t)
-    s = math.fsum(cfg.h_pow(t - 2.0 * cfg.n).tolist())
+    s = cfg.shell_sum(1, t / 2.0 - cfg.n)
     return 2.0 * extrema.mu * s, 2.0 * extrema.M * s

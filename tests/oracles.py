@@ -92,6 +92,56 @@ def tail_sum(d, nu, rho):
     return 2.0 * math.pi ** (d / 2.0) / gamma * math.fsum(terms)
 
 
+# The shell sums outside the search: Z_n, the S of vV_nt and build_Q's moments.
+
+
+def power_fsum(d, rho, p):
+    """math.fsum over |h| < rho of the per-point powers |h|^(2p), each one
+    numpy's float64 power of the exact |h|^2."""
+    _, norms = ball(d, rho)
+    return math.fsum((norms.astype(float) ** p).tolist())
+
+
+def sphere_coeffs_exact(d, n, rho, ell, ehat):
+    """Exact coefficients, {alpha: Fraction}, of the sphere polynomial
+
+        u -> 2 sum_{|h|<rho} Ehat(u . h/|h|) |h|^(ell-2n),
+
+    for an integer n, with Ehat(c) = sum_j ehat[j] c^j at the exact values of
+    the given floats.  (u . h)^j = sum_alpha (j; alpha) u^alpha h^alpha, and
+    the ball's sign flips cancel every odd alpha, so each even alpha with
+    |alpha| = j takes 2 ehat[j] (j; alpha) sum_h h^alpha |h|^(ell-2n-j), a
+    rational since p = (ell - 2n - j) / 2 is an integer.  Each h^alpha is a
+    Python int, and each shell's |h|^(2p) is an int over lcm(|h|^2)^(-p) when
+    p < 0."""
+    pts, norms = ball(d, rho)
+    cols = pts.T.astype(object)
+    ms = norms.tolist()
+    lcm = math.lcm(*set(ms))
+    out = {}
+    for j, a in enumerate(ehat):
+        if a == 0:
+            continue
+        p = (ell - 2 * n - j) // 2
+        den = lcm ** max(-p, 0)
+        weight = {m: m**p * den if p >= 0 else den // m**-p for m in set(ms)}
+        for alpha in product(range(0, j + 1, 2), repeat=d):
+            if sum(alpha) != j:
+                continue
+            shell = dict.fromkeys(weight, 0)
+            mono = np.ones(len(ms), dtype=object)
+            for col, e in zip(cols, alpha):
+                mono = mono * col**e
+            for m, v in zip(ms, mono.tolist()):
+                shell[m] += v
+            total = sum(weight[m] * v for m, v in shell.items())
+            multinomial = math.factorial(j)
+            for e in alpha:
+                multinomial //= math.factorial(e)
+            out[alpha] = 2 * Fraction(a) * multinomial * Fraction(total, den)
+    return out
+
+
 #: Ball points per fsum partial in kk_direct.
 CHUNK = 2_000_000
 

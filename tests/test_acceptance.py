@@ -19,8 +19,10 @@ What stays open: ``advbounds table`` still marks the n = 5 and n = 10 rows
 pair attains (README "Known deviations").
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,29 @@ def production_certs():
         limit = 300.0 if n == 2 else 30.0
         assert elapsed < limit, f"n={n} took {elapsed:.1f}s (limit {limit}s)"
     return certs
+
+
+#: The benchmark's expected reports, certificate_report minus runtime_ms, of
+#: its seven certify cases; read only.
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_reports_match_the_bench_reference(production_certs):
+    """certificate_report, minus runtime_ms, is byte for byte the benchmark's
+    reference on all seven bench cases: the five d = 3 rows, d = 4 n = 3 and
+    d = 2 n = 2."""
+    reference = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))
+    certs = [*production_certs.values(), certify_bounds(4, 3, 10.0),
+             certify_bounds(2, 2, 10.0)]
+    reports = {}
+    for cert in certs:
+        report = certificate_report(cert)
+        del report["runtime_ms"]
+        reports[f"d={cert.d} n={cert.n:g} rho={cert.rho:g}"] = report
+    assert reports.keys() == reference.keys()
+    for case, want in reference.items():
+        assert json.dumps(reports[case]) == json.dumps(want), case
+    print(f"BENCH REFERENCE: PASS ({len(reference)} cases)")
 
 
 def test_criterion_1_reference_table(production_certs):

@@ -421,6 +421,22 @@ def test_certify_parameter_errors():
         certify_bounds(3, 2, 5.0, search_radius=math.inf)
 
 
+@pytest.mark.parametrize("d, t", [(4, 12), (3, 14)])
+def test_certify_refuses_t_past_the_degree_limit_before_any_stage(d, t, monkeypatch):
+    """extremize_Q's t <= 10 limit at d >= 3 is checked before any stage."""
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before t was checked")
+
+    monkeypatch.setattr(certify_mod, "remainder_extrema", no_stage)
+    monkeypatch.setattr(certify_mod.SumConfig, "create", no_stage)
+    with pytest.raises(ParameterError, match=(
+        rf"^requires t <= 10 when d >= 3: the sphere polynomial at l = {t - 2} "
+        rf"has degree {t} > 10, so its extrema need not be two-value points$"
+    )):
+        certify_bounds(d, 3, 10.0, t=t)
+
+
 def test_inconclusive_search_radius(monkeypatch):
     """If the searched maximum does not dominate the asymptotic bound, the
     certificate must refuse rather than silently under-report."""

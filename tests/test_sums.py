@@ -2,7 +2,8 @@ import heapq
 import math
 import struct
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from advbounds.sums import (
 )
 from advbounds.tail import delta_K
 from conftest import rel_err
-from oracles import kk_direct, km_exact, signed_permutations, sphere_eval
+from oracles import (
+    kk_direct,
+    km_exact,
+    power_fsum,
+    signed_permutations,
+    sphere_coeffs_exact,
+    sphere_eval,
+)
 
 
 def km_union_oracle(k, d, n, rho):
@@ -672,12 +680,60 @@ def test_vV_nt():
     assert rel_err(v, -362929328.97545767) < 1e-10
     assert rel_err(V, 1179416498.758738) < 1e-10
     # factorization: both share the lattice factor S = sum |h|^(t-2n)
-    s = math.fsum(cfg.h_pow(6 - 4.0).tolist())
+    s = power_fsum(3, 20.0, 1.0)
     assert v == 2.0 * ex.mu * s
     assert V == 2.0 * ex.M * s
     assert v < 0.0 < V
     with pytest.raises(ValueError, match="even t >= 2"):
         vV_nt(cfg, 5, ex)
+
+
+#: (d, n, rho): the seven bench cases, then non-integer n and d = 5.
+SHELL_CASES = [(3, 2, 20.0), (3, 3, 10.0), (3, 4, 10.0), (3, 5, 10.0),
+               (3, 10, 10.0), (4, 3, 10.0), (2, 2, 10.0), (3, 1.6, 10.0),
+               (4, 2.2, 6.0), (5, 3, 5.0)]
+
+
+@pytest.mark.parametrize("d, n, rho", SHELL_CASES)
+def test_shell_sums_are_the_per_point_fsum(d, n, rho):
+    """Z_n and vV_nt's S = sum |h|^(t-2n), summed shell by shell, are the
+    fsum of the per-point powers bit for bit."""
+    cfg = SumConfig.create(d, n, rho)
+    z = 2.0 * (1.0 - 1.0 / d) * power_fsum(d, rho, -float(n))
+    assert Z_n(cfg).hex() == z.hex()
+    for t in (6, 10):
+        v, V = vV_nt(cfg, t, SimpleNamespace(mu=0.5, M=1.0))  # v = S, V = 2 S
+        s = power_fsum(d, rho, t / 2.0 - n)
+        assert (v.hex(), V.hex()) == (s.hex(), (2.0 * s).hex())
+
+
+def assert_Q_near_exact(cfg, ell):
+    """Every coefficient of build_Q within 3 ulps, 3 2^-53 relative, of the
+    exact rational with the same float Ehat, and permuted monomials equal."""
+    q = build_Q(cfg, ell)
+    ehat = substituted_coeff(cfg.n, ell, cfg.d)
+    exact = sphere_coeffs_exact(cfg.d, int(cfg.n), cfg.rho, ell, ehat)
+    assert q.terms.keys() == exact.keys()
+    ulp = Fraction(1, 2**53)
+    for alpha, want in exact.items():
+        assert abs(Fraction(q.terms[alpha]) - want) <= 3 * ulp * abs(want)
+        orbit = {q.terms[a].hex() for a in permutations(alpha)}
+        assert orbit == {q.terms[alpha].hex()}
+
+
+@pytest.mark.parametrize("d, n, rho", [(3, 3, 10.0), (2, 2, 10.0)])
+@pytest.mark.parametrize("ell", [2, 4, 6, 8])
+def test_build_Q_within_3_ulps_of_exact(d, n, rho, ell):
+    assert_Q_near_exact(SumConfig.create(d, n, rho), ell)
+
+
+def test_build_Q_python_int_moments():
+    """At d = 2, rho = 100, the moments h^alpha of degree j >= 10 can pass
+    2^63 on one shell, so build_Q sums them as Python ints."""
+    cfg = SumConfig.create(2, 2, 100.0)
+    norm_sq = cfg.ball.norm_sq
+    assert int(np.bincount(norm_sq).max()) * int(norm_sq.max()) ** 5 >= 2**63
+    assert_Q_near_exact(cfg, 14)
 
 
 def test_asymptotic_sandwich_on_shell():
