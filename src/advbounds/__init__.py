@@ -11,7 +11,6 @@ closed-form tail bound, and an independent trial-field witness.
 from .certify import (
     AsymptoticModel,
     BoundCertificate,
-    InconclusiveSearchRadius,
     K_minus,
     ParameterError,
     asymptotic_upper,
@@ -63,7 +62,6 @@ __all__ = [
     "BoundCertificate",
     "EnclosureWidthError",
     "FourierField",
-    "InconclusiveSearchRadius",
     "Interval",
     "K_m",
     "K_minus",

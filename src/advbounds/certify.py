@@ -1,15 +1,19 @@
 """End-to-end certification of the advection-inequality constant.
 
 The pipeline: a symmetry-reduced exact search for the cutoff sum's maximum on
-|k| < search_radius, an asymptotic majorant dominating everything at and beyond
-the search radius, the enclosure
+|k| < R = 2 rho, an asymptotic majorant bounding K_m at and beyond R, the
+enclosure
 
-    sup K_m  <=  sup KK  <=  sup K_m + delta_K,
+    sup K_m  <=  sup KK  <=  max(searched max, majorant at R) + delta_K,
 
 and finally the certified constants
 
-    K_plus  = (2 pi)^(-d/2) sqrt(sup K_m + delta_K),
+    K_plus  = (2 pi)^(-d/2) sqrt(max(searched max, majorant at R) + delta_K),
     K_minus = 2^(n/2) (2 pi)^(-d/2) U_d,   U_2 = sqrt(2 - sqrt(2)), U_d = 1 else.
+
+The majorant is built at expansion order t = 6, and rebuilt at t = 8, then
+t = 10, while it lies above the searched max; the first t at which it does
+not is kept, and the max is then the searched max itself.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .sums import (
     _k_scale,
     _power_table,
     build_Q,
-    check_two_value_degree,
     extremize_Q,
     vV_nt,
 )
@@ -44,7 +47,10 @@ from .tail import check_even_t, check_parameters, delta_K
 
 
 class InconclusiveSearchRadius(RuntimeError):
-    """The asymptotic region is not dominated by the finite search."""
+    """The asymptotic region is not dominated by the finite search.
+
+    certify_bounds never raises it (it certifies the larger of the two
+    instead); perfbench/worker.py's staged mode does."""
 
 
 def _require(cond: bool, message: str) -> None:
@@ -310,7 +316,13 @@ def K_minus(d: int, n) -> float:
 
 @dataclass(eq=False)
 class BoundCertificate:
-    """Everything needed to audit one (d, n) bound computation."""
+    """Everything needed to audit one (d, n) bound computation.
+
+    `t` is the expansion order of the asymptotic model the certificate
+    settled on (6, 8 or 10), and `asymptotic_bound` that model's majorant at
+    `search_radius`.  `sup_KK_interval` is [sup_Km, max(sup_Km,
+    asymptotic_bound) + delta_K].
+    """
 
     d: int
     n: float
@@ -326,43 +338,44 @@ class BoundCertificate:
     diagnostics: dict
 
 
-def certify_bounds(
-    d: int,
-    n,
-    rho,
-    t: int = 6,
-    search_radius=None,
-) -> BoundCertificate:
+#: Expansion orders certify_bounds tries, in turn.  Past t = 10 at d >= 3 the
+#: candidate set of extremize_Q is not proven.
+_T_STEPS = (6, 8, 10)
+
+
+def certify_bounds(d: int, n, rho) -> BoundCertificate:
     """Run the full pipeline and return a certificate (or raise).
 
-    Raises ParameterError when a precondition fails and InconclusiveSearchRadius
-    when the asymptotic majorant at the search radius exceeds the searched
-    maximum -- enlarge search_radius (or rho) and retry.
+    The search covers |k| < R = 2 rho.  The asymptotic majorant at R bounds
+    K_m on |k| >= R, so sup K_m <= max(searched max, majorant at R) for every
+    t; the model is rebuilt at the next t of _T_STEPS while the majorant lies
+    above the searched max.  The search does not depend on t and runs once.
+    The certified sup KK enclosure is
+
+        [searched max, max(searched max, majorant at R) + delta_K],
+
+    whose lower end is attained (KK >= K_m pointwise).  Raises ParameterError
+    when a precondition on (d, n, rho) fails.
     """
     start = time.perf_counter()
     check_parameters(d, n, rho)
     nf, rf = float(n), float(rho)
-    check_even_t(t)
-    check_two_value_degree(d, t - 2, t // 2)
-    if search_radius is None:
-        search_radius = 2.0 * rf
-    _check_search_radius(search_radius, rf)
+    search_radius = 2.0 * rf
 
     cfg = SumConfig.create(d, nf, rho)
-    extrema = remainder_extrema(nf, t)
-    model = build_asymptotic_model(cfg, t, extrema)
-    found = search_sup_Km(cfg, search_radius)
+    found = None
+    for t in _T_STEPS:
+        extrema = remainder_extrema(nf, t)
+        model = build_asymptotic_model(cfg, t, extrema)
+        if found is None:
+            found = search_sup_Km(cfg, search_radius)
+        far_bound = asymptotic_upper(model, search_radius)
+        if far_bound <= found[0]:
+            break
     sup_km, argmax, shell_profile = found
-    far_bound = asymptotic_upper(model, float(search_radius))
-    if far_bound > sup_km:
-        raise InconclusiveSearchRadius(
-            f"inconclusive search radius: asymptotic bound {far_bound:.6g} at "
-            f"|k| = {search_radius} exceeds searched maximum {sup_km:.6g}; "
-            f"increase search_radius or rho"
-        )
 
     dk = delta_K(d, nf, rho)
-    upper = sup_km + dk
+    upper = max(sup_km, far_bound) + dk
     k_plus = (2.0 * math.pi) ** (-d / 2.0) * math.sqrt(upper)
     k_minus = K_minus(d, nf)
     runtime_ms = (time.perf_counter() - start) * 1000.0
@@ -393,7 +406,7 @@ def certify_bounds(
         sup_KK_interval=Interval(sup_km, upper),
         K_plus=k_plus,
         K_minus=k_minus,
-        search_radius=float(search_radius),
+        search_radius=search_radius,
         asymptotic_bound=far_bound,
         diagnostics=diagnostics,
     )

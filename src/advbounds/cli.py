@@ -14,11 +14,13 @@ strings; runtime_ms is the only field allowed to vary between identical runs.
 The sup K_m search takes its worker count from the CPUs the process may run
 on (certify._worker_count), so no flag sets it, and no report depends on it.
 
+certify.certify_bounds picks the expansion order t itself and searches
+|k| < 2 rho, so no flag sets either.
+
 Exit codes: 0 success, 1 a usage error, invalid parameters (message names
-the violated precondition, t <= 10 at d >= 3 among them) or a table row that
-mismatches the reference, 2 inconclusive search radius, 3 a remainder-extrema
-enclosure that did not reach its target width within its budget, or a
-remainder refinement past its active-cell cap.
+the violated precondition) or a table row that mismatches the reference, 3 a
+remainder-extrema enclosure that did not reach its target width within its
+budget, or a remainder refinement past its active-cell cap.
 """
 
 from __future__ import annotations
@@ -28,11 +30,7 @@ import json
 import sys
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 
-from .certify import (
-    InconclusiveSearchRadius,
-    ParameterError,
-    certify_bounds,
-)
+from .certify import ParameterError, certify_bounds
 from .fields import (
     advect,
     field_to_text,
@@ -142,10 +140,8 @@ def _certificates(args):
     for n in args.n:
         rho = args.rho if args.rho is not None else default_rho(args.d, n)
         if args.verbose:
-            print(f"certifying d={args.d} n={n} rho={rho} t={args.t}", file=sys.stderr)
-        yield n, certify_bounds(
-            args.d, n, rho, t=args.t, search_radius=args.search_radius
-        )
+            print(f"certifying d={args.d} n={n} rho={rho}", file=sys.stderr)
+        yield n, certify_bounds(args.d, n, rho)
 
 
 def cmd_certify(args) -> int:
@@ -159,8 +155,7 @@ def cmd_certify(args) -> int:
         for rep in reports:
             rows.append(
                 ",".join(
-                    "" if v is None else
-                    (" ".join(str(c) for c in v) if isinstance(v, list) else str(v))
+                    " ".join(str(c) for c in v) if isinstance(v, list) else str(v)
                     for v in rep.values()
                 )
             )
@@ -287,8 +282,7 @@ def _parse_int_vec(raw: str) -> tuple:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, like any invalid parameter; exit 2 is reserved
-    for an inconclusive search radius."""
+    """Usage errors exit 1, like any invalid parameter, not argparse's 2."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -336,13 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=[2],
             help="order n, or comma list like 2,3,4 (default 2)",
         )
-        p.add_argument("--t", type=int, default=6, help="expansion order (even)")
-        p.add_argument(
-            "--search-radius",
-            type=float,
-            default=None,
-            help="search |k| < radius; default 2*rho",
-        )
         p.add_argument("-v", "--verbose", action="count", default=0)
     p_cert.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p_table.add_argument("--format", choices=("human", "csv"), default="human")
@@ -371,9 +358,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InconclusiveSearchRadius as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EnclosureWidthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

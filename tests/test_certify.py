@@ -11,7 +11,6 @@ import advbounds
 import advbounds.certify as certify_mod
 import advbounds.sums as sums_mod
 from advbounds.certify import (
-    InconclusiveSearchRadius,
     ParameterError,
     K_minus,
     asymptotic_upper,
@@ -413,37 +412,24 @@ def test_certify_parameter_errors():
         certify_bounds(3, 1, 10.0)
     with pytest.raises(ParameterError, match=r"rho > 2\*sqrt\(d\) = 3.46"):
         certify_bounds(3, 2, 3.0)
-    with pytest.raises(ParameterError, match="even t >= 2"):
-        certify_bounds(3, 2, 5.0, t=5)
-    with pytest.raises(ParameterError, match=r"search_radius >= 2\*rho"):
-        certify_bounds(3, 2, 5.0, search_radius=8.0)
-    with pytest.raises(ParameterError, match="finite search_radius"):
-        certify_bounds(3, 2, 5.0, search_radius=math.inf)
-
-
-@pytest.mark.parametrize("d, t", [(4, 12), (3, 14)])
-def test_certify_refuses_t_past_the_degree_limit_before_any_stage(d, t, monkeypatch):
-    """extremize_Q's t <= 10 limit at d >= 3 is checked before any stage."""
-
-    def no_stage(*args, **kwargs):
-        raise AssertionError("a stage ran before t was checked")
-
-    monkeypatch.setattr(certify_mod, "remainder_extrema", no_stage)
-    monkeypatch.setattr(certify_mod.SumConfig, "create", no_stage)
-    with pytest.raises(ParameterError, match=(
-        rf"^requires t <= 10 when d >= 3: the sphere polynomial at l = {t - 2} "
-        rf"has degree {t} > 10, so its extrema need not be two-value points$"
-    )):
-        certify_bounds(d, 3, 10.0, t=t)
 
 
 def test_inconclusive_search_radius(monkeypatch):
-    """If the searched maximum does not dominate the asymptotic bound, the
-    certificate must refuse rather than silently under-report."""
+    """If no t brings the asymptotic bound at the search radius below the
+    searched maximum, the certificate takes the larger of the two as its
+    bound on sup K_m rather than silently under-reporting; the searched
+    maximum stays the attained lower end."""
 
     def tiny_search(cfg, radius, *, threads=None):
-        return 0.001, (1, 0, 0), {1: 0.001}
+        return certify_mod._SearchResult(0.001, (1, 0, 0), {1: 0.001}, 1)
 
     monkeypatch.setattr(certify_mod, "search_sup_Km", tiny_search)
-    with pytest.raises(InconclusiveSearchRadius, match="^inconclusive search radius"):
-        certify_bounds(3, 2, 5.0)
+    cert = certify_bounds(3, 2, 5.0)
+    delta_k = cert.diagnostics["delta_k"]
+    assert cert.t == 10
+    assert cert.asymptotic_bound > cert.sup_Km == 0.001
+    assert cert.sup_KK_interval.lower == 0.001
+    assert cert.sup_KK_interval.upper == cert.asymptotic_bound + delta_k
+    scale = (2.0 * math.pi) ** -1.5
+    assert cert.K_plus == scale * math.sqrt(cert.sup_KK_interval.upper)
+    assert set(cert.diagnostics["q_upper"]) == {2, 4, 6, 8}

@@ -6,7 +6,7 @@ import pytest
 
 import advbounds.certify as certify_mod
 import advbounds.cli as cli
-from advbounds.certify import InconclusiveSearchRadius, certify_bounds
+from advbounds.certify import certify_bounds
 from advbounds.fields import field_from_text
 from advbounds.kernel import EnclosureWidthError
 from advbounds.sums import SumConfig, Z_n
@@ -118,20 +118,6 @@ def test_certify_invalid_parameters_exit_1(capsys):
     assert "n > d/2" in err
 
 
-@pytest.mark.parametrize("radius", ["inf", "nan"])
-def test_certify_nonfinite_search_radius_exit_1(radius, monkeypatch, capsys):
-    def no_stage(*args, **kwargs):
-        raise AssertionError("a stage ran before the search radius was checked")
-
-    monkeypatch.setattr(certify_mod.SumConfig, "create", no_stage)
-    monkeypatch.setattr(certify_mod, "remainder_extrema", no_stage)
-    argv = ["certify", "--d", "3", "--n", "3", "--rho", "5", "--search-radius", radius]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert f"requires a finite search_radius, got search_radius={radius}" in err
-
-
 @pytest.mark.parametrize("n", ["inf", "nan"])
 @pytest.mark.parametrize(
     "argv", [["certify", "--d", "3", "--rho", "5"], ["witness", "--d", "3"]]
@@ -150,18 +136,6 @@ def test_nonfinite_n_exit_1(argv, n, monkeypatch, capsys):
     assert f"requires a finite n, got n={n}" in err
 
 
-def test_inconclusive_exit_2(monkeypatch, capsys):
-    def boom(*args, **kwargs):
-        raise InconclusiveSearchRadius(
-            "inconclusive search radius: asymptotic bound 9 at |k| = 8 exceeds "
-            "searched maximum 5; increase search_radius or rho"
-        )
-
-    monkeypatch.setattr(cli, "certify_bounds", boom)
-    assert cli.main(["certify", "--d", "3", "--n", "2", "--rho", "5"]) == 2
-    assert "error: inconclusive search radius" in capsys.readouterr().err
-
-
 def test_enclosure_failure_exit_3(monkeypatch, capsys):
     def stuck(*args, **kwargs):
         raise EnclosureWidthError(
@@ -176,26 +150,34 @@ def test_enclosure_failure_exit_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, t",
     [
-        ["--d", "2", "--n", "2", "--t", "12"],
-        ["--d", "5", "--n", "3", "--rho", "5", "--search-radius", "12"],
+        (["--d", "3", "--n", "1.6", "--rho", "5"], 8),
+        (["--d", "5", "--n", "3", "--rho", "5"], 10),
     ],
-    ids=["d2-t12", "d5-rho5-R12"],
+    ids=["d3-n1.6-rho5-t8", "d5-n3-rho5-t10"],
 )
-def test_certify_other_t_and_d_exit_0(argv, capsys):
-    """d = 2 takes any t: two-value points are the whole simplex there.  At
-    d = 5 the sphere-polynomial extrema come from the same candidate set."""
-    assert cli.main(["certify"] + argv) == 0
-    assert "K_plus  (round up)" in capsys.readouterr().out
+def test_certify_other_t_and_d_exit_0(argv, t, monkeypatch, capsys):
+    """Near n = d/2 the t = 6 asymptotic bound at the search radius lies
+    above the searched maximum; the certificate settles on the first larger
+    t whose bound does not, and its diagnostics come from that t.  At d = 5
+    the sphere-polynomial extrema come from the same candidate set."""
+    certs = []
 
+    def capture(*args, **kwargs):
+        certs.append(certify_bounds(*args, **kwargs))
+        return certs[-1]
 
-def test_certify_t_past_the_degree_limit_exit_1(capsys):
-    assert cli.main(["certify", "--d", "3", "--n", "3", "--t", "12"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: requires t <= 10 when d >= 3: the sphere "
-                          "polynomial at l = 10 has degree 12 > 10")
-    assert err.count("\n") == 1
+    monkeypatch.setattr(cli, "certify_bounds", capture)
+    assert cli.main(["certify", *argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["t"] == t == certs[0].t
+    assert report["sup_kk_lower"] == report["sup_km"]
+    assert report["sup_kk_upper"] == report["sup_km"] + report["delta_k"]
+    assert certs[0].asymptotic_bound <= report["sup_km"]
+    diag = certs[0].diagnostics
+    orders = list(range(2, t - 1, 2))
+    assert sorted(diag["q_upper"]) == sorted(diag["q_lower"]) == orders
 
 
 def test_certify_large_n_hits_cell_cap_exit_3(capsys):
@@ -384,6 +366,10 @@ def test_cli_thread_count_does_not_change_results(tmp_path, monkeypatch):
         ["certify", "--threads", "2"],
         ["table", "--threads", "2"],
         ["table", "--format", "json"],
+        ["certify", "--t", "8"],
+        ["certify", "--search-radius", "30"],
+        ["table", "--t", "8"],
+        ["table", "--search-radius", "30"],
     ],
 )
 def test_removed_flags_exit_1(argv, capsys):
@@ -394,7 +380,7 @@ def test_removed_flags_exit_1(argv, capsys):
 
 
 def test_usage_errors_exit_1_and_help_exits_0(capsys):
-    """Exit 2 means an inconclusive search radius, never a typo."""
+    """No input exits 2, argparse's code for a usage error."""
     for argv in (["certfy"], ["certify", "--n", "x"], ["certify", "--bogus"], []):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -403,7 +389,8 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 0
-    assert "--search-radius" in capsys.readouterr().out
+    help_text = capsys.readouterr().out
+    assert "--rho" in help_text and "--search-radius" not in help_text
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "--help"])
     assert exc.value.code == 0

@@ -6,8 +6,11 @@ trimming the surface must not silently break ``perfbench/run.py --trace 1``.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
+
+from advbounds.certify import BoundCertificate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -85,3 +88,20 @@ def test_perfbench_worker_names_resolve():
         for obj, attr in refs if not hasattr(obj, attr)
     ]
     assert not missing, f"perfbench/worker.py uses missing names: {missing}"
+
+
+def test_perfbench_builds_the_certificate_with_every_field():
+    """perfbench's staged mode builds a BoundCertificate by keyword, which a
+    new or renamed field would break only in a traced run."""
+    func = next(
+        node for node in ast.walk(_tree(ROOT / "perfbench" / "worker.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "staged_certificate"
+    )
+    calls = [
+        node for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "BoundCertificate"
+    ]
+    assert len(calls) == 1 and not calls[0].args
+    keywords = {kw.arg for kw in calls[0].keywords}
+    assert keywords == {f.name for f in dataclasses.fields(BoundCertificate)}
