@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import remainder_extrema
-from .lattice import enumerate_canonical
+from .lattice import check_canonical_budget, enumerate_canonical
 from .sums import (
     Interval,
     K_m,  # noqa: F401  (the searched sum at one k, kept importable from here)
@@ -81,13 +81,19 @@ class AsymptoticModel:
     V: float = 0.0
 
 
-def build_asymptotic_model(cfg: SumConfig, t: int, extrema) -> AsymptoticModel:
-    """Extremize each direction coefficient and assemble the sandwich."""
+def build_asymptotic_model(cfg: SumConfig, t: int, extrema, prior=None):
+    """Extremize each direction coefficient and assemble the sandwich.
+
+    z and the Q_l extrema do not depend on t: those of `prior`, a model of
+    the same cfg at a smaller t, are kept, and only the new l are built."""
     check_even_t(t)
-    model = AsymptoticModel(z=Z_n(cfg), t=t, rho=float(cfg.rho))
+    model = AsymptoticModel(z=Z_n(cfg) if prior is None else prior.z, t=t,
+                            rho=float(cfg.rho))
     for ell in range(2, t, 2):
-        q = build_Q(cfg, ell)
-        lo, hi, arg = extremize_Q(q)
+        if prior is not None and ell in prior.q_upper:
+            lo, hi, arg = prior.q_lower[ell], prior.q_upper[ell], prior.q_argmax[ell]
+        else:
+            lo, hi, arg = extremize_Q(build_Q(cfg, ell))
         model.q_lower[ell] = lo
         model.q_upper[ell] = hi
         model.q_argmax[ell] = arg
@@ -126,35 +132,13 @@ def _check_search_radius(search_radius, rho) -> None:
     )
 
 
-#: Most terms one screening block holds per array (rows x ball points).
+#: Most terms one screened piece holds per array (rows x ball points).
 _BLOCK_TERMS = 2**18
 
 _UNIT_ROUNDOFF = 2.0**-53
 #: Absolute slack of the screened bounds; covers rounding in the subnormal
 #: range, where the relative bounds do not hold.
 _TINY = 2.0**-1070
-
-
-def _shell_blocks(k2_sorted: list, rows: int) -> list:
-    """Blocks of (start, stop) ranges over reps sorted by |k|^2, at most `rows`
-    long, in groups that no shell crosses: a group is one block of whole
-    shells packed together, or the pieces of one shell longer than `rows`."""
-    groups = []
-    start = shell_start = 0
-    n = len(k2_sorted)
-    for end in range(1, n + 1):
-        if end < n and k2_sorted[end] == k2_sorted[end - 1]:
-            continue
-        if end - start > rows and shell_start > start:
-            groups.append([(start, shell_start)])
-            start = shell_start
-        if end - start > rows:
-            groups.append([(a, min(a + rows, end)) for a in range(start, end, rows)])
-            start = end
-        shell_start = end
-    if start < n:
-        groups.append([(start, n)])
-    return groups
 
 
 def _screen(terms: np.ndarray, scales: np.ndarray):
@@ -176,22 +160,29 @@ def _screen(terms: np.ndarray, scales: np.ndarray):
 
 
 #: Most workers a search starts.  On two CPUs two workers ran the search
-#: 1.55x faster than one; `certify --d 3 --n 3,4,5,10` peaked at 51-53 MB RSS
-#: with one worker, 58-59 MB with two and 80 MB with four, since each worker
-#: holds its own block working set and each pool thread's malloc arena keeps
-#: it.  Unmeasured on more CPUs.
+#: 1.55x faster than one; `certify --d 3 --n 3,4,5,10`, its searches split,
+#: peaked at 51-53 MB RSS with one worker, 58-59 MB with two and 80 MB with
+#: four, since each worker holds its own block working set and each pool
+#: thread's malloc arena keeps it.  Unmeasured on more CPUs.
 _MAX_WORKERS = 2
 
 
-def _worker_count(groups: int) -> int:
-    """Workers for a search of `groups` shell groups: the CPUs this process
-    may run on, at most one per group and at most _MAX_WORKERS.  A CPU
-    quota that does not restrict the affinity mask is not seen."""
+def _worker_count(batches: int) -> int:
+    """Workers for a search of `batches` batches of shells: one below 64
+    batches, else the CPUs this process may run on, at most _MAX_WORKERS.  A
+    CPU quota that does not restrict the affinity mask is not seen."""
+    # On a 2-core VM two workers were no faster than one at 15 and 44 batches
+    # (d = 3, rho = 10 and 12) and 1.6x faster at 114 (rho = 14).  One worker
+    # also keeps the peak RSS from depending on which shells fell to which
+    # thread: `certify` at d = 3, n = 3, 4, 5, 10 and d = 2, n = 2, rho = 10,
+    # in one process, peaked at 55 MB or, in about one run of five, 64 MB.
+    if batches < 64:
+        return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # platforms without CPU affinity
         cpus = os.cpu_count() or 1
-    return min(cpus, groups, _MAX_WORKERS)
+    return min(cpus, _MAX_WORKERS)
 
 
 class _SearchResult(tuple):
@@ -209,25 +200,23 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
 
     Only canonical representatives (coordinates sorted descending, nonnegative)
     are evaluated; K_m is invariant under the signed-permutation group, so this
-    loses nothing.  They are walked in (|k|^2, lex) order, in blocks of whole
-    shells of at most _BLOCK_TERMS terms per array.  Each block's terms are
-    ranked by np.sum under a proven error bound (_screen); within a shell,
-    only the reps whose upper bound reaches the shell's largest lower bound
-    are summed exactly, on the same row of terms.  Those rows are stacked, one
-    group of shells at a time, and summed by sums._exact_row_sums: exponent
-    buckets give each row's exact sum, rounded once to nearest, which is the
-    same correctly rounded value that math.fsum returns.  So every value
-    reported is K_m(k) bit for bit.  A rep that is screened out is strictly
-    below its shell's maximum.  Ties keep the lexicographically smallest
-    canonical form.
+    loses nothing.  They are walked in (|k|^2, lex) order, in batches of whole
+    shells (consecutive shells with at most `rows` reps in all, or one longer
+    shell), in pieces of at most _BLOCK_TERMS terms per array.  np.sum ranks
+    each piece's rows under a proven error bound (_screen); a rep whose upper
+    bound is below the largest lower bound seen so far in its shell is
+    strictly below the shell's maximum.  Every other rep's row is summed by
+    sums._exact_row_sums, which returns math.fsum's correctly rounded value,
+    so every value reported is K_m(k) bit for bit.  Ties keep the
+    lexicographically smallest canonical form.
     Returns (max, argmax, shell_profile) with shell_profile mapping |k|^2 to
     the shell's maximum, keyed in order of first appearance in lex order; its
     `candidates` attribute counts the canonical reps.
 
-    `threads` workers (by default _worker_count's) take the groups one at a
-    time, with identical results: each value is its own row's correctly
-    rounded sum, and maxima merge by value, then lex order.  An exception in
-    a worker, or an interrupt, stops each worker after its current group.
+    `threads` workers (by default _worker_count's) take the batches one at a
+    time, so each shell belongs to one worker and the results do not depend
+    on their number.  An exception in a worker, or an interrupt, stops each
+    worker after its current batch.
     """
     _check_search_radius(search_radius, cfg.rho)
     reps = enumerate_canonical(cfg.d, search_radius)
@@ -239,71 +228,68 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     rows = max(1, _BLOCK_TERMS // len(cfg.ball))
     table = _power_table(cfg, k2[-1])
 
-    groups = _shell_blocks(k2, rows)
-    pending = iter(groups)
+    # Small shells share a batch: per-shell calls are too short for workers to overlap.
+    edges = np.flatnonzero(np.diff(k2, prepend=0, append=0)).tolist()
+    batches, first = [], 0
+    for a, b in zip(edges, edges[1:]):
+        if b - first > rows and a > first:
+            batches.append((first, a))
+            first = a
+    batches.append((first, len(k2)))
+    pending = iter(batches)
     lock = threading.Lock()
     halt = threading.Event()
 
-    def run(group, terms_of, kept):
-        """Append (|k|^2, k, K_m(k)) to kept for every rep of one shell group
-        that the screen keeps."""
-        floor: dict = {}
-        contenders, blocks = [], []
-        for start, stop in group:
-            terms = terms_of(ks[start:stop])
-            lo, hi = _screen(terms, np.array(scales[start:stop]))
-            for i in range(start, stop):
-                floor[k2[i]] = max(floor.get(k2[i], -math.inf), lo[i - start])
-            live = [j for j, top in enumerate(hi) if top >= floor[k2[start + j]]]
-            contenders += [(start + j, hi[j]) for j in live]
-            blocks.append(terms[live])  # the next block overwrites terms
-        stacked = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-        keep = [c for c, (i, top) in enumerate(contenders) if top >= floor[k2[i]]]
-        if len(keep) < len(contenders):
-            stacked = stacked[keep]
-        for c, total in zip(keep, _exact_row_sums(stacked)):
-            i = contenders[c][0]
-            kept.append((k2[i], reps[order[i]], scales[i] * total))
+    def batch_max(start, stop, terms_of, found):
+        """Set found[|k|^2] to (max, first argmax in lex order) of K_m over
+        each shell of reps start:stop."""
+        _, shell = np.unique(k2[start:stop], return_inverse=True)
+        floor = np.full(shell[-1] + 1, -math.inf)
+        for a in range(start, stop, rows):
+            b = min(a + rows, stop)
+            terms = terms_of(ks[a:b])
+            lo, hi = _screen(terms, np.array(scales[a:b]))
+            ids = shell[a - start:b - start]
+            np.maximum.at(floor, ids, lo)
+            for j in np.flatnonzero(hi >= floor[ids]).tolist():
+                s, val = k2[a + j], scales[a + j] * _exact_row_sums(terms[j:j + 1])[0]
+                if s not in found or val > found[s][0]:
+                    found[s] = (val, reps[order[a + j]])
 
     def work(terms_of):
-        """Take shell groups one at a time until none are left; then, or on
-        any exception, halt every worker after its current group."""
-        kept = []
+        """Take batches one at a time until none are left; then, or on any
+        exception, halt every worker after its current batch."""
+        found = {}
         try:
             while not halt.is_set():
                 with lock:
-                    group = next(pending, None)
-                if group is None:
+                    batch = next(pending, None)
+                if batch is None:
                     break
-                run(group, terms_of, kept)
+                batch_max(*batch, terms_of, found)
         finally:
             halt.set()
-        return kept
+        return found
 
     # The calling thread is one of the workers, and it allocates every
     # worker's buffers: memory a pool thread's malloc arena keeps after the
     # search would add to the peak of the next certificate's stages.
-    workers = _worker_count(len(groups)) if threads is None else threads
+    workers = _worker_count(len(batches)) if threads is None else threads
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         try:
             helpers = [
                 pool.submit(work, _FoldedTerms(cfg, rows, table))
                 for _ in range(workers - 1)
             ]
-            kept = work(_FoldedTerms(cfg, rows, table))
+            found = work(_FoldedTerms(cfg, rows, table))
         finally:
             halt.set()
         for helper in helpers:
-            kept += helper.result()
+            found.update(helper.result())
 
-    shell_best: dict = {}
-    for s, k, val in kept:
-        cur = shell_best.get(s)
-        if cur is None or val > cur[0] or (val == cur[0] and k < cur[1]):
-            shell_best[s] = (val, k)
-    shell_profile = {s: shell_best[s][0] for s in dict.fromkeys(lex_k2)}
+    shell_profile = {s: found[s][0] for s in dict.fromkeys(lex_k2)}
     best = max(shell_profile.values())
-    best_k = min(k for val, k in shell_best.values() if val == best)
+    best_k = min(k for val, k in found.values() if val == best)
     return _SearchResult(best, best_k, shell_profile, len(reps))
 
 
@@ -348,25 +334,27 @@ def certify_bounds(d: int, n, rho) -> BoundCertificate:
 
     The search covers |k| < R = 2 rho.  The asymptotic majorant at R bounds
     K_m on |k| >= R, so sup K_m <= max(searched max, majorant at R) for every
-    t; the model is rebuilt at the next t of _T_STEPS while the majorant lies
-    above the searched max.  The search does not depend on t and runs once.
-    The certified sup KK enclosure is
+    t; the model is raised to the next t of _T_STEPS while the majorant lies
+    above the searched max, keeping its z and Q_l extrema.  The search does
+    not depend on t and runs once.  The certified sup KK enclosure is
 
         [searched max, max(searched max, majorant at R) + delta_K],
 
     whose lower end is attained (KK >= K_m pointwise).  Raises ParameterError
-    when a precondition on (d, n, rho) fails.
+    when a precondition on (d, n, rho) fails, and PointBudgetExceeded, before
+    any stage runs, when the search at R is over the canonical budget.
     """
     start = time.perf_counter()
     check_parameters(d, n, rho)
     nf, rf = float(n), float(rho)
     search_radius = 2.0 * rf
+    check_canonical_budget(d, search_radius)
 
     cfg = SumConfig.create(d, nf, rho)
-    found = None
+    found = model = None
     for t in _T_STEPS:
         extrema = remainder_extrema(nf, t)
-        model = build_asymptotic_model(cfg, t, extrema)
+        model = build_asymptotic_model(cfg, t, extrema, model)
         if found is None:
             found = search_sup_Km(cfg, search_radius)
         far_bound = asymptotic_upper(model, search_radius)

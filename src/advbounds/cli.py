@@ -136,12 +136,21 @@ def _human_certificate(report: dict) -> str:
 
 
 def _certificates(args):
-    """(n, certificate) for each requested n, rho defaulting per n."""
+    """(n, certificate) for each requested n, rho defaulting per n; -v says
+    on stderr how each certificate closed."""
     for n in args.n:
         rho = args.rho if args.rho is not None else default_rho(args.d, n)
         if args.verbose:
             print(f"certifying d={args.d} n={n} rho={rho}", file=sys.stderr)
-        yield n, certify_bounds(args.d, n, rho)
+        cert = certify_bounds(args.d, n, rho)
+        if args.verbose:
+            margin = (cert.sup_Km - cert.asymptotic_bound) / cert.sup_Km
+            line = (f"closed at t={cert.t}, gate margin "
+                    f"(sup_km - far bound) / sup_km = {margin:.3g}")
+            if margin < 0:
+                line += f"; sup_kk_upper set by the far bound {cert.asymptotic_bound!r}"
+            print(line, file=sys.stderr)
+        yield n, cert
 
 
 def cmd_certify(args) -> int:

@@ -150,12 +150,6 @@ class FourierField:
     def support(self) -> list:
         return sorted(self.coeffs)
 
-    @property
-    def is_divergence_free(self) -> bool:
-        keys, table = _stack(self.d, self.coeffs)
-        worst = float(np.abs(_dot(keys.astype(float), table)).max(initial=0.0))
-        return worst <= _REL_TOL * _coeff_scale(table)
-
 
 def leray_project(field: FourierField) -> FourierField:
     """Project each coefficient orthogonally to its wavenumber:

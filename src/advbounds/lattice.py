@@ -120,17 +120,10 @@ def enumerate_ball(d: int, rho) -> BallEnumeration:
     return BallEnumeration(radius=rho, points=pts)
 
 
-def enumerate_canonical(d: int, radius) -> list[LatticeVector]:
-    """All nonzero canonical representatives with |k| < radius, sorted lexicographically.
-
-    These index the orbits of the signed-permutation group inside the open ball;
-    the search over sup K_m only ever evaluates these.  Raises
-    PointBudgetExceeded, before building any tuple, when the C(c+d, d) sorted
-    tuples with entries at most c = isqrt(|k|^2 bound), which bound the number
-    of representatives, exceed CANONICAL_BUDGET.
-    """
-    if d < 2:
-        raise ValueError(f"requires d >= 2, got d={d}")
+def check_canonical_budget(d: int, radius) -> None:
+    """Raise PointBudgetExceeded when the C(c+d, d) sorted tuples with entries
+    at most c = isqrt(|k|^2 bound), which bound the number of canonical
+    representatives with |k| < radius, exceed CANONICAL_BUDGET."""
     m = max_norm_sq_inside(radius)
     if m >= 1 and math.comb(math.isqrt(m) + d, d) > CANONICAL_BUDGET:
         raise PointBudgetExceeded(
@@ -138,6 +131,19 @@ def enumerate_canonical(d: int, radius) -> list[LatticeVector]:
             f"{math.comb(math.isqrt(m) + d, d)} sorted tuples, "
             f"budget is {CANONICAL_BUDGET} reps"
         )
+
+
+def enumerate_canonical(d: int, radius) -> list[LatticeVector]:
+    """All nonzero canonical representatives with |k| < radius, sorted lexicographically.
+
+    These index the orbits of the signed-permutation group inside the open ball;
+    the search over sup K_m only ever evaluates these.  Raises
+    PointBudgetExceeded (check_canonical_budget) before building any tuple.
+    """
+    if d < 2:
+        raise ValueError(f"requires d >= 2, got d={d}")
+    check_canonical_budget(d, radius)
+    m = max_norm_sq_inside(radius)
     out: list[LatticeVector] = []
     vec = [0] * d
 

@@ -363,6 +363,16 @@ def leray_loop(field):
     return out
 
 
+def is_divergence_free(coeffs, rel_tol=1e-9):
+    """|k.c_k| <= rel_tol * max(1, largest |c_j|) at every mode of a
+    coefficient dict {k: c_k}."""
+    scale = max([1.0] + [abs(x) for c in coeffs.values() for x in c])
+    return all(
+        abs(_dot(np.asarray(k, dtype=float), c)) <= rel_tol * scale
+        for k, c in coeffs.items()
+    )
+
+
 def sobolev_loop(field, n):
     """sqrt(sum_k |k|^(2n) |c_k|^2) over one flat list of terms."""
     terms = []

@@ -207,16 +207,81 @@ def test_screened_interval_holds_exact_value(d, n, rho):
         assert hi[i] - lo[i] < 1e-9 * exact
 
 
-def test_shell_blocks():
-    shells = [1, 1, 2, 2, 3, 3, 3, 3, 3]
-    assert certify_mod._shell_blocks(shells, 3) == [
-        [(0, 2)], [(2, 4)], [(4, 7), (7, 9)]
-    ]
-    assert certify_mod._shell_blocks(shells, 4) == [[(0, 4)], [(4, 8), (8, 9)]]
-    assert certify_mod._shell_blocks(shells, 100) == [[(0, 9)]]
-    assert certify_mod._shell_blocks(shells, 1) == [
-        [(0, 1), (1, 2)], [(2, 3), (3, 4)], [(i, i + 1) for i in range(4, 9)]
-    ]
+def _stub_search(monkeypatch, rows, values, threads):
+    """search_sup_Km(SumConfig.create(3, 2, 4.0), 8.0) with `rows` reps to a
+    piece and a stub kernel whose row for k is the one term values.get(k, 1);
+    also returns the terms summed exactly, in the order they were summed."""
+    cfg = SumConfig.create(3, 2, 4.0)
+    summed = []
+
+    def kernel(ks):
+        return np.array([[values.get(tuple(k), 1.0)] for k in ks.tolist()])
+
+    def exact(terms):
+        summed.extend(terms[:, 0].tolist())
+        return sums_mod._exact_row_sums(terms)
+
+    monkeypatch.setattr(certify_mod, "_FoldedTerms", lambda cfg, rows, table: kernel)
+    monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", rows * len(cfg.ball))
+    monkeypatch.setattr(certify_mod, "_exact_row_sums", exact)
+    return search_sup_Km(cfg, 8.0, threads=threads), summed
+
+
+def _longest_shell(d, radius):
+    """The reps, in lex order, of the first shell holding the most reps."""
+    by_shell = {}
+    for k in enumerate_canonical(d, radius):
+        by_shell.setdefault(sum(c * c for c in k), []).append(k)
+    return max(by_shell.values(), key=len)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_search_shell_max_in_its_last_piece(monkeypatch, threads):
+    """One rep to a piece: the first rep's contender is summed, the middle
+    reps are screened out, and the last piece raises the floor and the max."""
+    shell = _longest_shell(3, 8.0)
+    assert len(shell) >= 3
+    m = sum(c * c for c in shell[0])
+    (best, k, profile), summed = _stub_search(
+        monkeypatch, 1, {shell[0]: 2.0, shell[-1]: 3.0}, threads
+    )
+    assert profile[m] == float(m) ** 2 * 3.0
+    assert [v for v in summed if v > 1.0] == [2.0, 3.0]
+    assert summed.count(1.0) == sum(
+        1 for r in enumerate_canonical(3, 8.0) if sum(c * c for c in r) != m
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_search_tie_across_pieces_keeps_lex_first(monkeypatch, threads):
+    """Two reps to a piece: equal maxima in the first and second piece of a
+    shell both get summed, and the lex-first one is the argmax."""
+    shell = _longest_shell(3, 8.0)
+    assert len(shell) >= 3
+    m = sum(c * c for c in shell[0])
+    (best, k, profile), summed = _stub_search(
+        monkeypatch, 2, {shell[1]: 1e9, shell[2]: 1e9}, threads
+    )
+    assert best == profile[m] == float(m) ** 2 * 1e9
+    assert k == shell[1]
+    assert [v for v in summed if v > 1.0] == [1e9, 1e9]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_search_batch_screens_each_shell_on_its_own_floor(monkeypatch, threads):
+    """Every shell in one batch: a large term in one shell screens out only
+    that shell's other reps."""
+    shell = _longest_shell(3, 8.0)
+    m = sum(c * c for c in shell[0])
+    (best, k, profile), summed = _stub_search(
+        monkeypatch, 1000, {shell[-1]: 1e9}, threads
+    )
+    assert profile == {s: float(s) ** 2 * (1e9 if s == m else 1.0) for s in profile}
+    assert k == shell[-1]
+    assert summed.count(1e9) == 1
+    assert summed.count(1.0) == sum(
+        1 for r in enumerate_canonical(3, 8.0) if sum(c * c for c in r) != m
+    )
 
 
 def test_search_radius_validation():
@@ -365,10 +430,46 @@ def test_certify_enumerates_canonical_reps_once(monkeypatch):
     assert cert.diagnostics["canonical_candidates"] == len(enumerate_canonical(3, 10.0))
 
 
+def test_certify_refuses_an_over_budget_search_before_any_stage(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a stage ran before the canonical budget check")
+
+    monkeypatch.setattr(certify_mod, "SumConfig", SimpleNamespace(create=never))
+    monkeypatch.setattr(certify_mod, "remainder_extrema", never)
+    with pytest.raises(PointBudgetExceeded, match="canonical reps d=2, radius=5000.0"):
+        certify_bounds(2, 2, 2500.0)
+
+
+def test_t_escalation_builds_each_direction_coefficient_once(monkeypatch):
+    """z and the Q_l extrema do not depend on t, so raising t from 6 to 8
+    builds only Q_6; the model equals one built at t = 8 from scratch."""
+    calls = []
+
+    def counted(fn):
+        def wrapped(*args):
+            calls.append((fn.__name__, args[1:]))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(certify_mod, "build_Q", counted(build_Q))
+    monkeypatch.setattr(certify_mod, "Z_n", counted(certify_mod.Z_n))
+    cert = certify_bounds(3, 1.6, 10.0)
+    assert cert.t == 8
+    assert calls == [("Z_n", ()), ("build_Q", (2,)), ("build_Q", (4,)),
+                     ("build_Q", (6,))]
+    fresh = build_asymptotic_model(
+        SumConfig.create(3, 1.6, 10.0), 8, remainder_extrema(1.6, 8)
+    )
+    assert cert.diagnostics["z_n"] == fresh.z
+    assert list(cert.diagnostics["q_upper"].items()) == list(fresh.q_upper.items())
+    assert list(cert.diagnostics["q_lower"].items()) == list(fresh.q_lower.items())
+    assert cert.diagnostics["V_upper"] == fresh.V
+
+
 def test_search_interrupt_stops_within_one_group_per_worker(monkeypatch):
     """An interrupt in one worker propagates, and once the search halts each
-    other worker starts at most one more shell group.  With one row per
-    block, each shell is one group."""
+    other worker starts at most one more batch of shells.  With one row per
+    piece, each batch is one shell."""
     workers, fail_at = 3, 40
     calls, halted_at = [], []
 

@@ -180,6 +180,45 @@ def test_certify_other_t_and_d_exit_0(argv, t, monkeypatch, capsys):
     assert sorted(diag["q_upper"]) == sorted(diag["q_lower"]) == orders
 
 
+def test_verbose_names_the_far_bound_of_an_open_gate(capsys):
+    """At d5 n2.501 rho 5 no t closes the gate, so sup_kk_upper is the far
+    bound plus delta_K, and -v says so."""
+    assert cli.main(["certify", "--d", "5", "--n", "2.501", "--rho", "5", "-v"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "certifying d=5 n=2.501 rho=5.0"
+    assert err[1].startswith("closed at t=10, gate margin")
+    assert float(err[1].split("= ")[1].split(";")[0]) < 0
+    assert err[1].endswith("sup_kk_upper set by the far bound 84.61376621016473")
+
+
+def test_verbose_gate_margin_leaves_the_reports_alone(capsys):
+    """-v writes to stderr only; every report format is unchanged, apart
+    from its runtime (the last csv column, a line of the other two)."""
+    for fmt in ("json", "csv", "human"):
+        outputs = []
+        for verbose in ([], ["-v"]):
+            argv = ["certify", "--d", "3", "--n", "3", "--format", fmt]
+            assert cli.main(argv + verbose) == 0
+            out, err = capsys.readouterr()
+            lines = out.splitlines()
+            if fmt == "csv":
+                outputs.append([line.rsplit(",", 1)[0] for line in lines])
+            else:
+                outputs.append([line for line in lines if "runtime" not in line])
+            if verbose:
+                closed = err.splitlines()[1]
+                assert closed.startswith("closed at t=6, gate margin")
+                assert float(closed.split("= ")[1]) > 0
+                assert "set by" not in closed
+        assert outputs[0] == outputs[1]
+
+
+def test_over_budget_search_exit_1(capsys):
+    assert cli.main(["certify", "--d", "2", "--n", "2", "--rho", "2500"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: canonical reps d=2, radius=5000.0 span")
+
+
 def test_certify_large_n_hits_cell_cap_exit_3(capsys):
     """Past n = 13 the remainder refinement would split more cells than
     kernel.MAX_ACTIVE_CELLS; the run stops with exit 3 instead of growing
