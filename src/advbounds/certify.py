@@ -132,7 +132,7 @@ def _check_search_radius(search_radius, rho) -> None:
     )
 
 
-#: Most terms one screened piece holds per array (rows x ball points).
+#: Most terms one screened block holds per array (rows x ball points).
 _BLOCK_TERMS = 2**18
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -167,16 +167,14 @@ def _screen(terms: np.ndarray, scales: np.ndarray):
 _MAX_WORKERS = 2
 
 
-def _worker_count(batches: int) -> int:
-    """Workers for a search of `batches` batches of shells: one below 64
-    batches, else the CPUs this process may run on, at most _MAX_WORKERS.  A
-    CPU quota that does not restrict the affinity mask is not seen."""
-    # On a 2-core VM two workers were no faster than one at 15 and 44 batches
-    # (d = 3, rho = 10 and 12) and 1.6x faster at 114 (rho = 14).  One worker
-    # also keeps the peak RSS from depending on which shells fell to which
-    # thread: `certify` at d = 3, n = 3, 4, 5, 10 and d = 2, n = 2, rho = 10,
-    # in one process, peaked at 55 MB or, in about one run of five, 64 MB.
-    if batches < 64:
+def _worker_count(blocks: int) -> int:
+    """Workers for a search of `blocks` blocks: one below 64 blocks, else the
+    CPUs this process may run on, at most _MAX_WORKERS.  A CPU quota that
+    does not restrict the affinity mask is not seen."""
+    # On a 2-core VM two workers were slower than one at 15 blocks (d = 3,
+    # rho = 10) and, run to run, 0.9x to 1.8x as fast at 42 and 105 blocks
+    # (rho = 12 and 14).
+    if blocks < 64:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -185,88 +183,56 @@ def _worker_count(batches: int) -> int:
     return min(cpus, _MAX_WORKERS)
 
 
-class _SearchResult(tuple):
-    """search_sup_Km's (max, argmax, shell_profile), with `candidates`, the
-    number of canonical reps searched, for certify_bounds' diagnostics."""
-
-    def __new__(cls, best, best_k, shell_profile, candidates):
-        found = super().__new__(cls, (best, best_k, shell_profile))
-        found.candidates = candidates
-        return found
-
-
 def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     """Exact maximum of K_m over 0 < |k| < search_radius.
 
-    Only canonical representatives (coordinates sorted descending, nonnegative)
-    are evaluated; K_m is invariant under the signed-permutation group, so this
-    loses nothing.  They are walked in (|k|^2, lex) order, in batches of whole
-    shells (consecutive shells with at most `rows` reps in all, or one longer
-    shell), in pieces of at most _BLOCK_TERMS terms per array.  np.sum ranks
-    each piece's rows under a proven error bound (_screen); a rep whose upper
-    bound is below the largest lower bound seen so far in its shell is
-    strictly below the shell's maximum.  Every other rep's row is summed by
-    sums._exact_row_sums, which returns math.fsum's correctly rounded value,
-    so every value reported is K_m(k) bit for bit.  Ties keep the
-    lexicographically smallest canonical form.
-    Returns (max, argmax, shell_profile) with shell_profile mapping |k|^2 to
-    the shell's maximum, keyed in order of first appearance in lex order; its
-    `candidates` attribute counts the canonical reps.
+    Only canonical representatives (coordinates sorted descending,
+    nonnegative) are evaluated; K_m is invariant under the signed-permutation
+    group, so this loses nothing.  They are taken in lex order, in blocks of
+    `rows` reps (at most _BLOCK_TERMS terms), and np.sum bounds each row
+    under a proven error bound (_screen).  Each worker keeps one floor, the
+    largest lower bound it has seen, and sums a row exactly only when the
+    row's upper bound reaches it; sums._exact_row_sums returns math.fsum's
+    correctly rounded value, so every value is K_m(k) bit for bit.  A rep
+    attaining the maximum has an upper bound at least as large as every
+    lower bound, so the worker that takes its block sums it: the result does
+    not depend on the number of workers or on which blocks each one took.
 
-    `threads` workers (by default _worker_count's) take the batches one at a
-    time, so each shell belongs to one worker and the results do not depend
-    on their number.  An exception in a worker, or an interrupt, stops each
-    worker after its current batch.
+    Returns (max, argmax, reps): the maximum, the lexicographically smallest
+    rep attaining it, and the number of canonical reps searched.  `threads`
+    workers (by default _worker_count's) take the blocks one at a time; an
+    exception in a worker, or an interrupt, stops each after its current
+    block.
     """
     _check_search_radius(search_radius, cfg.rho)
     reps = enumerate_canonical(cfg.d, search_radius)
-    lex_k2 = [sum(c * c for c in k) for k in reps]
-    order = sorted(range(len(reps)), key=lex_k2.__getitem__)
-    k2 = [lex_k2[i] for i in order]
-    ks = np.array([reps[i] for i in order], dtype=np.int64)
-    scales = [_k_scale(s, cfg.n) for s in k2]
+    k2 = [sum(c * c for c in k) for k in reps]
+    ks = np.array(reps, dtype=np.int64)
+    scales = np.array([_k_scale(s, cfg.n) for s in k2])
     rows = max(1, _BLOCK_TERMS // len(cfg.ball))
-    table = _power_table(cfg, k2[-1])
-
-    # Small shells share a batch: per-shell calls are too short for workers to overlap.
-    edges = np.flatnonzero(np.diff(k2, prepend=0, append=0)).tolist()
-    batches, first = [], 0
-    for a, b in zip(edges, edges[1:]):
-        if b - first > rows and a > first:
-            batches.append((first, a))
-            first = a
-    batches.append((first, len(k2)))
-    pending = iter(batches)
+    table = _power_table(cfg, max(k2))
+    starts = range(0, len(reps), rows)
+    pending = iter(starts)
     lock = threading.Lock()
     halt = threading.Event()
 
-    def batch_max(start, stop, terms_of, found):
-        """Set found[|k|^2] to (max, first argmax in lex order) of K_m over
-        each shell of reps start:stop."""
-        _, shell = np.unique(k2[start:stop], return_inverse=True)
-        floor = np.full(shell[-1] + 1, -math.inf)
-        for a in range(start, stop, rows):
-            b = min(a + rows, stop)
-            terms = terms_of(ks[a:b])
-            lo, hi = _screen(terms, np.array(scales[a:b]))
-            ids = shell[a - start:b - start]
-            np.maximum.at(floor, ids, lo)
-            for j in np.flatnonzero(hi >= floor[ids]).tolist():
-                s, val = k2[a + j], scales[a + j] * _exact_row_sums(terms[j:j + 1])[0]
-                if s not in found or val > found[s][0]:
-                    found[s] = (val, reps[order[a + j]])
-
     def work(terms_of):
-        """Take batches one at a time until none are left; then, or on any
-        exception, halt every worker after its current batch."""
-        found = {}
+        """Take blocks one at a time until none are left; then, or on any
+        exception, halt every worker after its current block.  Returns the
+        (K_m(k), k) of each row summed exactly."""
+        floor, found = -math.inf, []
         try:
             while not halt.is_set():
                 with lock:
-                    batch = next(pending, None)
-                if batch is None:
+                    a = next(pending, None)
+                if a is None:
                     break
-                batch_max(*batch, terms_of, found)
+                terms = terms_of(ks[a:a + rows])
+                lo, hi = _screen(terms, scales[a:a + rows])
+                floor = max(floor, lo.max())
+                for j in np.flatnonzero(hi >= floor).tolist():
+                    value = float(scales[a + j]) * _exact_row_sums(terms[j:j + 1])[0]
+                    found.append((value, reps[a + j]))
         finally:
             halt.set()
         return found
@@ -274,7 +240,7 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     # The calling thread is one of the workers, and it allocates every
     # worker's buffers: memory a pool thread's malloc arena keeps after the
     # search would add to the peak of the next certificate's stages.
-    workers = _worker_count(len(batches)) if threads is None else threads
+    workers = _worker_count(len(starts)) if threads is None else threads
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         try:
             helpers = [
@@ -285,12 +251,10 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
         finally:
             halt.set()
         for helper in helpers:
-            found.update(helper.result())
+            found += helper.result()
 
-    shell_profile = {s: found[s][0] for s in dict.fromkeys(lex_k2)}
-    best = max(shell_profile.values())
-    best_k = min(k for val, k in found.values() if val == best)
-    return _SearchResult(best, best_k, shell_profile, len(reps))
+    best = max(value for value, _ in found)
+    return best, min(k for value, k in found if value == best), len(reps)
 
 
 def K_minus(d: int, n) -> float:
@@ -360,7 +324,7 @@ def certify_bounds(d: int, n, rho) -> BoundCertificate:
         far_bound = asymptotic_upper(model, search_radius)
         if far_bound <= found[0]:
             break
-    sup_km, argmax, shell_profile = found
+    sup_km, argmax, reps = found
 
     dk = delta_K(d, nf, rho)
     upper = max(sup_km, far_bound) + dk
@@ -371,9 +335,8 @@ def certify_bounds(d: int, n, rho) -> BoundCertificate:
     diagnostics = {
         "delta_k": dk,
         "z_n": model.z,
-        "shell_maxima": shell_profile,
         "points_in_ball": len(cfg.ball),
-        "canonical_candidates": found.candidates,
+        "canonical_candidates": reps,
         "remainder_mu": extrema.mu,
         "remainder_M": extrema.M,
         "remainder_mu_width": extrema.mu_width,

@@ -100,11 +100,8 @@ def enumerate_ball(d: int, rho) -> BallEnumeration:
         raise ValueError(f"rho={rho} too large: |h|^2 would overflow the int64 fast path")
 
     axis = np.arange(-c, c + 1, dtype=np.int64)
-    if d == 2:
-        rest = axis.reshape(-1, 1)
-    else:
-        grids = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
-        rest = np.stack(grids, axis=-1).reshape(-1, d - 1)
+    grids = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
+    rest = np.stack(grids, axis=-1).reshape(-1, d - 1)
     rest_sq = np.einsum("ij,ij->i", rest, rest)
 
     chunks = []

@@ -35,7 +35,8 @@ def check_finite_n(n) -> None:
 def check_parameters(d: int, n, rho) -> None:
     """The (d, n, rho) preconditions of every cutoff sum and of delta_K:
     integer d >= 2, a finite n > d/2 (the lattice sums converge) and
-    rho > 2 sqrt(d) (the tail bound's closed form)."""
+    rho > 2 sqrt(d) (the tail bound's closed form), with 2 rho, the search
+    radius, finite."""
     if not (isinstance(d, int) and d >= 2):
         raise ParameterError(f"requires integer d >= 2, got d={d}")
     check_finite_n(n)
@@ -45,6 +46,8 @@ def check_parameters(d: int, n, rho) -> None:
         raise ParameterError(
             f"requires rho > 2*sqrt(d) = {2.0 * math.sqrt(d):.6f}, got rho={rho}"
         )
+    if not math.isfinite(2.0 * float(rho)):
+        raise ParameterError(f"requires a finite rho with 2*rho finite, got rho={rho}")
 
 
 def check_even_t(t) -> None:

@@ -146,7 +146,11 @@ def test_criterion_2_search_results(production_certs):
 
     For n = 5 and 10 the expected sup is the exact-rational value of the
     defining sum at (2,1,0), and the published (1,1,0) value must be the
-    |k|^2 = 2 shell maximum, which the exact sum at (1,1,0) confirms."""
+    |k|^2 = 2 shell maximum: (1,1,0) is the only canonical rep of that shell,
+    and the exact sum and K_m at (1,1,0) both confirm the value."""
+    shell_2 = [k for k in enumerate_canonical(3, 20.0)
+               if sum(c * c for c in k) == 2]
+    assert shell_2 == [(1, 1, 0)]
     lines = []
     for n in ORDERS:
         cert = production_certs[n]
@@ -157,7 +161,7 @@ def test_criterion_2_search_results(production_certs):
             shell_max = float(km_exact(published_argmax, 3, n, 10.0))
             assert rel(shell_max, published) < 1e-4, (n, shell_max, published)
             assert shell_max < sup, (n, shell_max, sup)
-            got = cert.diagnostics["shell_maxima"][2]
+            got = K_m(published_argmax, SumConfig.create(3, n, 10.0))
             assert rel(got, published) < 1e-4, (
                 f"n={n}: |k|^2 = 2 shell maximum {got} != published {published}"
             )
@@ -383,7 +387,7 @@ def test_criterion_7_invariant_properties(production_certs):
 def test_criterion_8_deterministic_reports(monkeypatch):
     reports = []
     for threads in (1, 1, 4):
-        monkeypatch.setattr(certify_mod, "_worker_count", lambda groups: threads)
+        monkeypatch.setattr(certify_mod, "_worker_count", lambda blocks: threads)
         cert = certify_bounds(3, 3, 10.0)
         rep = certificate_report(cert)
         rep.pop("runtime_ms")

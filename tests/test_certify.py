@@ -33,7 +33,6 @@ from oracles import is_canonical, sphere_eval
 DIAG_KEYS = {
     "delta_k",
     "z_n",
-    "shell_maxima",
     "points_in_ball",
     "canonical_candidates",
     "remainder_mu",
@@ -49,10 +48,12 @@ DIAG_KEYS = {
 
 
 def test_search_reference_values():
-    best, k, profile = search_sup_Km(SumConfig.create(3, 3, 10.0), 20.0)
+    cfg = SumConfig.create(3, 3, 10.0)
+    best, k, reps = search_sup_Km(cfg, 20.0)
     assert rel_err(best, 25.30131459931683) < 1e-12
     assert k == (2, 1, 1)
-    assert profile[6] == best  # |k|^2 = 6 shell carries the maximum
+    assert best == K_m(k, cfg)
+    assert reps == len(enumerate_canonical(3, 20.0))
     best4, k4, _ = search_sup_Km(SumConfig.create(3, 4, 10.0), 20.0)
     assert rel_err(best4, 48.0382098116695) < 1e-12
     assert k4 == (2, 1, 0)
@@ -86,36 +87,16 @@ def test_search_threads_bitwise_identical():
     assert single[2] == multi[2]
 
 
-def test_search_shell_profile():
-    cfg = SumConfig.create(3, 2, 6.0)
-    best, k, profile = search_sup_Km(cfg, 12.0)
-    assert all(isinstance(s, int) for s in profile)
-    assert max(profile.values()) == best
-    assert profile[sum(x * x for x in k)] == best
-    assert all(v <= best for v in profile.values())
-    assert set(profile) == {
-        sum(x * x for x in r) for r in enumerate_canonical(3, 12.0)
-    }
-
-
 def reference_search(cfg, radius):
     """The plain per-rep loop: K_m at every canonical rep in lex order, the
-    first strict maximum kept, each shell's maximum keyed on first sight."""
-    best, best_k, profile = -math.inf, None, {}
-    for k in enumerate_canonical(cfg.d, radius):
+    first strict maximum kept, and the number of reps."""
+    reps = enumerate_canonical(cfg.d, radius)
+    best, best_k = -math.inf, None
+    for k in reps:
         val = K_m(k, cfg)
-        s = sum(c * c for c in k)
-        if s not in profile or val > profile[s]:
-            profile[s] = val
         if val > best:
             best, best_k = val, k
-    return best, best_k, profile
-
-
-def assert_same_search(got, want):
-    assert got[0] == want[0]
-    assert got[1] == want[1]
-    assert list(got[2].items()) == list(want[2].items())
+    return best, best_k, len(reps)
 
 
 EQUIVALENCE_CASES = [
@@ -130,17 +111,17 @@ EQUIVALENCE_CASES = [
 def test_search_matches_per_rep_loop(d, n, rho, monkeypatch):
     cfg = SumConfig.create(d, n, rho)
     want = reference_search(cfg, 2 * rho)
-    assert_same_search(search_sup_Km(cfg, 2 * rho), want)
-    assert_same_search(search_sup_Km(cfg, 2 * rho, threads=2), want)
+    assert search_sup_Km(cfg, 2 * rho) == want
+    assert search_sup_Km(cfg, 2 * rho, threads=2) == want
     monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", 1)  # one row per block
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more workers than cores, switching often
     try:
-        assert_same_search(search_sup_Km(cfg, 2 * rho, threads=3), want)
+        assert search_sup_Km(cfg, 2 * rho, threads=3) == want
     finally:
         sys.setswitchinterval(interval)
     monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", 10**9)  # one block
-    assert_same_search(search_sup_Km(cfg, 2 * rho), want)
+    assert search_sup_Km(cfg, 2 * rho) == want
 
 
 def test_search_ties_keep_lex_smallest(monkeypatch):
@@ -151,10 +132,10 @@ def test_search_ties_keep_lex_smallest(monkeypatch):
     cfg = SumConfig.create(3, 2, 4.0)
     reps = enumerate_canonical(3, 8.0)
     top = max(sum(c * c for c in k) for k in reps)
-    best, k, profile = search_sup_Km(cfg, 8.0, threads=2)
+    best, k, count = search_sup_Km(cfg, 8.0, threads=2)
     assert k == min(r for r in reps if sum(c * c for c in r) == top)
     assert best == float(top) ** 2 * 3.0
-    assert profile == {s: float(s) ** 2 * 3.0 for s in profile}
+    assert count == len(reps)
 
 
 def test_power_table_size_at_the_canonical_budget():
@@ -207,81 +188,97 @@ def test_screened_interval_holds_exact_value(d, n, rho):
         assert hi[i] - lo[i] < 1e-9 * exact
 
 
+STUB_REPS = enumerate_canonical(3, 8.0)
+
+
 def _stub_search(monkeypatch, rows, values, threads):
     """search_sup_Km(SumConfig.create(3, 2, 4.0), 8.0) with `rows` reps to a
-    piece and a stub kernel whose row for k is the one term values.get(k, 1);
-    also returns the terms summed exactly, in the order they were summed."""
+    block and a stub kernel whose row for k is the one term values.get(k, 1),
+    unscaled, so K_m(k) is that term.  Also returns the values of the rows
+    summed exactly, in order within each worker thread."""
     cfg = SumConfig.create(3, 2, 4.0)
-    summed = []
+    given, summed = {}, {}
 
     def kernel(ks):
-        return np.array([[values.get(tuple(k), 1.0)] for k in ks.tolist()])
+        row = [values.get(tuple(k), 1.0) for k in ks.tolist()]
+        given.setdefault(threading.get_ident(), []).append(row)
+        return np.array([row]).T
 
     def exact(terms):
-        summed.extend(terms[:, 0].tolist())
+        summed.setdefault(threading.get_ident(), []).extend(terms[:, 0].tolist())
         return sums_mod._exact_row_sums(terms)
 
     monkeypatch.setattr(certify_mod, "_FoldedTerms", lambda cfg, rows, table: kernel)
+    monkeypatch.setattr(certify_mod, "_k_scale", lambda k2, n: 1.0)
     monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", rows * len(cfg.ball))
     monkeypatch.setattr(certify_mod, "_exact_row_sums", exact)
-    return search_sup_Km(cfg, 8.0, threads=threads), summed
-
-
-def _longest_shell(d, radius):
-    """The reps, in lex order, of the first shell holding the most reps."""
-    by_shell = {}
-    for k in enumerate_canonical(d, radius):
-        by_shell.setdefault(sum(c * c for c in k), []).append(k)
-    return max(by_shell.values(), key=len)
+    found = search_sup_Km(cfg, 8.0, threads=threads)
+    # Each worker sums exactly the rows that reach the largest value it has
+    # been given so far, its current block included (the stub's values are
+    # far apart against the screening slack).
+    assert summed.keys() <= given.keys()
+    for ident, blocks in given.items():
+        floor, want = -math.inf, []
+        for block in blocks:
+            floor = max(floor, *block)
+            want += [v for v in block if v >= floor]
+        assert summed.get(ident, []) == want
+    return found, [v for row_values in summed.values() for v in row_values]
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_search_shell_max_in_its_last_piece(monkeypatch, threads):
-    """One rep to a piece: the first rep's contender is summed, the middle
-    reps are screened out, and the last piece raises the floor and the max."""
-    shell = _longest_shell(3, 8.0)
-    assert len(shell) >= 3
-    m = sum(c * c for c in shell[0])
-    (best, k, profile), summed = _stub_search(
-        monkeypatch, 1, {shell[0]: 2.0, shell[-1]: 3.0}, threads
+def test_search_skips_reps_below_an_earlier_floor(monkeypatch, threads):
+    """Five reps to a block, the largest in the first: its block sets the
+    floor before its rows are checked, so the rows before and after it in
+    that block, and every later row of that worker, are never summed."""
+    (best, k, reps), summed = _stub_search(
+        monkeypatch, 5, {STUB_REPS[3]: 2.0}, threads
     )
-    assert profile[m] == float(m) ** 2 * 3.0
-    assert [v for v in summed if v > 1.0] == [2.0, 3.0]
-    assert summed.count(1.0) == sum(
-        1 for r in enumerate_canonical(3, 8.0) if sum(c * c for c in r) != m
+    assert (best, k, reps) == (2.0, STUB_REPS[3], len(STUB_REPS))
+    assert summed.count(2.0) == 1
+    if threads == 1:
+        assert summed == [2.0]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_search_max_in_its_last_block(monkeypatch, threads):
+    """One rep to a block: the first rep's contender is summed, the middle
+    reps are screened out, and the last block raises the floor and the max."""
+    (best, k, _), summed = _stub_search(
+        monkeypatch, 1, {STUB_REPS[0]: 2.0, STUB_REPS[-1]: 3.0}, threads
     )
+    assert (best, k) == (3.0, STUB_REPS[-1])
+    assert summed.count(2.0) == summed.count(3.0) == 1
+    if threads == 1:
+        assert summed == [2.0, 3.0]
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_search_tie_across_pieces_keeps_lex_first(monkeypatch, threads):
-    """Two reps to a piece: equal maxima in the first and second piece of a
-    shell both get summed, and the lex-first one is the argmax."""
-    shell = _longest_shell(3, 8.0)
-    assert len(shell) >= 3
-    m = sum(c * c for c in shell[0])
-    (best, k, profile), summed = _stub_search(
-        monkeypatch, 2, {shell[1]: 1e9, shell[2]: 1e9}, threads
+    """Two reps to a block: equal maxima in the first and second block both
+    get summed, and the lex-first one is the argmax."""
+    (best, k, _), summed = _stub_search(
+        monkeypatch, 2, {STUB_REPS[1]: 1e9, STUB_REPS[2]: 1e9}, threads
     )
-    assert best == profile[m] == float(m) ** 2 * 1e9
-    assert k == shell[1]
-    assert [v for v in summed if v > 1.0] == [1e9, 1e9]
+    assert (best, k) == (1e9, STUB_REPS[1])
+    assert summed.count(1e9) == 2
+    if threads == 1:
+        assert summed == [1e9, 1e9]
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_search_batch_screens_each_shell_on_its_own_floor(monkeypatch, threads):
-    """Every shell in one batch: a large term in one shell screens out only
-    that shell's other reps."""
-    shell = _longest_shell(3, 8.0)
-    m = sum(c * c for c in shell[0])
-    (best, k, profile), summed = _stub_search(
-        monkeypatch, 1000, {shell[-1]: 1e9}, threads
-    )
-    assert profile == {s: float(s) ** 2 * (1e9 if s == m else 1.0) for s in profile}
-    assert k == shell[-1]
-    assert summed.count(1e9) == 1
-    assert summed.count(1.0) == sum(
-        1 for r in enumerate_canonical(3, 8.0) if sum(c * c for c in r) != m
-    )
+@pytest.mark.parametrize("threads", [1, 2])
+def test_search_sums_few_rows_exactly(monkeypatch, threads):
+    """At d = 3, n = 3, rho = 10 the running floor leaves at most 5 of the
+    898 rows to be summed exactly."""
+    rows = []
+
+    def counted(terms):
+        rows.append(len(terms))
+        return sums_mod._exact_row_sums(terms)
+
+    monkeypatch.setattr(certify_mod, "_exact_row_sums", counted)
+    search_sup_Km(SumConfig.create(3, 3, 10.0), 20.0, threads=threads)
+    assert sum(rows) <= 5
 
 
 def test_search_radius_validation():
@@ -399,10 +396,10 @@ def _strip_runtime(cert):
 
 
 def test_certify_deterministic_and_thread_independent(monkeypatch):
-    monkeypatch.setattr(certify_mod, "_worker_count", lambda groups: 1)
+    monkeypatch.setattr(certify_mod, "_worker_count", lambda blocks: 1)
     a = certify_bounds(3, 3, 5.0)
     b = certify_bounds(3, 3, 5.0)
-    monkeypatch.setattr(certify_mod, "_worker_count", lambda groups: 4)
+    monkeypatch.setattr(certify_mod, "_worker_count", lambda blocks: 4)
     c = certify_bounds(3, 3, 5.0)
     assert _strip_runtime(a) == _strip_runtime(b)
     assert _strip_runtime(a) == _strip_runtime(c)
@@ -468,8 +465,7 @@ def test_t_escalation_builds_each_direction_coefficient_once(monkeypatch):
 
 def test_search_interrupt_stops_within_one_group_per_worker(monkeypatch):
     """An interrupt in one worker propagates, and once the search halts each
-    other worker starts at most one more batch of shells.  With one row per
-    piece, each batch is one shell."""
+    other worker starts at most one more block, here of one rep."""
     workers, fail_at = 3, 40
     calls, halted_at = [], []
 
@@ -480,7 +476,7 @@ def test_search_interrupt_stops_within_one_group_per_worker(monkeypatch):
                 halted_at.append(len(calls))
 
     def kernel(ks):
-        calls.append(int(ks[0] @ ks[0]))
+        calls.append(tuple(ks[0].tolist()))
         if len(calls) >= fail_at:
             raise KeyboardInterrupt
         return np.ones((len(ks), 7))
@@ -498,11 +494,10 @@ def test_search_interrupt_stops_within_one_group_per_worker(monkeypatch):
             search_sup_Km(cfg, 30.0, threads=workers)
     finally:
         sys.setswitchinterval(interval)
-    shells = len({sum(c * c for c in k) for k in enumerate_canonical(3, 30.0)})
     halt = halted_at[0]
     assert fail_at <= halt
-    assert len(set(calls[halt:]) - set(calls[:halt])) <= workers - 1
-    assert len(set(calls)) < shells
+    assert len(calls) - halt <= workers - 1
+    assert len(set(calls)) == len(calls) < len(enumerate_canonical(3, 30.0))
 
 
 def test_certify_parameter_errors():
@@ -522,7 +517,7 @@ def test_inconclusive_search_radius(monkeypatch):
     maximum stays the attained lower end."""
 
     def tiny_search(cfg, radius, *, threads=None):
-        return certify_mod._SearchResult(0.001, (1, 0, 0), {1: 0.001}, 1)
+        return 0.001, (1, 0, 0), 1
 
     monkeypatch.setattr(certify_mod, "search_sup_Km", tiny_search)
     cert = certify_bounds(3, 2, 5.0)

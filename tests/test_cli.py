@@ -136,6 +136,23 @@ def test_nonfinite_n_exit_1(argv, n, monkeypatch, capsys):
     assert f"requires a finite n, got n={n}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--rho", "inf"],
+        ["table", "--n", "3", "--rho", "inf"],
+        ["sums", "--rho", "inf"],
+        ["certify", "--d", "2", "--n", "2", "--rho", "1e308"],  # 2 rho overflows
+    ],
+)
+def test_nonfinite_rho_exit_1(argv, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "requires a finite rho with 2*rho finite" in err
+    assert "Traceback" not in err
+
+
 def test_enclosure_failure_exit_3(monkeypatch, capsys):
     def stuck(*args, **kwargs):
         raise EnclosureWidthError(
@@ -382,7 +399,7 @@ def test_sums_subcommand(capsys):
 def test_cli_thread_count_does_not_change_results(tmp_path, monkeypatch):
     reports = []
     for threads, name in ((1, "a.json"), (4, "b.json")):
-        monkeypatch.setattr(certify_mod, "_worker_count", lambda groups: threads)
+        monkeypatch.setattr(certify_mod, "_worker_count", lambda blocks: threads)
         out = tmp_path / name
         assert cli.main(
             ["certify", "--d", "3", "--n", "3", "--rho", "5",

@@ -10,7 +10,8 @@ import dataclasses
 import importlib
 from pathlib import Path
 
-from advbounds.certify import BoundCertificate
+from advbounds.certify import BoundCertificate, search_sup_Km
+from advbounds.sums import SumConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -105,3 +106,11 @@ def test_perfbench_builds_the_certificate_with_every_field():
     assert len(calls) == 1 and not calls[0].args
     keywords = {kw.arg for kw in calls[0].keywords}
     assert keywords == {f.name for f in dataclasses.fields(BoundCertificate)}
+
+
+def test_search_returns_what_perfbench_unpacks():
+    """perfbench's staged mode unpacks search_sup_Km into three values and
+    compares the first two, a float and a tuple, with the certificate's."""
+    found = search_sup_Km(SumConfig.create(3, 2, 4.0), 8.0)
+    assert type(found) is tuple and len(found) == 3
+    assert type(found[0]) is float and type(found[1]) is tuple
