@@ -36,8 +36,9 @@ from .sums import (
     SumConfig,
     Z_n,
     _exact_row_sums,
-    _FoldedTerms,
+    _folded_terms,
     _k_scale,
+    _PairedTerms,
     _power_table,
     build_Q,
     extremize_Q,
@@ -132,49 +133,66 @@ def _check_search_radius(search_radius, rho) -> None:
     )
 
 
-#: Most terms one screened block holds per array (rows x ball points).
-_BLOCK_TERMS = 2**18
+#: Most paired terms one screened block holds per array (rows x N/2).
+_BLOCK_TERMS = 2**16
 
 _UNIT_ROUNDOFF = 2.0**-53
-#: Absolute slack of the screened bounds; covers rounding in the subnormal
-#: range, where the relative bounds do not hold.
-_TINY = 2.0**-1070
+#: Absolute slack of the screened bounds per ball point, in units of the row
+#: sum; covers rounding in the subnormal range, where relative bounds fail.
+_TINY = 2.0**-1073
 
 
-def _screen(terms: np.ndarray, scales: np.ndarray):
-    """Bounds [lo, hi] on each row's K_m value, scale * (exact row sum rounded
-    to nearest), from np.sum.
+def _screen(pairs: np.ndarray, scales: np.ndarray):
+    """Bounds [lo, hi] on each row's K_m value, scale * (exact sum of the
+    row's N full-row terms, sums._folded_terms, rounded to nearest), from
+    np.sum of its M = N/2 paired terms (sums._PairedTerms).
 
-    For positive terms every summation order errs by at most gamma_{N-1}
-    times the exact sum (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 4).  The relative slack 2 gamma + 8u also covers the one
-    rounding of the exact row sum (sums._exact_row_sums, equal to fsum), of
-    the scaling and of the bounds themselves.
+    Write each rounding as fl(x) = x (1 + e) + z with |e| <= u = 2^-53,
+    |z| <= 2^-1075 and e z = 0: a result in the subnormal range errs by half
+    its ulp at most, and a sum of two floats that lands there is exact.  For
+    a pair h, -h let c = |h^k|^2 w, w = |h|^-(2n+2), and f-, f+ the folds of
+    |k -+ h|^2, given floats with f <= 1 (a doubled fold has m > rho^2 > 8).
+    The two full-row terms fl(fl(c) f-) + fl(fl(c) f+) are c (f- + f+)
+    (1 + e)^2 + z' with |z'| <= 5 * 2^-1075, and the paired term over 4,
+    fl(fl(4c) fl(f- + f+)) / 4, is c (f- + f+) (1 + e)^3 + z'' with
+    |z''| <= 2^-1075.  So the exact full-row sum T and the exact paired sum
+    P over 4 differ by a factor within (1 +- u)^5 and by at most 3 N 2^-1075
+    over the row.  For positive terms every summation order of np.sum errs
+    by at most gamma_{M-1} times P (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 4).  The relative slack 2 gamma + 16u covers
+    those, the one rounding of T (sums._exact_row_sums, equal to fsum), of
+    the scaling and of the bounds themselves; the absolute slack, scale N
+    _TINY = 4 N 2^-1075 per unit of scale >= 1 (|k|^2 >= 1, n > 0), covers
+    3 N 2^-1075 and the few subnormal roundings of the scaled bounds, as the
+    ball has N >= 4 points.
     """
-    ulps = (terms.shape[1] - 1) * _UNIT_ROUNDOFF
-    rel = 2.0 * ulps / (1.0 - ulps) + 8.0 * _UNIT_ROUNDOFF
-    approx = scales * terms.sum(axis=1)
-    lo = approx * (1.0 - rel) - _TINY
-    hi = approx * (1.0 + rel) + _TINY
+    half = pairs.shape[1]
+    ulps = (half - 1) * _UNIT_ROUNDOFF
+    rel = 2.0 * ulps / (1.0 - ulps) + 16.0 * _UNIT_ROUNDOFF
+    approx = 0.25 * scales * pairs.sum(axis=1)
+    tiny = scales * (2 * half * _TINY)
+    lo = approx * (1.0 - rel) - tiny
+    hi = approx * (1.0 + rel) + tiny
     return np.where(np.isfinite(lo), lo, 0.0), hi
 
 
-#: Most workers a search starts.  On two CPUs two workers ran the search
-#: 1.55x faster than one; `certify --d 3 --n 3,4,5,10`, its searches split,
-#: peaked at 51-53 MB RSS with one worker, 58-59 MB with two and 80 MB with
-#: four, since each worker holds its own block working set and each pool
-#: thread's malloc arena keeps it.  Unmeasured on more CPUs.
+#: Most workers a search starts.  On two CPUs two workers ran the d = 3,
+#: n = 2, rho = 20 and d = 4, n = 3, rho = 10 searches 1.3x to 1.8x faster
+#: than one; `certify --d 3 --n 3,4,5,10`, its searches split, peaked at
+#: 52.2 MB RSS with one worker, 52.4-52.6 MB with two and 53.0-53.1 MB with
+#: four, as each worker holds its own block buffers (2.6 MB) and each pool
+#: thread's malloc arena keeps them.  Unmeasured on more CPUs.
 _MAX_WORKERS = 2
 
 
-def _worker_count(blocks: int) -> int:
-    """Workers for a search of `blocks` blocks: one below 64 blocks, else the
-    CPUs this process may run on, at most _MAX_WORKERS.  A CPU quota that
-    does not restrict the affinity mask is not seen."""
-    # On a 2-core VM two workers were slower than one at 15 blocks (d = 3,
-    # rho = 10) and, run to run, 0.9x to 1.8x as fast at 42 and 105 blocks
-    # (rho = 12 and 14).
-    if blocks < 64:
+def _worker_count(terms: int) -> int:
+    """Workers for a search of `terms` = reps x ball points: one below 2^23,
+    else the CPUs this process may run on, at most _MAX_WORKERS.  A CPU
+    quota that does not restrict the affinity mask is not seen."""
+    # On a 2-core VM, at d = 3, n = 3, two workers against one ran the search
+    # 0.92x to 1.38x as fast at rho = 10 (3.7M terms) and 1.39x to 1.53x at
+    # rho = 12 (10.6M terms).
+    if terms < 2**23:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -189,14 +207,17 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     Only canonical representatives (coordinates sorted descending,
     nonnegative) are evaluated; K_m is invariant under the signed-permutation
     group, so this loses nothing.  They are taken in lex order, in blocks of
-    `rows` reps (at most _BLOCK_TERMS terms), and np.sum bounds each row
-    under a proven error bound (_screen).  Each worker keeps one floor, the
-    largest lower bound it has seen, and sums a row exactly only when the
-    row's upper bound reaches it; sums._exact_row_sums returns math.fsum's
-    correctly rounded value, so every value is K_m(k) bit for bit.  A rep
-    attaining the maximum has an upper bound at least as large as every
-    lower bound, so the worker that takes its block sums it: the result does
-    not depend on the number of workers or on which blocks each one took.
+    `rows` reps (at most _BLOCK_TERMS paired terms).  The screen,
+    sums._PairedTerms, takes h and -h together, over half the ball, and
+    np.sum bounds each row under a proven error bound (_screen).  Each
+    worker keeps one floor, the largest lower bound it has seen, and a row
+    whose upper bound reaches it is recomputed with its N full-row terms
+    (sums._folded_terms) and summed by sums._exact_row_sums, which returns
+    math.fsum's correctly rounded value, so every value is K_m(k) bit for
+    bit.  A rep attaining the maximum has an upper bound at least as large as
+    every lower bound, so the worker that takes its block sums it: the result
+    does not depend on the number of workers or on which blocks each one
+    took.
 
     Returns (max, argmax, reps): the maximum, the lexicographically smallest
     rep attaining it, and the number of canonical reps searched.  `threads`
@@ -209,14 +230,13 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     k2 = [sum(c * c for c in k) for k in reps]
     ks = np.array(reps, dtype=np.int64)
     scales = np.array([_k_scale(s, cfg.n) for s in k2])
-    rows = max(1, _BLOCK_TERMS // len(cfg.ball))
+    rows = max(1, _BLOCK_TERMS // (len(cfg.ball) // 2))
     table = _power_table(cfg, max(k2))
-    starts = range(0, len(reps), rows)
-    pending = iter(starts)
+    pending = iter(range(0, len(reps), rows))
     lock = threading.Lock()
     halt = threading.Event()
 
-    def work(terms_of):
+    def work(pairs_of):
         """Take blocks one at a time until none are left; then, or on any
         exception, halt every worker after its current block.  Returns the
         (K_m(k), k) of each row summed exactly."""
@@ -227,12 +247,12 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
                     a = next(pending, None)
                 if a is None:
                     break
-                terms = terms_of(ks[a:a + rows])
-                lo, hi = _screen(terms, scales[a:a + rows])
+                lo, hi = _screen(pairs_of(ks[a:a + rows]), scales[a:a + rows])
                 floor = max(floor, lo.max())
-                for j in np.flatnonzero(hi >= floor).tolist():
-                    value = float(scales[a + j]) * _exact_row_sums(terms[j:j + 1])[0]
-                    found.append((value, reps[a + j]))
+                for i in (a + np.flatnonzero(hi >= floor)).tolist():
+                    terms = _folded_terms(cfg, ks[i], table)
+                    value = float(scales[i]) * _exact_row_sums(terms[None])[0]
+                    found.append((value, reps[i]))
         finally:
             halt.set()
         return found
@@ -240,14 +260,14 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     # The calling thread is one of the workers, and it allocates every
     # worker's buffers: memory a pool thread's malloc arena keeps after the
     # search would add to the peak of the next certificate's stages.
-    workers = _worker_count(len(starts)) if threads is None else threads
+    workers = _worker_count(len(reps) * len(cfg.ball)) if threads is None else threads
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         try:
             helpers = [
-                pool.submit(work, _FoldedTerms(cfg, rows, table))
+                pool.submit(work, _PairedTerms(cfg, rows, table))
                 for _ in range(workers - 1)
             ]
-            found = work(_FoldedTerms(cfg, rows, table))
+            found = work(_PairedTerms(cfg, rows, table))
         finally:
             halt.set()
         for helper in helpers:

@@ -21,8 +21,9 @@ half-degree principle for symmetric polynomials, and rounds them outward.
 Every certificate-bound reduction is a correctly rounded sum, independent of
 term order, which makes the bitwise symmetry and worker-count guarantees real:
 SumConfig.shell_sum for Z_n, build_Q and vV_nt, math.fsum for K_m at one k,
-and _exact_row_sums, equal to fsum, for the search's rows, which it ranks by
-np.sum only under a proven error bound (certify._screen).
+and _exact_row_sums, equal to fsum, for the search's full rows.  The search
+ranks its rows by np.sum of paired terms, h and -h taken together over half
+the ball (_PairedTerms), only under a proven error bound (certify._screen).
 """
 
 from __future__ import annotations
@@ -140,53 +141,75 @@ def _power_table(cfg: SumConfig, k2_max: int) -> np.ndarray:
     return _fold(cfg, np.arange(size, dtype=float))
 
 
-class _FoldedTerms:
-    """The folded K_m terms of a block of B integer k's, as a B x N matrix:
+def _folded_terms(cfg: SumConfig, k: np.ndarray, table=None) -> np.ndarray:
+    """The folded K_m terms at one integer k over the N ball points h,
 
-        [1 + (|k-h| >= rho)] * |h^k|^2 / (|h|^(2n+2) |k-h|^(2n+2))
+        [1 + (|k-h| >= rho)] * |h^k|^2 / (|h|^(2n+2) |k-h|^(2n+2)),
 
-    over the N ball points h, with 0 at h = k.  Row i sums, times |k_i|^(2n),
-    to K_m(k_i).  h.k is a float64 matmul, exact while |k|^2 max|h|^2 < 2^53;
-    a larger k is refused.  The fold of |k-h|^2 is looked up in `table`, from
-    _power_table, or, with no table (K_m at a lone k), computed by _fold.
+    with 0 at h = k; they sum, times |k|^(2n), to K_m(k).  h.k is a float64
+    matmul, exact while |k|^2 max|h|^2 < 2^53; a larger k is refused.  The
+    fold of |k-h|^2 is looked up in `table`, from _power_table, or, with no
+    table (K_m at a lone k), computed by _fold.
+    """
+    kf = k.astype(float)
+    k2 = float(kf @ kf)
+    if k2 * cfg._max_norm_sq >= 2.0**53:
+        raise ParameterError(
+            f"|k|^2 = {k2:.17g} too large: float64 h.k is exact only "
+            f"while |k|^2 max|h|^2 < 2^53"
+        )
+    dot = cfg.ball.points @ kf
+    m = k2 + cfg._h2f - 2.0 * dot  # |k-h|^2, an exact integer
+    terms = (k2 * cfg._h2f - dot * dot) * cfg._inv_pow_np1  # |h^k|^2 is exact
+    terms *= _fold(cfg, m) if table is None else table[m.astype(np.intp)]
+    return terms
+
+
+class _PairedTerms:
+    """The search's screen: for a block of B integer k's, the B x N/2 matrix
+
+        4 |h^k|^2 |h|^-(2n+2) * (f(|k-h|^2) + f(|k+h|^2)),   f = _fold,
+
+    over the half ball H, the last N/2 ball points: enumerate_ball lists the
+    ball in lex order and h -> -h reverses it, so H holds the h whose first
+    nonzero coordinate is positive.  h and -h share |h|^2 and |h^k|^2, so row
+    i sums, times |k_i|^(2n) / 4, to K_m(k_i) up to what certify._screen
+    bounds.  The search's |k| < 1023 and |h| < 512 (_power_table), so -2 h.k,
+    4 |k|^2 |h|^2 and (2 h.k)^2 are exact float64 integers, and each index
+    |k -+ h|^2 <= (|k| + |h|)^2 is cast straight into the index buffers and
+    lies in the table by _power_table's size: np.take's mode="clip" never
+    clamps, and unlike mode="raise" it writes to `out` without buffering.
     Every call overwrites the same buffers of `rows` rows, so each worker
     keeps its own instance.
     """
 
-    def __init__(self, cfg: SumConfig, rows: int = 1, table=None):
-        self.cfg = cfg
+    def __init__(self, cfg: SumConfig, rows: int, table: np.ndarray):
+        half = len(cfg.ball) // 2
         self.table = table
-        n_pts = len(cfg.ball)
-        self._points_t = np.ascontiguousarray(cfg.ball.points.T, dtype=float)
-        self._a = np.empty((rows, n_pts))
-        self._b = np.empty((rows, n_pts))
-        self._idx = np.empty((rows, n_pts), dtype=np.intp)
+        self._points_t = np.ascontiguousarray(-2.0 * cfg.ball.points[half:].T)
+        self._h2 = cfg._h2f[half:]
+        self._w = cfg._inv_pow_np1[half:]
+        shape = (rows, half)
+        self._a, self._b, self._c = (np.empty(shape) for _ in range(3))
+        self._minus, self._plus = (np.empty(shape, dtype=np.intp) for _ in range(2))
 
     def __call__(self, ks: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
         b = ks.shape[0]
         kf = ks.astype(float)
         k2 = np.einsum("ij,ij->i", kf, kf)[:, None]
-        if k2.max() * cfg._max_norm_sq >= 2.0**53:
-            raise ParameterError(
-                f"|k|^2 = {k2.max():.17g} too large: float64 h.k is exact only "
-                f"while |k|^2 max|h|^2 < 2^53"
-            )
-        dot, acc, idx = self._a[:b], self._b[:b], self._idx[:b]
-        np.matmul(kf, self._points_t, out=dot)
-        np.multiply(dot, -2.0, out=acc)
-        acc += cfg._h2f
-        acc += k2
-        np.copyto(idx, acc, casting="unsafe")  # |k-h|^2, an exact integer
+        dot, acc, f = self._a[:b], self._b[:b], self._c[:b]
+        minus, plus = self._minus[:b], self._plus[:b]
+        np.matmul(kf, self._points_t, out=dot)  # -2 h.k
+        np.add(k2, self._h2, out=acc)
+        np.add(acc, dot, out=minus, casting="unsafe")  # |k-h|^2
+        np.subtract(acc, dot, out=plus, casting="unsafe")  # |k+h|^2
         dot *= dot
-        np.multiply(k2, cfg._h2f, out=acc)
-        acc -= dot  # |h^k|^2, an exact integer
-        acc *= cfg._inv_pow_np1
-        if self.table is None:
-            np.copyto(dot, idx)
-            _fold(cfg, dot)
-        else:
-            np.take(self.table, idx, out=dot)
+        np.multiply(4.0 * k2, self._h2, out=acc)
+        acc -= dot  # 4 |h^k|^2
+        acc *= self._w
+        np.take(self.table, minus, out=dot, mode="clip")
+        np.take(self.table, plus, out=f, mode="clip")
+        dot += f
         acc *= dot
         return acc
 
@@ -217,7 +240,7 @@ def K_m(k, cfg: SumConfig) -> float:
     """
     kt = _as_k(k, cfg.d)
     scale = _k_scale(int(kt @ kt), cfg.n)
-    terms = _FoldedTerms(cfg)(kt[None, :])[0]
+    terms = _folded_terms(cfg, kt)
     return scale * math.fsum(terms.tolist())
 
 

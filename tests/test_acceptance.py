@@ -387,7 +387,7 @@ def test_criterion_7_invariant_properties(production_certs):
 def test_criterion_8_deterministic_reports(monkeypatch):
     reports = []
     for threads in (1, 1, 4):
-        monkeypatch.setattr(certify_mod, "_worker_count", lambda blocks: threads)
+        monkeypatch.setattr(certify_mod, "_worker_count", lambda terms: threads)
         cert = certify_bounds(3, 3, 10.0)
         rep = certificate_report(cert)
         rep.pop("runtime_ms")

@@ -26,7 +26,15 @@ from advbounds.lattice import (
     enumerate_canonical,
     max_norm_sq_inside,
 )
-from advbounds.sums import K_m, SumConfig, _FoldedTerms, _fold, _power_table, build_Q
+from advbounds.sums import (
+    K_m,
+    SumConfig,
+    _fold,
+    _folded_terms,
+    _PairedTerms,
+    _power_table,
+    build_Q,
+)
 from conftest import rel_err
 from oracles import is_canonical, sphere_eval
 
@@ -104,7 +112,7 @@ EQUIVALENCE_CASES = [
     for d, rho in ((2, 4.0), (3, 4.0), (4, 4.5))
     for n in (2, 2.5, 3, 5)
     if n > d / 2
-] + [(3, 150, 4.0)]  # terms this small take the direct power, not the table
+] + [(3, 150, 4.0)]  # some terms reach the subnormal range of the screen's bound
 
 
 @pytest.mark.parametrize("d,n,rho", EQUIVALENCE_CASES)
@@ -125,10 +133,12 @@ def test_search_matches_per_rep_loop(d, n, rho, monkeypatch):
 
 
 def test_search_ties_keep_lex_smallest(monkeypatch):
-    # every row sums to 3, so K_m = 3 |k|^(2n) ties across each whole shell
+    # every row sums to 3, so K_m = 3 |k|^(2n) ties across each whole shell;
+    # the screen's rows hold 4 times each pair's share
     monkeypatch.setattr(
-        certify_mod, "_FoldedTerms", lambda cfg, rows, table: np.ones_like
+        certify_mod, "_PairedTerms", lambda cfg, rows, table: lambda ks: 4.0 + 0 * ks
     )
+    monkeypatch.setattr(certify_mod, "_folded_terms", lambda cfg, k, table: np.ones(3))
     cfg = SumConfig.create(3, 2, 4.0)
     reps = enumerate_canonical(3, 8.0)
     top = max(sum(c * c for c in k) for k in reps)
@@ -171,21 +181,64 @@ def test_power_table_is_the_fold(d, n, rho):
 
 
 @pytest.mark.parametrize(
-    "d,n,rho", [(2, 3, 4.0), (3, 2, 6.0), (3, 5, 5.0), (4, 3, 4.5)]
+    "d,n,rho",
+    [(2, 3, 4.0), (3, 2, 6.0), (3, 5, 5.0), (4, 3, 4.5), (3, 150, 4.0), (2, 2, 10.0)],
 )
 def test_screened_interval_holds_exact_value(d, n, rho):
+    """The screen's bounds from the paired terms hold the exact sum of the
+    full-row terms at every rep; at n = 150 some terms are subnormal."""
     cfg = SumConfig.create(d, n, rho)
     reps = enumerate_canonical(d, 2 * rho)
     k2 = [sum(c * c for c in k) for k in reps]
     table = _power_table(cfg, max(k2))
-    terms = _FoldedTerms(cfg, len(reps), table)(np.array(reps, dtype=np.int64))
+    ks = np.array(reps, dtype=np.int64)
+    pairs = _PairedTerms(cfg, len(reps), table)(ks)
     scales = [float(s) ** cfg.n for s in k2]
-    lo, hi = certify_mod._screen(terms, np.array(scales))
+    lo, hi = certify_mod._screen(pairs, np.array(scales))
     for i, k in enumerate(reps):
         exact = K_m(k, cfg)
-        assert scales[i] * math.fsum(terms[i].tolist()) == exact
+        assert scales[i] * math.fsum(_folded_terms(cfg, ks[i], table).tolist()) == exact
         assert lo[i] <= exact <= hi[i]
         assert hi[i] - lo[i] < 1e-9 * exact
+
+
+def test_screen_covers_subnormal_rounding():
+    """Rows of subnormal terms, rounded as the two kernels round them: the
+    full-row terms (|h^k|^2 w) f-+ and the paired terms (4 |h^k|^2 w)
+    (f- + f+).  A product there errs by up to half a subnormal ulp, far past
+    the relative slack, and the absolute slack holds the exact sum."""
+    rng = np.random.default_rng(1)
+    c = rng.integers(1, 50, (40, 25)).astype(float)
+    w = rng.integers(1, 2**10, (40, 25)) * 2.0**-1074
+    f_minus, f_plus = rng.uniform(0.0, 1.0, (2, 40, 25))
+    full = np.hstack([c * w * f_minus, c * w * f_plus])
+    pairs = 4.0 * c * w * (f_minus + f_plus)
+    exact = np.array([math.fsum(row) for row in full.tolist()])
+    lo, hi = certify_mod._screen(pairs, np.ones(40))
+    assert (lo <= exact).all() and (exact <= hi).all()
+    assert (abs(exact - 0.25 * pairs.sum(axis=1)) > 1e-6 * exact).any()
+
+
+@pytest.mark.parametrize("d,rho", [(2, 4.0), (3, 4.0), (4, 4.5)])
+def test_paired_indices_lie_in_the_table(d, rho):
+    """np.take's mode="clip" would clamp an index past the table silently:
+    both |k -+ h|^2 the screen forms over every rep of the search are exact
+    and inside the table, and the half ball H, the last N/2 points, holds
+    one of each pair h, -h."""
+    cfg = SumConfig.create(d, 3, rho)
+    ks = np.array(enumerate_canonical(d, 2 * rho), dtype=np.int64)
+    table = _power_table(cfg, int((ks * ks).sum(axis=1).max()))
+    kernel = _PairedTerms(cfg, len(ks), table)
+    kernel(ks)
+    half = cfg.ball.points[len(cfg.ball) // 2:]
+    assert 2 * len(half) == len(cfg.ball)
+    assert sorted(np.vstack([half, -half]).tolist()) == cfg.ball.points.tolist()
+    first = half[np.arange(len(half)), (half != 0).argmax(axis=1)]
+    assert (first > 0).all()
+    for idx, sign in ((kernel._minus, -1), (kernel._plus, 1)):
+        want = ((ks[:, None, :] + sign * half[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(idx, want)
+        assert 0 <= idx.min() and idx.max() < len(table)
 
 
 STUB_REPS = enumerate_canonical(3, 8.0)
@@ -193,22 +246,27 @@ STUB_REPS = enumerate_canonical(3, 8.0)
 
 def _stub_search(monkeypatch, rows, values, threads):
     """search_sup_Km(SumConfig.create(3, 2, 4.0), 8.0) with `rows` reps to a
-    block and a stub kernel whose row for k is the one term values.get(k, 1),
-    unscaled, so K_m(k) is that term.  Also returns the values of the rows
-    summed exactly, in order within each worker thread."""
+    block and stub kernels: the full row for k is the one term
+    values.get(k, 1), unscaled, so K_m(k) is that term, and the screen's row
+    is the one paired term 4 values.get(k, 1).  Also returns the values of
+    the rows summed exactly, in order within each worker thread."""
     cfg = SumConfig.create(3, 2, 4.0)
     given, summed = {}, {}
 
     def kernel(ks):
         row = [values.get(tuple(k), 1.0) for k in ks.tolist()]
         given.setdefault(threading.get_ident(), []).append(row)
-        return np.array([row]).T
+        return 4.0 * np.array([row]).T
+
+    def full_row(cfg, k, table):
+        return np.array([values.get(tuple(k.tolist()), 1.0)])
 
     def exact(terms):
         summed.setdefault(threading.get_ident(), []).extend(terms[:, 0].tolist())
         return sums_mod._exact_row_sums(terms)
 
-    monkeypatch.setattr(certify_mod, "_FoldedTerms", lambda cfg, rows, table: kernel)
+    monkeypatch.setattr(certify_mod, "_PairedTerms", lambda cfg, rows, table: kernel)
+    monkeypatch.setattr(certify_mod, "_folded_terms", full_row)
     monkeypatch.setattr(certify_mod, "_k_scale", lambda k2, n: 1.0)
     monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", rows * len(cfg.ball))
     monkeypatch.setattr(certify_mod, "_exact_row_sums", exact)
@@ -396,10 +454,10 @@ def _strip_runtime(cert):
 
 
 def test_certify_deterministic_and_thread_independent(monkeypatch):
-    monkeypatch.setattr(certify_mod, "_worker_count", lambda blocks: 1)
+    monkeypatch.setattr(certify_mod, "_worker_count", lambda terms: 1)
     a = certify_bounds(3, 3, 5.0)
     b = certify_bounds(3, 3, 5.0)
-    monkeypatch.setattr(certify_mod, "_worker_count", lambda blocks: 4)
+    monkeypatch.setattr(certify_mod, "_worker_count", lambda terms: 4)
     c = certify_bounds(3, 3, 5.0)
     assert _strip_runtime(a) == _strip_runtime(b)
     assert _strip_runtime(a) == _strip_runtime(c)
@@ -411,7 +469,8 @@ def test_worker_count_from_the_machine():
     else:
         cpus = os.cpu_count() or 1
     assert certify_mod._worker_count(1) == 1
-    assert certify_mod._worker_count(10**6) == min(cpus, certify_mod._MAX_WORKERS)
+    assert certify_mod._worker_count(2**23 - 1) == 1
+    assert certify_mod._worker_count(2**23) == min(cpus, certify_mod._MAX_WORKERS)
 
 
 def test_certify_enumerates_canonical_reps_once(monkeypatch):
@@ -484,7 +543,8 @@ def test_search_interrupt_stops_within_one_group_per_worker(monkeypatch):
     monkeypatch.setattr(
         certify_mod, "threading", SimpleNamespace(Event=Halt, Lock=threading.Lock)
     )
-    monkeypatch.setattr(certify_mod, "_FoldedTerms", lambda cfg, rows, table: kernel)
+    monkeypatch.setattr(certify_mod, "_PairedTerms", lambda cfg, rows, table: kernel)
+    monkeypatch.setattr(certify_mod, "_folded_terms", lambda cfg, k, table: np.ones(7))
     monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", 1)
     cfg = SumConfig.create(3, 2, 5.0)
     interval = sys.getswitchinterval()

@@ -399,7 +399,7 @@ def test_sums_subcommand(capsys):
 def test_cli_thread_count_does_not_change_results(tmp_path, monkeypatch):
     reports = []
     for threads, name in ((1, "a.json"), (4, "b.json")):
-        monkeypatch.setattr(certify_mod, "_worker_count", lambda blocks: threads)
+        monkeypatch.setattr(certify_mod, "_worker_count", lambda terms: threads)
         out = tmp_path / name
         assert cli.main(
             ["certify", "--d", "3", "--n", "3", "--rho", "5",
