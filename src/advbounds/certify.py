@@ -31,12 +31,10 @@ from .kernel import remainder_extrema
 from .lattice import check_canonical_budget, enumerate_canonical
 from .sums import (
     Interval,
-    K_m,  # noqa: F401  (the searched sum at one k, kept importable from here)
+    K_m,
     ParameterError,
     SumConfig,
     Z_n,
-    _exact_row_sums,
-    _folded_terms,
     _k_scale,
     _PairedTerms,
     _power_table,
@@ -151,7 +149,8 @@ def _screen(pairs: np.ndarray, scales: np.ndarray):
     |z| <= 2^-1075 and e z = 0: a result in the subnormal range errs by half
     its ulp at most, and a sum of two floats that lands there is exact.  For
     a pair h, -h let c = |h^k|^2 w, w = |h|^-(2n+2), and f-, f+ the folds of
-    |k -+ h|^2, given floats with f <= 1 (a doubled fold has m > rho^2 > 8).
+    |k -+ h|^2, given floats with f <= 1 (a doubled fold has m > rho^2 > 8);
+    sums._power_table holds the very floats sums._fold gives.
     The two full-row terms fl(fl(c) f-) + fl(fl(c) f+) are c (f- + f+)
     (1 + e)^2 + z' with |z'| <= 5 * 2^-1075, and the paired term over 4,
     fl(fl(4c) fl(f- + f+)) / 4, is c (f- + f+) (1 + e)^3 + z'' with
@@ -211,13 +210,11 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     sums._PairedTerms, takes h and -h together, over half the ball, and
     np.sum bounds each row under a proven error bound (_screen).  Each
     worker keeps one floor, the largest lower bound it has seen, and a row
-    whose upper bound reaches it is recomputed with its N full-row terms
-    (sums._folded_terms) and summed by sums._exact_row_sums, which returns
-    math.fsum's correctly rounded value, so every value is K_m(k) bit for
-    bit.  A rep attaining the maximum has an upper bound at least as large as
-    every lower bound, so the worker that takes its block sums it: the result
-    does not depend on the number of workers or on which blocks each one
-    took.
+    whose upper bound reaches it is summed exactly: its value is K_m(k),
+    over the full ball and correctly rounded.  A rep attaining the maximum
+    has an upper bound at least as large as every lower bound, so the worker
+    that takes its block sums it: the result does not depend on the number
+    of workers or on which blocks each one took.
 
     Returns (max, argmax, reps): the maximum, the lexicographically smallest
     rep attaining it, and the number of canonical reps searched.  `threads`
@@ -250,9 +247,7 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
                 lo, hi = _screen(pairs_of(ks[a:a + rows]), scales[a:a + rows])
                 floor = max(floor, lo.max())
                 for i in (a + np.flatnonzero(hi >= floor)).tolist():
-                    terms = _folded_terms(cfg, ks[i], table)
-                    value = float(scales[i]) * _exact_row_sums(terms[None])[0]
-                    found.append((value, reps[i]))
+                    found.append((K_m(reps[i], cfg), reps[i]))
         finally:
             halt.set()
         return found

@@ -20,10 +20,11 @@ half-degree principle for symmetric polynomials, and rounds them outward.
 
 Every certificate-bound reduction is a correctly rounded sum, independent of
 term order, which makes the bitwise symmetry and worker-count guarantees real:
-SumConfig.shell_sum for Z_n, build_Q and vV_nt, math.fsum for K_m at one k,
-and _exact_row_sums, equal to fsum, for the search's full rows.  The search
-ranks its rows by np.sum of paired terms, h and -h taken together over half
-the ball (_PairedTerms), only under a proven error bound (certify._screen).
+SumConfig.shell_sum for Z_n, build_Q and vV_nt, and _exact_row_sums, equal to
+math.fsum, for K_m.  The search ranks its reps by np.sum of paired terms, h
+and -h taken together over half the ball (_PairedTerms), only under a proven
+error bound (certify._screen), and takes K_m at each rep that may attain the
+maximum.
 """
 
 from __future__ import annotations
@@ -141,15 +142,13 @@ def _power_table(cfg: SumConfig, k2_max: int) -> np.ndarray:
     return _fold(cfg, np.arange(size, dtype=float))
 
 
-def _folded_terms(cfg: SumConfig, k: np.ndarray, table=None) -> np.ndarray:
+def _folded_terms(cfg: SumConfig, k: np.ndarray) -> np.ndarray:
     """The folded K_m terms at one integer k over the N ball points h,
 
         [1 + (|k-h| >= rho)] * |h^k|^2 / (|h|^(2n+2) |k-h|^(2n+2)),
 
     with 0 at h = k; they sum, times |k|^(2n), to K_m(k).  h.k is a float64
-    matmul, exact while |k|^2 max|h|^2 < 2^53; a larger k is refused.  The
-    fold of |k-h|^2 is looked up in `table`, from _power_table, or, with no
-    table (K_m at a lone k), computed by _fold.
+    matmul, exact while |k|^2 max|h|^2 < 2^53; a larger k is refused.
     """
     kf = k.astype(float)
     k2 = float(kf @ kf)
@@ -161,7 +160,7 @@ def _folded_terms(cfg: SumConfig, k: np.ndarray, table=None) -> np.ndarray:
     dot = cfg.ball.points @ kf
     m = k2 + cfg._h2f - 2.0 * dot  # |k-h|^2, an exact integer
     terms = (k2 * cfg._h2f - dot * dot) * cfg._inv_pow_np1  # |h^k|^2 is exact
-    terms *= _fold(cfg, m) if table is None else table[m.astype(np.intp)]
+    terms *= _fold(cfg, m)
     return terms
 
 
@@ -236,12 +235,12 @@ def K_m(k, cfg: SumConfig) -> float:
     sum over h in ball, h != k of [1 + (|k-h| >= rho)] * |h^k|^2 /
     (|h|^(2n+2) |k-h|^(2n+2)), scaled by |k|^(2n).  All lattice invariants
     (|h|^2, |k-h|^2, |h^k|^2) are exact integers, so the term multiset -- and
-    with fsum the total -- is bitwise invariant under signed permutations of k.
+    with the correctly rounded sum (_exact_row_sums, equal to math.fsum) the
+    total -- is bitwise invariant under signed permutations of k.
     """
     kt = _as_k(k, cfg.d)
     scale = _k_scale(int(kt @ kt), cfg.n)
-    terms = _folded_terms(cfg, kt)
-    return scale * math.fsum(terms.tolist())
+    return scale * _exact_row_sums(_folded_terms(cfg, kt)[None])[0]
 
 
 #: Most entries of a row that one bucket pass takes, so that no (row, exponent)

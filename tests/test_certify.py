@@ -138,7 +138,9 @@ def test_search_ties_keep_lex_smallest(monkeypatch):
     monkeypatch.setattr(
         certify_mod, "_PairedTerms", lambda cfg, rows, table: lambda ks: 4.0 + 0 * ks
     )
-    monkeypatch.setattr(certify_mod, "_folded_terms", lambda cfg, k, table: np.ones(3))
+    monkeypatch.setattr(
+        certify_mod, "K_m", lambda k, cfg: float(sum(c * c for c in k)) ** cfg.n * 3.0
+    )
     cfg = SumConfig.create(3, 2, 4.0)
     reps = enumerate_canonical(3, 8.0)
     top = max(sum(c * c for c in k) for k in reps)
@@ -197,7 +199,7 @@ def test_screened_interval_holds_exact_value(d, n, rho):
     lo, hi = certify_mod._screen(pairs, np.array(scales))
     for i, k in enumerate(reps):
         exact = K_m(k, cfg)
-        assert scales[i] * math.fsum(_folded_terms(cfg, ks[i], table).tolist()) == exact
+        assert scales[i] * math.fsum(_folded_terms(cfg, ks[i]).tolist()) == exact
         assert lo[i] <= exact <= hi[i]
         assert hi[i] - lo[i] < 1e-9 * exact
 
@@ -246,10 +248,10 @@ STUB_REPS = enumerate_canonical(3, 8.0)
 
 def _stub_search(monkeypatch, rows, values, threads):
     """search_sup_Km(SumConfig.create(3, 2, 4.0), 8.0) with `rows` reps to a
-    block and stub kernels: the full row for k is the one term
-    values.get(k, 1), unscaled, so K_m(k) is that term, and the screen's row
-    is the one paired term 4 values.get(k, 1).  Also returns the values of
-    the rows summed exactly, in order within each worker thread."""
+    block, a stub K_m(k) = values.get(k, 1) and a stub screen kernel whose
+    row for k is the one paired term 4 values.get(k, 1), unscaled.  Also
+    returns the values of the rows summed exactly, in order within each
+    worker thread."""
     cfg = SumConfig.create(3, 2, 4.0)
     given, summed = {}, {}
 
@@ -258,19 +260,18 @@ def _stub_search(monkeypatch, rows, values, threads):
         given.setdefault(threading.get_ident(), []).append(row)
         return 4.0 * np.array([row]).T
 
-    def full_row(cfg, k, table):
-        return np.array([values.get(tuple(k.tolist()), 1.0)])
-
-    def exact(terms):
-        summed.setdefault(threading.get_ident(), []).extend(terms[:, 0].tolist())
-        return sums_mod._exact_row_sums(terms)
+    def exact(k, cfg):
+        summed.setdefault(threading.get_ident(), []).append(values.get(k, 1.0))
+        return values.get(k, 1.0)
 
     monkeypatch.setattr(certify_mod, "_PairedTerms", lambda cfg, rows, table: kernel)
-    monkeypatch.setattr(certify_mod, "_folded_terms", full_row)
+    monkeypatch.setattr(certify_mod, "K_m", exact)
     monkeypatch.setattr(certify_mod, "_k_scale", lambda k2, n: 1.0)
-    monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", rows * len(cfg.ball))
-    monkeypatch.setattr(certify_mod, "_exact_row_sums", exact)
+    monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", rows * (len(cfg.ball) // 2))
     found = search_sup_Km(cfg, 8.0, threads=threads)
+    # every block but the last holds `rows` reps
+    sizes = [len(block) for blocks in given.values() for block in blocks]
+    assert max(sizes) == rows and sizes.count(rows) >= len(sizes) - 1
     # Each worker sums exactly the rows that reach the largest value it has
     # been given so far, its current block included (the stub's values are
     # far apart against the screening slack).
@@ -330,13 +331,13 @@ def test_search_sums_few_rows_exactly(monkeypatch, threads):
     898 rows to be summed exactly."""
     rows = []
 
-    def counted(terms):
-        rows.append(len(terms))
-        return sums_mod._exact_row_sums(terms)
+    def counted(k, cfg):
+        rows.append(k)
+        return K_m(k, cfg)
 
-    monkeypatch.setattr(certify_mod, "_exact_row_sums", counted)
+    monkeypatch.setattr(certify_mod, "K_m", counted)
     search_sup_Km(SumConfig.create(3, 3, 10.0), 20.0, threads=threads)
-    assert sum(rows) <= 5
+    assert len(rows) <= 5
 
 
 def test_search_radius_validation():
@@ -544,7 +545,7 @@ def test_search_interrupt_stops_within_one_group_per_worker(monkeypatch):
         certify_mod, "threading", SimpleNamespace(Event=Halt, Lock=threading.Lock)
     )
     monkeypatch.setattr(certify_mod, "_PairedTerms", lambda cfg, rows, table: kernel)
-    monkeypatch.setattr(certify_mod, "_folded_terms", lambda cfg, k, table: np.ones(7))
+    monkeypatch.setattr(certify_mod, "K_m", lambda k, cfg: 1.0)
     monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", 1)
     cfg = SumConfig.create(3, 2, 5.0)
     interval = sys.getswitchinterval()
