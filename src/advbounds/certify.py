@@ -159,11 +159,11 @@ def _screen(pairs: np.ndarray, scales: np.ndarray):
     over the row.  For positive terms every summation order of np.sum errs
     by at most gamma_{M-1} times P (Higham, Accuracy and Stability of
     Numerical Algorithms, ch. 4).  The relative slack 2 gamma + 16u covers
-    those, the one rounding of T (sums._exact_row_sums, equal to fsum), of
-    the scaling and of the bounds themselves; the absolute slack, scale N
-    _TINY = 4 N 2^-1075 per unit of scale >= 1 (|k|^2 >= 1, n > 0), covers
-    3 N 2^-1075 and the few subnormal roundings of the scaled bounds, as the
-    ball has N >= 4 points.
+    those, the one rounding of T (math.fsum, in sums.K_m), of the scaling and
+    of the bounds themselves; the absolute slack, scale N _TINY = 4 N 2^-1075
+    per unit of scale >= 1 (|k|^2 >= 1, n > 0), covers 3 N 2^-1075 and the
+    few subnormal roundings of the scaled bounds, as the ball has N >= 4
+    points.
     """
     half = pairs.shape[1]
     ulps = (half - 1) * _UNIT_ROUNDOFF
@@ -205,16 +205,16 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
 
     Only canonical representatives (coordinates sorted descending,
     nonnegative) are evaluated; K_m is invariant under the signed-permutation
-    group, so this loses nothing.  They are taken in lex order, in blocks of
-    `rows` reps (at most _BLOCK_TERMS paired terms).  The screen,
-    sums._PairedTerms, takes h and -h together, over half the ball, and
-    np.sum bounds each row under a proven error bound (_screen).  Each
-    worker keeps one floor, the largest lower bound it has seen, and a row
-    whose upper bound reaches it is summed exactly: its value is K_m(k),
-    over the full ball and correctly rounded.  A rep attaining the maximum
-    has an upper bound at least as large as every lower bound, so the worker
-    that takes its block sums it: the result does not depend on the number
-    of workers or on which blocks each one took.
+    group, so this loses nothing.  First the workers screen them, in lex
+    order and blocks of `rows` reps (at most _BLOCK_TERMS paired terms):
+    sums._PairedTerms takes h and -h together, over half the ball, and
+    _screen bounds each rep's K_m(k) in [lo, hi].  Then the calling thread
+    sums K_m(k) exactly, over the full ball and correctly rounded, at each
+    rep with hi >= max(lo).  A rep attaining the maximum M has hi >= M >=
+    K_m(j) >= lo_j for every rep j, so it and every tie are summed, whatever
+    the workers and their blocks.  The bounds start at (-inf, inf), so an
+    unscreened rep would be summed, not skipped; yet this second phase runs
+    only once every block was screened, as any exception propagates first.
 
     Returns (max, argmax, reps): the maximum, the lexicographically smallest
     rep attaining it, and the number of canonical reps searched.  `threads`
@@ -229,28 +229,23 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     scales = np.array([_k_scale(s, cfg.n) for s in k2])
     rows = max(1, _BLOCK_TERMS // (len(cfg.ball) // 2))
     table = _power_table(cfg, max(k2))
+    lo, hi = np.full((2, len(reps)), [[-math.inf], [math.inf]])
     pending = iter(range(0, len(reps), rows))
     lock = threading.Lock()
     halt = threading.Event()
 
     def work(pairs_of):
-        """Take blocks one at a time until none are left; then, or on any
-        exception, halt every worker after its current block.  Returns the
-        (K_m(k), k) of each row summed exactly."""
-        floor, found = -math.inf, []
+        """Screen blocks until none are left; then, or on any exception, halt."""
         try:
             while not halt.is_set():
                 with lock:
                     a = next(pending, None)
                 if a is None:
                     break
-                lo, hi = _screen(pairs_of(ks[a:a + rows]), scales[a:a + rows])
-                floor = max(floor, lo.max())
-                for i in (a + np.flatnonzero(hi >= floor)).tolist():
-                    found.append((K_m(reps[i], cfg), reps[i]))
+                b = a + rows
+                lo[a:b], hi[a:b] = _screen(pairs_of(ks[a:b]), scales[a:b])
         finally:
             halt.set()
-        return found
 
     # The calling thread is one of the workers, and it allocates every
     # worker's buffers: memory a pool thread's malloc arena keeps after the
@@ -262,12 +257,14 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
                 pool.submit(work, _PairedTerms(cfg, rows, table))
                 for _ in range(workers - 1)
             ]
-            found = work(_PairedTerms(cfg, rows, table))
+            work(_PairedTerms(cfg, rows, table))
         finally:
             halt.set()
         for helper in helpers:
-            found += helper.result()
+            helper.result()
 
+    live = np.flatnonzero(hi >= lo.max()).tolist()
+    found = [(K_m(reps[i], cfg), reps[i]) for i in live]
     best = max(value for value, _ in found)
     return best, min(k for value, k in found if value == best), len(reps)
 

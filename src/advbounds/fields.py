@@ -244,13 +244,17 @@ def _amplitude_vectors(d, alpha, alpha_vec, beta, beta_vec):
     b_amp = np.array([complex(beta), 0.0, *bv], dtype=complex)
     for name, amp in (("(alpha, alpha_vec)", a_amp), ("(beta, beta_vec)", b_amp)):
         biggest = float(np.abs(amp).max())
+        square = biggest * biggest
+        if not math.isfinite(square):
+            raise ParameterError(f"trial amplitude {name} is too large or nan: its "
+                                 f"largest |component|^2 = {square!r} is not finite")
         if not biggest > 0.0:
             raise ValueError(f"zero trial amplitude: {name} vanishes")
         # the norms square the amplitudes; a subnormal square has lost digits
-        if biggest * biggest < sys.float_info.min:
+        if square < sys.float_info.min:
             raise ParameterError(
                 f"trial amplitude {name} is too small: its largest |component|^2 "
-                f"= {biggest * biggest!r} is below the normal float range; "
+                f"= {square!r} is below the normal float range; "
                 f"requires a larger amplitude"
             )
     return a_amp, b_amp

@@ -25,9 +25,10 @@ LatticeVector = tuple[int, ...]
 POINT_BUDGET = 80_000_000
 
 #: Hard cap on the canonical representatives enumerate_canonical may build.
-#: Each costs about 240 bytes once the sup K_m search holds it (its tuple,
-#: about 75 bytes, plus the search's per-rep lists), so this caps that at
-#: about 130 MB; the largest production search builds 6,363.
+#: The sup K_m search's traced peak is about 190 bytes per rep, fold table
+#: included (74 MB for 393,543 reps at d = 2, radius 1000), and comes before
+#: its screened bounds, 16 bytes per rep, exist; so this caps that peak near
+#: 100 MB.  The largest production search builds 6,363.
 CANONICAL_BUDGET = 2**19
 
 

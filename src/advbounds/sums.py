@@ -20,11 +20,11 @@ half-degree principle for symmetric polynomials, and rounds them outward.
 
 Every certificate-bound reduction is a correctly rounded sum, independent of
 term order, which makes the bitwise symmetry and worker-count guarantees real:
-SumConfig.shell_sum for Z_n, build_Q and vV_nt, and _exact_row_sums, equal to
-math.fsum, for K_m.  The search ranks its reps by np.sum of paired terms, h
-and -h taken together over half the ball (_PairedTerms), only under a proven
-error bound (certify._screen), and takes K_m at each rep that may attain the
-maximum.
+SumConfig.shell_sum for Z_n, build_Q and vV_nt, and math.fsum for K_m.  The
+search bounds every rep's K_m by np.sum of paired terms, h and -h taken
+together over half the ball (_PairedTerms), under a proven error bound
+(certify._screen), and then takes K_m only at the reps whose upper bound
+reaches the largest lower bound.
 """
 
 from __future__ import annotations
@@ -108,7 +108,10 @@ class SumConfig:
 
 
 def _as_k(k, d: int) -> np.ndarray:
-    kt = np.asarray(k, dtype=np.int64)
+    try:
+        kt = np.asarray(k, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"k needs -2^63 <= k_i < 2^63 (int64), got {k}") from None
     if kt.shape != (d,):
         raise ValueError(f"k must be an integer {d}-vector, got {k}")
     if not kt.any():
@@ -235,69 +238,12 @@ def K_m(k, cfg: SumConfig) -> float:
     sum over h in ball, h != k of [1 + (|k-h| >= rho)] * |h^k|^2 /
     (|h|^(2n+2) |k-h|^(2n+2)), scaled by |k|^(2n).  All lattice invariants
     (|h|^2, |k-h|^2, |h^k|^2) are exact integers, so the term multiset -- and
-    with the correctly rounded sum (_exact_row_sums, equal to math.fsum) the
-    total -- is bitwise invariant under signed permutations of k.
+    with the correctly rounded sum, math.fsum, the total -- is bitwise
+    invariant under signed permutations of k.
     """
     kt = _as_k(k, cfg.d)
     scale = _k_scale(int(kt @ kt), cfg.n)
-    return scale * _exact_row_sums(_folded_terms(cfg, kt)[None])[0]
-
-
-#: Most entries of a row that one bucket pass takes, so that no (row, exponent)
-#: bucket holds more than 2^26 entries.
-_BUCKET_COLS = 2**26
-#: np.frexp's exponent of the smallest subnormal, 2^-1074 = (1/2) 2^-1073.
-_MIN_EXP = -1073
-
-
-def _exact_row_sums(terms) -> list[float]:
-    """math.fsum of each row of a finite, nonnegative float64 matrix, bit for
-    bit, by exponent buckets (Demmel and Hida, Accurate and efficient floating
-    point summation, SIAM J. Sci. Comput. 2003).
-
-    np.frexp writes each entry as m 2^e with m in [1/2, 1), or m = 0.  A float
-    with exponent e >= -1073 is a multiple of 2^(e-53), so M = m 2^53 is an
-    integer below 2^53.  Scaling m by 2^27 is exact, and so is splitting the
-    result into hi = floor(m 2^27) < 2^27 and its fraction f, a multiple of
-    2^-26: M = (hi + f) 2^26.  np.bincount sums the hi's and the f's of each
-    (row, e) bucket in float64.  With at most 2^26 entries to a bucket, every
-    partial sum of hi's is an integer at most 2^53 and every partial sum of
-    f's a multiple of 2^-26 below 2^26, so both sums are exact.  A row's exact
-    sum is therefore the integer sum_e (H_e + F_e) 2^26 2^(e+1073), which
-    Python ints hold exactly, times 2^-1126.  One int true division rounds it
-    to nearest, ties to even; CPython rounds int division correctly and fsum
-    returns the correctly rounded sum, so the two agree bit for bit, and both
-    raise OverflowError past the float range.  A longer row is summed in
-    chunks of _BUCKET_COLS columns.  An entry with its sign bit set, an
-    infinity or a nan is refused with ValueError.  That refuses -0.0 too, so
-    the result never depends on the Python version's rule for the sign of a
-    zero fsum.
-    """
-    terms = np.asarray(terms, dtype=float)
-    rows, cols = terms.shape
-    if not terms.size:
-        return [0.0] * rows
-    if np.signbit(terms).any() or not terms.max() < math.inf:
-        raise ValueError("exact row sums need finite entries without a sign bit")
-    totals = [0] * rows
-    for start in range(0, cols, _BUCKET_COLS):
-        mant, expo = np.frexp(terms[:, start:start + _BUCKET_COLS])
-        low = int(expo.min())
-        width = int(expo.max()) - low + 1
-        bucket = (expo + (np.arange(rows) * width - low)[:, None]).ravel()
-        mant *= 2.0**27
-        hi = np.floor(mant)
-        mant -= hi
-        hi_sums = np.bincount(bucket, hi.ravel(), rows * width)
-        frac_sums = np.bincount(bucket, mant.ravel(), rows * width) * 2.0**26
-        # a nonzero entry has hi >= 2^26, so empty and all-zero buckets skip
-        live = np.flatnonzero(hi_sums)
-        for i, h, f in zip(
-            live.tolist(), hi_sums[live].tolist(), frac_sums[live].tolist()
-        ):
-            row, b = divmod(i, width)
-            totals[row] += ((int(h) << 26) + int(f)) << (b + low - _MIN_EXP)
-    return [t / (1 << 1126) for t in totals]
+    return scale * math.fsum(_folded_terms(cfg, kt).tolist())
 
 
 def Z_n(cfg: SumConfig) -> float:

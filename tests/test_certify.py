@@ -250,66 +250,62 @@ def _stub_search(monkeypatch, rows, values, threads):
     """search_sup_Km(SumConfig.create(3, 2, 4.0), 8.0) with `rows` reps to a
     block, a stub K_m(k) = values.get(k, 1) and a stub screen kernel whose
     row for k is the one paired term 4 values.get(k, 1), unscaled.  Also
-    returns the values of the rows summed exactly, in order within each
-    worker thread."""
+    returns the reps summed exactly, in the order summed."""
     cfg = SumConfig.create(3, 2, 4.0)
-    given, summed = {}, {}
+    given, summed = [], []
+    caller = threading.get_ident()
 
     def kernel(ks):
-        row = [values.get(tuple(k), 1.0) for k in ks.tolist()]
-        given.setdefault(threading.get_ident(), []).append(row)
-        return 4.0 * np.array([row]).T
+        given.append(len(ks))
+        return 4.0 * np.array([[values.get(tuple(k), 1.0) for k in ks.tolist()]]).T
 
     def exact(k, cfg):
-        summed.setdefault(threading.get_ident(), []).append(values.get(k, 1.0))
+        assert threading.get_ident() == caller
+        summed.append(k)
         return values.get(k, 1.0)
 
     monkeypatch.setattr(certify_mod, "_PairedTerms", lambda cfg, rows, table: kernel)
     monkeypatch.setattr(certify_mod, "K_m", exact)
     monkeypatch.setattr(certify_mod, "_k_scale", lambda k2, n: 1.0)
     monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", rows * (len(cfg.ball) // 2))
-    found = search_sup_Km(cfg, 8.0, threads=threads)
-    # every block but the last holds `rows` reps
-    sizes = [len(block) for blocks in given.values() for block in blocks]
-    assert max(sizes) == rows and sizes.count(rows) >= len(sizes) - 1
-    # Each worker sums exactly the rows that reach the largest value it has
-    # been given so far, its current block included (the stub's values are
-    # far apart against the screening slack).
-    assert summed.keys() <= given.keys()
-    for ident, blocks in given.items():
-        floor, want = -math.inf, []
-        for block in blocks:
-            floor = max(floor, *block)
-            want += [v for v in block if v >= floor]
-        assert summed.get(ident, []) == want
-    return found, [v for row_values in summed.values() for v in row_values]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # a lost write of a block's bounds would show
+    try:
+        found = search_sup_Km(cfg, 8.0, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
+    # every block but the last holds `rows` reps, and each is screened once
+    assert max(given) == rows and given.count(rows) >= len(given) - 1
+    assert sum(given) == len(STUB_REPS)
+    # The calling thread sums, in rep order, exactly the reps whose value
+    # reaches the largest one (the stub's values are far apart against the
+    # screening slack), whatever the thread count.
+    top = max(values.get(k, 1.0) for k in STUB_REPS)
+    assert summed == [k for k in STUB_REPS if values.get(k, 1.0) >= top]
+    return found, [values.get(k, 1.0) for k in summed]
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_search_skips_reps_below_an_earlier_floor(monkeypatch, threads):
-    """Five reps to a block, the largest in the first: its block sets the
-    floor before its rows are checked, so the rows before and after it in
-    that block, and every later row of that worker, are never summed."""
+    """Five reps to a block, the largest in the first: every other rep's
+    upper bound lies below the largest rep's lower bound, so only the
+    largest is summed."""
     (best, k, reps), summed = _stub_search(
         monkeypatch, 5, {STUB_REPS[3]: 2.0}, threads
     )
     assert (best, k, reps) == (2.0, STUB_REPS[3], len(STUB_REPS))
-    assert summed.count(2.0) == 1
-    if threads == 1:
-        assert summed == [2.0]
+    assert summed == [2.0]
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_search_max_in_its_last_block(monkeypatch, threads):
-    """One rep to a block: the first rep's contender is summed, the middle
-    reps are screened out, and the last block raises the floor and the max."""
+    """One rep to a block: a large value in the first block is not summed,
+    as the last block's is larger; the last rep is the max."""
     (best, k, _), summed = _stub_search(
         monkeypatch, 1, {STUB_REPS[0]: 2.0, STUB_REPS[-1]: 3.0}, threads
     )
     assert (best, k) == (3.0, STUB_REPS[-1])
-    assert summed.count(2.0) == summed.count(3.0) == 1
-    if threads == 1:
-        assert summed == [2.0, 3.0]
+    assert summed == [3.0]
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -320,15 +316,13 @@ def test_search_tie_across_pieces_keeps_lex_first(monkeypatch, threads):
         monkeypatch, 2, {STUB_REPS[1]: 1e9, STUB_REPS[2]: 1e9}, threads
     )
     assert (best, k) == (1e9, STUB_REPS[1])
-    assert summed.count(1e9) == 2
-    if threads == 1:
-        assert summed == [1e9, 1e9]
+    assert summed == [1e9, 1e9]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_search_sums_few_rows_exactly(monkeypatch, threads):
-    """At d = 3, n = 3, rho = 10 the running floor leaves at most 5 of the
-    898 rows to be summed exactly."""
+    """At d = 3, n = 3, rho = 10 only the argmax, one of the 898 rows, is
+    summed exactly, at every thread count."""
     rows = []
 
     def counted(k, cfg):
@@ -337,7 +331,7 @@ def test_search_sums_few_rows_exactly(monkeypatch, threads):
 
     monkeypatch.setattr(certify_mod, "K_m", counted)
     search_sup_Km(SumConfig.create(3, 3, 10.0), 20.0, threads=threads)
-    assert len(rows) <= 5
+    assert rows == [(2, 1, 1)]
 
 
 def test_search_radius_validation():
@@ -523,7 +517,7 @@ def test_t_escalation_builds_each_direction_coefficient_once(monkeypatch):
     assert cert.diagnostics["V_upper"] == fresh.V
 
 
-def test_search_interrupt_stops_within_one_group_per_worker(monkeypatch):
+def test_search_interrupt_stops_within_one_block_per_worker(monkeypatch):
     """An interrupt in one worker propagates, and once the search halts each
     other worker starts at most one more block, here of one rep."""
     workers, fail_at = 3, 40
@@ -559,6 +553,28 @@ def test_search_interrupt_stops_within_one_group_per_worker(monkeypatch):
     assert fail_at <= halt
     assert len(calls) - halt <= workers - 1
     assert len(set(calls)) == len(calls) < len(enumerate_canonical(3, 30.0))
+
+
+def test_search_worker_error_propagates_before_any_exact_sum(monkeypatch):
+    """An exception in a pool worker reaches the caller, and the exact sums
+    of the second phase never run on a partly screened search."""
+    caller, started = threading.get_ident(), threading.Event()
+
+    def kernel(ks):
+        if threading.get_ident() == caller:
+            assert started.wait(timeout=10)  # the pool worker takes a block
+            return np.ones((len(ks), 7))
+        started.set()
+        raise ValueError("screen failed")
+
+    def never(k, cfg):
+        raise AssertionError("a row was summed exactly")
+
+    monkeypatch.setattr(certify_mod, "_PairedTerms", lambda cfg, rows, table: kernel)
+    monkeypatch.setattr(certify_mod, "K_m", never)
+    monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", 1)
+    with pytest.raises(ValueError, match="screen failed"):
+        search_sup_Km(SumConfig.create(3, 2, 5.0), 30.0, threads=2)
 
 
 def test_certify_parameter_errors():

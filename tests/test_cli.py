@@ -254,6 +254,14 @@ def test_sums_overflowing_scale_exit_1(capsys):
     assert err.startswith("error: |k|^(2n) = 49^200.0 overflows a float")
 
 
+def test_sums_k_past_int64_exit_1(capsys):
+    """A component past int64 was an OverflowError traceback from numpy."""
+    assert cli.main(["sums", "--k", "99999999999999999999,0,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: k needs -2^63 <= k_i < 2^63 (int64), got")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -366,16 +374,24 @@ def test_witness_zero_amplitude_exit_1(capsys):
         ["--d", "2", "--n", "2", "--alpha", "1e-160"],
         ["--d", "2", "--n", "2", "--alpha", "1e-165"],
         ["--d", "3", "--beta-vec", "1e-165"],
+        ["--d", "3", "--n", "2", "--alpha", "1e155"],
+        ["--d", "3", "--n", "2", "--beta", "1e160"],
+        ["--d", "3", "--n", "2", "--alpha", "inf"],
+        ["--d", "3", "--n", "2", "--alpha", "nan"],
     ],
 )
 def test_witness_tiny_amplitude_exit_1(argv, capsys):
     """An amplitude whose largest |component|^2 is subnormal loses digits in
     the norms (1e-160 gave rel. diff 1e-2) or zeroes the denominator (1e-165
-    raised ZeroDivisionError), so the witness refuses it."""
+    raised ZeroDivisionError), so the witness refuses it.  So it does when
+    that square is not finite: 1e155 and 1e160 ended in an OverflowError
+    traceback, inf printed ratio = nan with exit 0, and nan was reported as
+    a zero amplitude."""
     assert cli.main(["witness", *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: trial amplitude")
-    assert "below the normal float range" in err
+    tiny = abs(complex(argv[-1])) < 1.0
+    assert ("below the normal float range" if tiny else "is not finite") in err
     assert err.count("\n") == 1
 
 
