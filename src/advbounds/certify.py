@@ -19,15 +19,12 @@ not is kept, and the max is then the searched max itself.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import remainder_extrema
+from .kernel import _cpu_workers, _run_blocks, remainder_extrema
 from .lattice import check_canonical_budget, enumerate_canonical
 from .sums import (
     Interval,
@@ -175,29 +172,13 @@ def _screen(pairs: np.ndarray, scales: np.ndarray):
     return np.where(np.isfinite(lo), lo, 0.0), hi
 
 
-#: Most workers a search starts.  On two CPUs two workers ran the d = 3,
-#: n = 2, rho = 20 and d = 4, n = 3, rho = 10 searches 1.3x to 1.8x faster
-#: than one; `certify --d 3 --n 3,4,5,10`, its searches split, peaked at
-#: 52.2 MB RSS with one worker, 52.4-52.6 MB with two and 53.0-53.1 MB with
-#: four, as each worker holds its own block buffers (2.6 MB) and each pool
-#: thread's malloc arena keeps them.  Unmeasured on more CPUs.
-_MAX_WORKERS = 2
-
-
 def _worker_count(terms: int) -> int:
     """Workers for a search of `terms` = reps x ball points: one below 2^23,
-    else the CPUs this process may run on, at most _MAX_WORKERS.  A CPU
-    quota that does not restrict the affinity mask is not seen."""
+    else kernel._cpu_workers()."""
     # On a 2-core VM, at d = 3, n = 3, two workers against one ran the search
     # 0.92x to 1.38x as fast at rho = 10 (3.7M terms) and 1.39x to 1.53x at
     # rho = 12 (10.6M terms).
-    if terms < 2**23:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
+    return 1 if terms < 2**23 else _cpu_workers()
 
 
 def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
@@ -218,9 +199,9 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
 
     Returns (max, argmax, reps): the maximum, the lexicographically smallest
     rep attaining it, and the number of canonical reps searched.  `threads`
-    workers (by default _worker_count's) take the blocks one at a time; an
-    exception in a worker, or an interrupt, stops each after its current
-    block.
+    workers (by default _worker_count's) take the blocks one at a time
+    (kernel._run_blocks); an exception in a worker, or an interrupt, stops
+    each after its current block.
     """
     _check_search_radius(search_radius, cfg.rho)
     reps = enumerate_canonical(cfg.d, search_radius)
@@ -230,38 +211,14 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     rows = max(1, _BLOCK_TERMS // (len(cfg.ball) // 2))
     table = _power_table(cfg, max(k2))
     lo, hi = np.full((2, len(reps)), [[-math.inf], [math.inf]])
-    pending = iter(range(0, len(reps), rows))
-    lock = threading.Lock()
-    halt = threading.Event()
 
-    def work(pairs_of):
-        """Screen blocks until none are left; then, or on any exception, halt."""
-        try:
-            while not halt.is_set():
-                with lock:
-                    a = next(pending, None)
-                if a is None:
-                    break
-                b = a + rows
-                lo[a:b], hi[a:b] = _screen(pairs_of(ks[a:b]), scales[a:b])
-        finally:
-            halt.set()
+    def screen(a, pairs_of):
+        b = a + rows
+        lo[a:b], hi[a:b] = _screen(pairs_of(ks[a:b]), scales[a:b])
 
-    # The calling thread is one of the workers, and it allocates every
-    # worker's buffers: memory a pool thread's malloc arena keeps after the
-    # search would add to the peak of the next certificate's stages.
     workers = _worker_count(len(reps) * len(cfg.ball)) if threads is None else threads
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        try:
-            helpers = [
-                pool.submit(work, _PairedTerms(cfg, rows, table))
-                for _ in range(workers - 1)
-            ]
-            work(_PairedTerms(cfg, rows, table))
-        finally:
-            halt.set()
-        for helper in helpers:
-            helper.result()
+    _run_blocks(range(0, len(reps), rows), screen,
+                [_PairedTerms(cfg, rows, table) for _ in range(workers)])
 
     live = np.flatnonzero(hi >= lo.max()).tolist()
     found = [(K_m(reps[i], cfg), reps[i]) for i in live]

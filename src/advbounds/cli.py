@@ -11,8 +11,9 @@ Presentation rounding is asymmetric on purpose: upper bounds round up, lower
 bounds round down, three significant digits, and the ratio row is truncated
 (never rounded up).  JSON reports carry full-precision floats plus the rounded
 strings; runtime_ms is the only field allowed to vary between identical runs.
-The sup K_m search takes its worker count from the CPUs the process may run
-on (certify._worker_count), so no flag sets it, and no report depends on it.
+The sup K_m search and the remainder grid take their worker counts from the
+CPUs the process may run on (certify._worker_count, kernel._cpu_workers), so
+no flag sets them, and no report depends on them.
 
 certify.certify_bounds picks the expansion order t itself and searches
 |k| < 2 rho, so no flag sets either.

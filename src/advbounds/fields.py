@@ -219,7 +219,8 @@ def sobolev_norm(field: FourierField, n) -> float:
     """Weighted l2 norm sqrt(sum_k |k|^(2n) |v_k|^2).
 
     The weight |k|^(2n) is float(|k|^2) ** n, once per distinct |k|^2; one
-    that overflows a float or underflows to 0 raises ParameterError.
+    that overflows a float or underflows to 0 raises ParameterError, and so
+    does a weighted sum that is not finite.
     """
     nf = float(n)
     keys, table = _stack(field.d, field.coeffs)
@@ -228,8 +229,17 @@ def sobolev_norm(field: FourierField, n) -> float:
     weights = np.array([_k_scale(int(m), nf) for m in k2.tolist()])[inverse]
     # x ** 2 on a float is libm pow(x, 2), which is not always x * x;
     # np.float_power calls the same pow, so the norm is the one x ** 2 gives.
-    square = np.float_power(table.real, 2.0) + np.float_power(table.imag, 2.0)
-    return math.sqrt(math.fsum((weights[:, None] * square).ravel().tolist()))
+    with np.errstate(over="ignore"):  # an infinite term is refused below
+        square = np.float_power(table.real, 2.0) + np.float_power(table.imag, 2.0)
+        terms = (weights[:, None] * square).ravel().tolist()
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # a partial sum left the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise ParameterError(f"the norm^2 sum_k |k|^(2n) |v_k|^2 at n={nf} is not a "
+                             f"finite float; requires smaller amplitudes or a smaller n")
+    return math.sqrt(total)
 
 
 def _amplitude_vectors(d, alpha, alpha_vec, beta, beta_vec):

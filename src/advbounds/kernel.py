@@ -7,13 +7,17 @@ Gegenbauer-type three-term recurrence of the generating function
     R_nt(c, xi) = xi^(-t) * (E_n(c, xi) - sum_{l<t} E_nl(c) xi^l)
 
 is evaluated through a cancellation-safe branch switch, and its extrema over
-[-1,1] x [0,1/2] are enclosed by a grid scan plus local-slope branch-and-bound
-refinement, run in blocks of grid rows.  Those enclosures feed the large-|k|
-sandwich of the lattice sums.
+[-1,1] x [0,1/2] are enclosed by a grid scan, streamed in blocks of grid rows
+through up to _MAX_WORKERS threads (_run_blocks, which the sup K_m search
+shares), plus local-slope branch-and-bound refinement.  Those enclosures feed
+the large-|k| sandwich of the lattice sums.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +27,58 @@ from numpy.polynomial import polynomial as npp
 
 class EnclosureWidthError(RuntimeError):
     """Raised when refinement cannot reach the requested enclosure width."""
+
+
+#: Most workers a block runner starts.  On two CPUs two workers ran the
+#: d = 3, n = 2, rho = 20 and d = 4, n = 3, rho = 10 searches 1.3x to 1.8x
+#: faster than one, and the base grid of remainder_extrema about 1.4x;
+#: `certify --d 3 --n 3,4,5,10`, its searches split too, peaked at 45.0-45.1
+#: MB RSS with one worker, 45.7-45.8 MB with two and 47.1-47.6 MB with four,
+#: as each worker holds its own block buffers (3.2 MB for the grid, 2.6 MB
+#: for the search).  Unmeasured on more CPUs.
+_MAX_WORKERS = 2
+
+
+def _cpu_workers() -> int:
+    """The CPUs this process may run on, at most _MAX_WORKERS.  A CPU quota
+    that does not restrict the affinity mask is not seen."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _run_blocks(starts, work, buffers) -> None:
+    """Call work(start, buffer) for every start, on one worker per buffer:
+    the calling thread with buffers[0] and a pool thread with each other.
+    An exception in a worker, or an interrupt, stops each after its current
+    block and propagates.  The caller allocates the buffers: memory a pool
+    thread's malloc arena keeps would add to the peak of later stages."""
+    pending = iter(starts)
+    lock = threading.Lock()
+    halt = threading.Event()
+
+    def run(buffer):
+        """Take blocks until none are left; then, or on any exception, halt."""
+        try:
+            while not halt.is_set():
+                with lock:
+                    start = next(pending, None)
+                if start is None:
+                    break
+                work(start, buffer)
+        finally:
+            halt.set()
+
+    with ThreadPoolExecutor(max_workers=max(1, len(buffers) - 1)) as pool:
+        try:
+            helpers = [pool.submit(run, buffer) for buffer in buffers[1:]]
+            run(buffers[0])
+        finally:
+            halt.set()
+        for helper in helpers:
+            helper.result()
 
 
 @lru_cache(maxsize=None)
@@ -114,23 +170,6 @@ def _remainder_direct(n, t, c, xi):
     return (e_val - head) / xi**t
 
 
-def _grid_values(n, t: int, cgrid, xgrid) -> np.ndarray:
-    """remainder_values on the tensor grid cgrid x xgrid (xgrid ascending),
-    bit for bit as on the meshgrid, without building it.
-
-    The branch switch depends on xi alone, so each branch owns a block of
-    columns and runs on broadcast pairs (c[:, None], xi[None, :]), so each
-    E_nl(c) is evaluated once per c.  remainder_extrema says why only the
-    direct columns are filled in row blocks."""
-    split = int(np.searchsorted(xgrid, series_switch(t), side="right"))
-    out = np.empty((cgrid.size, xgrid.size))
-    out[:, :split] = _remainder_series(n, t, cgrid[:, None], xgrid[None, :split])
-    for i in range(0, cgrid.size, _BLOCK_ROWS):
-        out[i:i + _BLOCK_ROWS, split:] = _remainder_direct(
-            n, t, cgrid[i:i + _BLOCK_ROWS, None], xgrid[None, split:])
-    return out
-
-
 def remainder_values(n, t: int, c, xi) -> np.ndarray:
     """Vectorized R_nt on paired arrays c in [-1,1], xi in [0,1/2]."""
     c, xi = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(xi, dtype=float))
@@ -163,17 +202,19 @@ class RemainderExtrema:
 
 #: Vertices of the base grid along c; xi gets (GRID_RESOLUTION + 1) // 2.
 GRID_RESOLUTION = 2001
-#: Grid rows (c values) per base-grid block.  remainder_extrema(n, 6), n = 2,
-#: 3, 5, 10, took 144-166 ms a call at 32 rows, 152-168 at 16, 136-161 at 64,
-#: 165-177 at 128 and 250-277 as one block (2-core Xeon VM, numpy 2.4).
-_BLOCK_ROWS = 32
+#: Cell rows per base-grid block.  Five calls remainder_extrema(n, 6), n = 2,
+#: 3, 4, 5, 10, took 330 ms (median of 16) at 64 rows on two workers, 345 at
+#: 128, 399 at 32, 510 at 16 and 787 as one block; 458 at 64 rows on one
+#: worker (2-core Xeon VM, numpy 2.4).  Each worker's buffers take about
+#: 50 KB a row.
+_BLOCK_ROWS = 64
 #: Relative width each enclosure must reach.
 TARGET_REL = 1e-6
 #: Most refinement levels, each halving the cell size.
 MAX_LEVELS = 30
 #: Most active cells one refinement level may split.  A split cell costs
 #: about 730 bytes of vertex values and cell arrays, so a level stays under
-#: about 190 MB; the base grid is freed before the first level.  At t = 6 the
+#: about 190 MB; no base-grid block outlives the scan.  At t = 6 the
 #: largest level splits 94,858 cells at n = 12 (69 MB traced peak) and
 #: 253,639 at n = 13 (177 MB); n = 14 needs 727,004.
 MAX_ACTIVE_CELLS = 2**18
@@ -191,34 +232,103 @@ def _cell_upper(f00, f10, f01, f11):
     cmax = np.maximum(np.maximum(f00, f10), np.maximum(f01, f11))
     slope_c = np.maximum(np.abs(f10 - f00), np.abs(f11 - f01))
     slope_x = np.maximum(np.abs(f01 - f00), np.abs(f11 - f10))
-    margin = _SAFETY * 0.5 * (slope_c + slope_x)
-    return cmax + margin, margin
+    return cmax + _SAFETY * 0.5 * (slope_c + slope_x)
 
 
-def _corners(vals):
-    """(f00, f10, f01, f11): each cell's corner values on a vertex grid."""
-    return vals[:-1, :-1], vals[1:, :-1], vals[:-1, 1:], vals[1:, 1:]
+class _BaseGrid:
+    """remainder_values on the vertex grid cgrid x xgrid (xgrid ascending),
+    bit for bit as on the meshgrid, and its cells' bounds, _BLOCK_ROWS cell
+    rows at a time.  The branch switch depends on xi alone: the series
+    columns are computed once over every c, and the direct ones repeat
+    _remainder_direct's operations in its order, its row and column factors
+    computed once."""
 
+    def __init__(self, n, t: int, cgrid, xgrid):
+        self.cgrid, self.xgrid, self.rows = cgrid, xgrid, _BLOCK_ROWS
+        self.split = s = int(np.searchsorted(xgrid, series_switch(t), side="right"))
+        self.series = _remainder_series(n, t, cgrid[:, None], xgrid[None, :s])
+        c = cgrid[:, None]
+        self.heads = [npp.polyval(c, taylor_coeff(n, l)) for l in range(t - 1, -1, -1)]
+        self.c1, self.c2, self.power = 1.0 - c * c, 2.0 * c, -(float(n) + 1.0)
+        self.x = x = xgrid[s:]
+        self.x2, self.xt = x * x, x**t
 
-def _base_cells(base, cgrid, xgrid):
-    """Bound the cells of the vertex grid `base` _BLOCK_ROWS rows at a time,
-    in row-major order, and keep those that could beat its best sample.
-    Returns (best, cells) for R and for -R, cells as _branch_bound_max takes
-    them.  One pass serves both signs: the corner spreads of -R are those of
-    R, so its margins are the same, and max(-f) = -min(f) exactly."""
-    best = (float(base.max()), -float(base.min()))
-    kept = ([], [])
-    for i in range(0, base.shape[0] - 1, _BLOCK_ROWS):
-        corners = _corners(base[i:i + _BLOCK_ROWS + 1])
-        ub, margin = _cell_upper(*corners)
-        cmin = np.minimum.reduce(corners)
-        for sign, bound in enumerate((ub, margin - cmin)):
-            keep = bound > best[sign]
-            rows, cols = np.nonzero(keep)
-            fs = [-f[keep] if sign else f[keep] for f in corners]
-            kept[sign].append((cgrid[i + rows], xgrid[cols], *fs, bound[keep]))
-    return [(b, [np.concatenate(col) for col in zip(*parts)])
-            for b, parts in zip(best, kept)]
+    def buffers(self):
+        """One worker's six flat planes of _BLOCK_ROWS + 1 grid rows, and a mask."""
+        size = (self.rows + 1) * self.xgrid.size
+        return np.empty((6, size)), np.empty(size, dtype=bool)
+
+    def values(self, i: int, buffers) -> np.ndarray:
+        """Vertex rows i .. i + _BLOCK_ROWS (fewer at the end), in buffers."""
+        planes, s = buffers[0], self.split
+        r = min(self.rows + 1, self.cgrid.size - i)
+        at, size = slice(i, i + r), r * self.x.size
+        v = planes[0, :r * self.xgrid.size].reshape(r, -1)
+        e, head = planes[1, :size].reshape(r, -1), planes[2, :size].reshape(r, -1)
+        v[:, :s] = self.series[at]
+        np.multiply(self.c2[at], self.x, out=e)
+        np.subtract(1.0, e, out=e)
+        np.add(e, self.x2, out=e)
+        e **= self.power
+        np.multiply(self.c1[at], e, out=e)
+        head.fill(0.0)
+        for coeff in self.heads:
+            np.multiply(head, self.x, out=head)
+            np.add(head, coeff[at], out=head)
+        np.subtract(e, head, out=e)
+        np.divide(e, self.xt, out=v[:, s:])
+        return v
+
+    def cells(self, i: int, buffers):
+        """The max and min of vertex rows i .. i + _BLOCK_ROWS and, for R and
+        -R, the cells whose bound beats that max, as _branch_bound_max takes
+        them.  Each bound is _cell_upper's, float for float, from differences
+        shared by neighbouring cells on the flat rows; the last column, which
+        pairs a row's end with the next row's start, is never kept.  -R has
+        R's corner spreads, so its margins, and max(-f) = -min(f) exactly."""
+        v = self.values(i, buffers).ravel()
+        (_, a, cmax, cmin, slope_c, slope_x), mask = buffers
+        w = self.xgrid.size
+        cells = v.size - w - 1  # flat (row, col) = row * w + col, col < w - 1
+        a, d, mask = a[:cells + 1], a[:v.size - 1], mask[:cells + 1]
+        cmax, cmin, slope_c, slope_x = (b[:cells] for b in (cmax, cmin, slope_c, slope_x))
+        np.maximum(v[:-w], v[w:], out=a)
+        np.maximum(a[:-1], a[1:], out=cmax)
+        np.minimum(v[:-w], v[w:], out=a)
+        np.minimum(a[:-1], a[1:], out=cmin)
+        np.abs(np.subtract(v[w:], v[:-w], out=a), out=a)
+        np.maximum(a[:-1], a[1:], out=slope_c)
+        np.abs(np.subtract(v[1:], v[:-1], out=d), out=d)
+        margin = np.add(slope_c, np.maximum(d[:-w], d[w:], out=slope_x), out=slope_c)
+        np.multiply(_SAFETY * 0.5, margin, out=margin)
+        high, low = float(v.max()), float(v.min())
+        kept = []
+        for sign, bound, best in ((1.0, np.add(cmax, margin, out=cmax), high),
+                                  (-1.0, np.subtract(margin, cmin, out=cmin), -low)):
+            np.greater(bound, best, out=mask[:-1])
+            mask[w - 1::w] = False
+            at = np.flatnonzero(mask)
+            fs = (v[at + k] * sign for k in (0, w, 1, w + 1))
+            rows, cols = divmod(at, w)
+            kept.append((self.cgrid[i + rows], self.xgrid[cols], *fs, bound[at]))
+        return high, low, *kept
+
+    def scan(self, workers: int):
+        """(best, cells) for R and -R: the best sample and, in row-major order,
+        the cells whose bound beats it.  A block's best is at most the grid's,
+        so its kept cells include those; np.max over the blocks propagates a
+        NaN as over the whole grid."""
+        starts = range(0, self.cgrid.size - 1, self.rows)
+        blocks = [None] * len(starts)
+
+        def bound(i, buffers):
+            blocks[i // self.rows] = self.cells(i, buffers)
+
+        _run_blocks(starts, bound, [self.buffers() for _ in range(workers)])
+        highs, lows, *kept = zip(*blocks)
+        best = (float(np.max(highs)), -float(np.min(lows)))
+        cells = [[np.concatenate(col) for col in zip(*parts)] for parts in kept]
+        return [(b, [col[c[-1] > b] for col in c]) for b, c in zip(best, cells)]
 
 
 def _branch_bound_max(evalf, best, cells, hc, hx):
@@ -261,7 +371,7 @@ def _branch_bound_max(evalf, best, cells, hc, hx):
         g01 = np.concatenate([f0m, fmm, f01, fm1])
         g11 = np.concatenate([fmm, f1m, fm1, f11])
         hc, hx = hc2, hx2
-        ub = _cell_upper(g00, g10, g01, g11)[0]
+        ub = _cell_upper(g00, g10, g01, g11)
         keep = ub > best
         cells = (nc0[keep], nx0[keep], g00[keep], g10[keep], g01[keep], g11[keep])
         ub = ub[keep]
@@ -279,15 +389,16 @@ def remainder_extrema(n, t: int) -> RemainderExtrema:
     """Enclose min and max of R_nt over [-1,1] x [0,1/2].
 
     Method: evaluate on a GRID_RESOLUTION x ((GRID_RESOLUTION+1)//2) vertex
-    grid (separably, by _grid_values, so each E_nl(c) is evaluated once per
-    grid c and no meshgrid is built), bound each cell by corner values plus a
-    finite-difference slope margin (safety factor 4), then refine only the
-    cells that could still beat the best sample, halving the cell size per
-    level (_branch_bound_max).  Only the vertex grid is held whole: its
-    direct-quotient columns are filled, and its cells bounded, _BLOCK_ROWS
-    rows at a time.  Its series columns (about 3%) run in one call: the
-    series stops once its terms are small over its whole point set, so row
-    blocks could stop it at other terms and change bits.  Raises
+    grid, bound each cell by corner values plus a finite-difference slope
+    margin (safety factor 4), then refine only the cells that could still
+    beat the best sample, halving the cell size per level
+    (_branch_bound_max).  No grid-sized array is built: the CPUs this process
+    may run on, at most _MAX_WORKERS, take blocks of _BLOCK_ROWS cell rows,
+    evaluate their vertices and bound their cells in one pass (_BaseGrid),
+    with the same bits at every worker count.  The series columns (about 3%)
+    run in one call before: the series stops once its terms are small over
+    its whole point set, so row blocks could stop it at other terms and
+    change bits.  Raises
     EnclosureWidthError if the relative width TARGET_REL is out of reach
     within MAX_LEVELS levels and MAX_ACTIVE_CELLS cells a level.
     """
@@ -295,7 +406,7 @@ def remainder_extrema(n, t: int) -> RemainderExtrema:
         raise ValueError(f"requires t >= 1, got {t}")
     cgrid = np.linspace(-1.0, 1.0, GRID_RESOLUTION)
     xgrid = np.linspace(0.0, 0.5, (GRID_RESOLUTION + 1) // 2)
-    pos, neg = _base_cells(_grid_values(n, t, cgrid, xgrid), cgrid, xgrid)
+    pos, neg = _BaseGrid(n, t, cgrid, xgrid).scan(_cpu_workers())
     hc, hx = float(cgrid[1] - cgrid[0]), float(xgrid[1] - xgrid[0])
 
     def f_pos(c, x):

@@ -242,7 +242,8 @@ def K_m(k, cfg: SumConfig) -> float:
     invariant under signed permutations of k.
     """
     kt = _as_k(k, cfg.d)
-    scale = _k_scale(int(kt @ kt), cfg.n)
+    # |k|^2 as a Python int: in int64 it wraps once it reaches 2^63
+    scale = _k_scale(sum(c * c for c in kt.tolist()), cfg.n)
     return scale * math.fsum(_folded_terms(cfg, kt).tolist())
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import advbounds
 import advbounds.certify as certify_mod
+import advbounds.kernel as kernel_mod
 import advbounds.sums as sums_mod
 from advbounds.certify import (
     ParameterError,
@@ -465,7 +466,8 @@ def test_worker_count_from_the_machine():
         cpus = os.cpu_count() or 1
     assert certify_mod._worker_count(1) == 1
     assert certify_mod._worker_count(2**23 - 1) == 1
-    assert certify_mod._worker_count(2**23) == min(cpus, certify_mod._MAX_WORKERS)
+    assert certify_mod._worker_count(2**23) == min(cpus, kernel_mod._MAX_WORKERS)
+    assert kernel_mod._cpu_workers() == min(cpus, kernel_mod._MAX_WORKERS)
 
 
 def test_certify_enumerates_canonical_reps_once(monkeypatch):
@@ -536,7 +538,7 @@ def test_search_interrupt_stops_within_one_block_per_worker(monkeypatch):
         return np.ones((len(ks), 7))
 
     monkeypatch.setattr(
-        certify_mod, "threading", SimpleNamespace(Event=Halt, Lock=threading.Lock)
+        kernel_mod, "threading", SimpleNamespace(Event=Halt, Lock=threading.Lock)
     )
     monkeypatch.setattr(certify_mod, "_PairedTerms", lambda cfg, rows, table: kernel)
     monkeypatch.setattr(certify_mod, "K_m", lambda k, cfg: 1.0)

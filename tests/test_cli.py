@@ -262,6 +262,34 @@ def test_sums_k_past_int64_exit_1(capsys):
     assert err.count("\n") == 1
 
 
+def test_sums_k_past_exactness_bound_exit_1(capsys):
+    """|k|^2 = 2^64 wrapped to 0 in int64, and the refusal blamed an
+    underflowing |k|^(2n); it is the float64 exactness bound of h.k."""
+    assert cli.main(["sums", "--k", "4294967296,0,0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: |k|^2 = 1.8446744073709552e+19 too large: "
+                          "float64 h.k is exact only while |k|^2 max|h|^2 < 2^53")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--d", "3", "--n", "2", "--alpha", "1e154"],
+        ["--d", "3", "--n", "30", "--beta", "1e153"],
+    ],
+)
+def test_witness_norm_overflow_exit_1(argv, capsys):
+    """Each amplitude square is finite, but a weighted norm sum is not: 1e154
+    ended in an OverflowError traceback from fsum, and 1e153 at n = 30
+    printed ratio = inf and rel. diff = nan with exit 0."""
+    assert cli.main(["witness", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the norm^2 sum_k |k|^(2n) |v_k|^2 at n=")
+    assert "is not a finite float; requires smaller amplitudes" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,7 +11,8 @@ from numpy.polynomial import polynomial as npp
 import advbounds.kernel as kernel_mod
 from advbounds.kernel import (
     EnclosureWidthError,
-    _grid_values,
+    _BaseGrid,
+    _cell_upper,
     remainder_extrema,
     remainder_values,
     series_switch,
@@ -185,17 +188,59 @@ def test_remainder_values_vectorized_matches_scalar(rng):
 @pytest.mark.parametrize("n", [3, 2.5, Fraction(7, 2)])
 @pytest.mark.parametrize("t", [2, 6, 14])
 def test_grid_values_bitwise_match_meshgrid(monkeypatch, n, t):
-    """The separable base grid of remainder_extrema is remainder_values on the
-    meshgrid, bit for bit, with both branches present.  A block size that does
-    not divide the 41 rows crosses several row blocks and a ragged last one."""
+    """Each block of the base grid of remainder_extrema holds remainder_values
+    on the meshgrid, bit for bit, with both branches present.  A block size
+    that does not divide the 40 cell rows of 41 vertex rows crosses several
+    row blocks and a ragged last one, in buffers reused from block to block."""
     monkeypatch.setattr(kernel_mod, "_BLOCK_ROWS", 7)
     cgrid = np.linspace(-1.0, 1.0, 41)
     xgrid = np.linspace(0.0, 0.5, 21)
     assert 0 < np.searchsorted(xgrid, series_switch(t), side="right") < 21
     mc, mx = np.meshgrid(cgrid, xgrid, indexing="ij")
     want = remainder_values(n, t, mc.ravel(), mx.ravel()).reshape(41, 21)
-    got = _grid_values(n, t, cgrid, xgrid)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    grid = _BaseGrid(n, t, cgrid, xgrid)
+    buffers = grid.buffers()
+    for i in range(0, 40, 7):
+        got = grid.values(i, buffers)
+        assert got.shape == (min(8, 41 - i), 21)
+        assert np.array_equal(got.view(np.int64), want[i:i + 8].view(np.int64))
+
+
+def reference_base_cells(n, t, cgrid, xgrid):
+    """The base-grid cells kept before the grid ran in blocks: the whole
+    meshgrid of remainder_values, _cell_upper on every cell of R and of -R,
+    and the cells whose bound beats the grid's best sample, in row-major
+    order, as (best, [c0, x0, f00, f10, f01, f11, ub])."""
+    mc, mx = np.meshgrid(cgrid, xgrid, indexing="ij")
+    base = remainder_values(n, t, mc, mx)
+    corners = [base[:-1, :-1], base[1:, :-1], base[:-1, 1:], base[1:, 1:]]
+    found = []
+    for best, fs in ((float(base.max()), corners),
+                     (-float(base.min()), [-f for f in corners])):
+        ub = _cell_upper(*fs)
+        keep = ub > best
+        rows, cols = np.nonzero(keep)
+        found.append((best, [cgrid[rows], xgrid[cols], *(f[keep] for f in fs), ub[keep]]))
+    return found
+
+
+@pytest.mark.parametrize("n,t", [(2, 6), (10, 6), (3, 14)])
+def test_base_grid_keeps_the_reference_cells(monkeypatch, n, t):
+    """Each block keeps the cells that beat its own best; after the last,
+    the grid's best filters them.  The kept cells, their corners and bounds
+    are the whole-grid reference's, bit for bit and in the same order, at
+    one to three workers and a block size that leaves a ragged last block."""
+    monkeypatch.setattr(kernel_mod, "_BLOCK_ROWS", 7)
+    cgrid = np.linspace(-1.0, 1.0, 201)
+    xgrid = np.linspace(0.0, 0.5, 101)
+    want = reference_base_cells(n, t, cgrid, xgrid)
+    for workers in (1, 2, 3):
+        got = _BaseGrid(n, t, cgrid, xgrid).scan(workers)
+        for (got_best, got_cells), (best, cells) in zip(got, want):
+            assert got_best == best and cells[0].size > 0
+            assert len(got_cells) == len(cells) == 7
+            for g, w in zip(got_cells, cells):
+                assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def test_remainder_extrema_known_values():
@@ -238,17 +283,32 @@ def test_remainder_extrema_pinned_bits(n, t):
 
 
 def test_remainder_extrema_independent_of_block_size(monkeypatch):
-    """Row blocks of 7 leave ragged last blocks on the 2001-row vertex grid and
-    its 2000 cell rows; the enclosure keeps every bit of the default's."""
-    monkeypatch.setattr(kernel_mod, "_BLOCK_ROWS", 7)
-    ex = remainder_extrema(2, 6)
-    got = (ex.mu.hex(), ex.M.hex(), ex.mu_width.hex(), ex.M_width.hex())
-    assert got == REMAINDER_EXTREMA_PINS[2, 6]
+    """Row blocks of 7 leave a ragged last block of the 2000 cell rows, and
+    32 was the default before the blocks ran on workers; one to three workers
+    take the blocks in any order.  The enclosure keeps every bit of the
+    pinned one at each pair.  (13, 6), whose refinement alone takes over a
+    second, is left to the test above."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # a lost or misplaced block would show
+    try:
+        for block_rows, workers in itertools.product((7, 32), (1, 2, 3)):
+            monkeypatch.setattr(kernel_mod, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(kernel_mod, "_cpu_workers", lambda: workers)
+            for n, t in REMAINDER_EXTREMA_PINS:
+                if (n, t) == (13, 6):
+                    continue
+                ex = remainder_extrema(n, t)
+                got = (ex.mu.hex(), ex.M.hex(), ex.mu_width.hex(), ex.M_width.hex())
+                assert got == REMAINDER_EXTREMA_PINS[n, t], (n, t, block_rows, workers)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_remainder_extrema_peak_memory():
-    """Only the vertex grid (16 MB) is held whole; the cell bounds and the
-    direct branch run on row blocks, so no other full-grid array is built."""
+    """No grid-sized array is held: each worker evaluates and bounds its row
+    blocks in buffers of _BLOCK_ROWS + 1 rows, and only the series columns
+    (about 3% of the grid) and the cells that may beat a block's best sample
+    outlive a block."""
     import tracemalloc
 
     tracemalloc.start()
@@ -257,7 +317,7 @@ def test_remainder_extrema_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_remainder_extrema_enclose_grid_samples(monkeypatch):
