@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import _cpu_workers, _run_blocks, remainder_extrema
+from .kernel import _run_blocks, remainder_extrema
 from .lattice import check_canonical_budget, enumerate_canonical
 from .sums import (
     Interval,
@@ -172,15 +172,6 @@ def _screen(pairs: np.ndarray, scales: np.ndarray):
     return np.where(np.isfinite(lo), lo, 0.0), hi
 
 
-def _worker_count(terms: int) -> int:
-    """Workers for a search of `terms` = reps x ball points: one below 2^23,
-    else kernel._cpu_workers()."""
-    # On a 2-core VM, at d = 3, n = 3, two workers against one ran the search
-    # 0.92x to 1.38x as fast at rho = 10 (3.7M terms) and 1.39x to 1.53x at
-    # rho = 12 (10.6M terms).
-    return 1 if terms < 2**23 else _cpu_workers()
-
-
 def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     """Exact maximum of K_m over 0 < |k| < search_radius.
 
@@ -198,10 +189,11 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     only once every block was screened, as any exception propagates first.
 
     Returns (max, argmax, reps): the maximum, the lexicographically smallest
-    rep attaining it, and the number of canonical reps searched.  `threads`
-    workers (by default _worker_count's) take the blocks one at a time
-    (kernel._run_blocks); an exception in a worker, or an interrupt, stops
-    each after its current block.
+    rep attaining it, and the number of canonical reps searched.  The
+    workers of kernel._run_blocks take the blocks one at a time, `threads`
+    of them if given, else as many as the CPUs and blocks allow; an
+    exception in a worker, or an interrupt, stops each after its current
+    block.
     """
     _check_search_radius(search_radius, cfg.rho)
     reps = enumerate_canonical(cfg.d, search_radius)
@@ -216,9 +208,8 @@ def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
         b = a + rows
         lo[a:b], hi[a:b] = _screen(pairs_of(ks[a:b]), scales[a:b])
 
-    workers = _worker_count(len(reps) * len(cfg.ball)) if threads is None else threads
     _run_blocks(range(0, len(reps), rows), screen,
-                [_PairedTerms(cfg, rows, table) for _ in range(workers)])
+                lambda: _PairedTerms(cfg, rows, table), threads)
 
     live = np.flatnonzero(hi >= lo.max()).tolist()
     found = [(K_m(reps[i], cfg), reps[i]) for i in live]

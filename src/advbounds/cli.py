@@ -5,15 +5,14 @@ Subcommands:
   certify   compute a bound certificate for one or more orders n
   table     reproduce the reference d=3 constants table (with self-check)
   witness   evaluate the trial-field lower-bound ratio end to end
-  sums      debug access to the raw sums (K_m, Z_n, delta_K) at a given k
 
 Presentation rounding is asymmetric on purpose: upper bounds round up, lower
 bounds round down, three significant digits, and the ratio row is truncated
 (never rounded up).  JSON reports carry full-precision floats plus the rounded
 strings; runtime_ms is the only field allowed to vary between identical runs.
-The sup K_m search and the remainder grid take their worker counts from the
-CPUs the process may run on (certify._worker_count, kernel._cpu_workers), so
-no flag sets them, and no report depends on them.
+The sup K_m search and the remainder grid run their blocks on as many
+workers as the CPUs the process may run on and the blocks allow
+(kernel._run_blocks), so no flag sets them, and no report depends on them.
 
 certify.certify_bounds picks the expansion order t itself and searches
 |k| < 2 rho, so no flag sets either.
@@ -42,8 +41,7 @@ from .fields import (
 )
 from .kernel import EnclosureWidthError
 from .lattice import PointBudgetExceeded
-from .sums import K_m, SumConfig, Z_n
-from .tail import check_finite_n, delta_K
+from .tail import check_finite_n
 
 #: Published d=3 reference values: n -> (k_minus, k_plus, ratio), all as the
 #: exact rounded strings the table must reproduce.
@@ -246,19 +244,6 @@ def cmd_witness(args) -> int:
     return 0
 
 
-def cmd_sums(args) -> int:
-    n = args.n
-    rho = args.rho if args.rho is not None else default_rho(args.d, n)
-    cfg = SumConfig.create(args.d, n, rho)
-    lines = [f"d = {args.d}, n = {n}, rho = {rho}"]
-    if args.k:
-        lines.append(f"K_m{tuple(args.k)} = {K_m(args.k, cfg)!r}")
-    lines.append(f"Z_n = {Z_n(cfg)!r}")
-    lines.append(f"delta_K = {delta_K(args.d, float(n), rho)!r}")
-    _emit("\n".join(lines), args.out)
-    return 0
-
-
 def _parse_n(raw: str):
     x = float(raw)
     return int(x) if x.is_integer() else x
@@ -287,10 +272,6 @@ def _parse_complex_vec(raw: str) -> tuple:
     return tuple(_parse_complex(piece) for piece in raw.split(";") if piece.strip())
 
 
-def _parse_int_vec(raw: str) -> tuple:
-    return tuple(int(p) for p in raw.split(",") if p.strip())
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1, like any invalid parameter, not argparse's 2."""
 
@@ -317,23 +298,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "deviations\").",
     )
     p_wit = sub.add_parser("witness", help="trial-field lower-bound ratio")
-    p_sums = sub.add_parser("sums", help="evaluate K_m / Z_n / delta_K directly")
 
     for p, func in ((p_cert, cmd_certify), (p_table, cmd_table),
-                    (p_wit, cmd_witness), (p_sums, cmd_sums)):
+                    (p_wit, cmd_witness)):
         p.set_defaults(func=func)
         p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
         p.add_argument("--out", default=None, help="write the report to a file")
-    for p in (p_wit, p_sums):
-        p.add_argument("--n", type=_parse_n, default=2, help="order n (default 2)")
-    for p in (p_cert, p_table, p_sums):
+    p_wit.add_argument("--n", type=_parse_n, default=2, help="order n (default 2)")
+    for p in (p_cert, p_table):
         p.add_argument(
             "--rho",
             type=float,
             default=None,
             help="summation cutoff; default 10 (20 for d=3, n=2)",
         )
-    for p in (p_cert, p_table):
         p.add_argument(
             "--n",
             type=_parse_n_list,
@@ -356,10 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dump-fields",
         action="store_true",
         help="also print the trial fields and the projected advection",
-    )
-    p_sums.add_argument(
-        "--k", type=_parse_int_vec, default=(),
-        help="lattice vector, e.g. 9,9,9",
     )
     return parser
 

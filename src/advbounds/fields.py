@@ -147,9 +147,6 @@ class FourierField:
                 full[neg] = np.conj(vec)
         return cls(d=d, coeffs=full)
 
-    def support(self) -> list:
-        return sorted(self.coeffs)
-
 
 def leray_project(field: FourierField) -> FourierField:
     """Project each coefficient orthogonally to its wavenumber:

@@ -31,11 +31,12 @@ class EnclosureWidthError(RuntimeError):
 
 #: Most workers a block runner starts.  On two CPUs two workers ran the
 #: d = 3, n = 2, rho = 20 and d = 4, n = 3, rho = 10 searches 1.3x to 1.8x
-#: faster than one, and the base grid of remainder_extrema about 1.4x;
-#: `certify --d 3 --n 3,4,5,10`, its searches split too, peaked at 45.0-45.1
-#: MB RSS with one worker, 45.7-45.8 MB with two and 47.1-47.6 MB with four,
-#: as each worker holds its own block buffers (3.2 MB for the grid, 2.6 MB
-#: for the search).  Unmeasured on more CPUs.
+#: faster than one, the d = 3, rho = 10 searches (29 blocks) in 24-25 ms
+#: against 33-36 ms (median of 9), and the base grid of remainder_extrema
+#: about 1.4x.  `certify --d 3 --n 3,4,5,10` peaked at 45.0-45.1 MB RSS with
+#: one worker, 45.7-45.8 MB with two and 47.1-47.6 MB with four, as each
+#: worker holds its own block buffers (3.2 MB for the grid, 2.6 MB for the
+#: search).  Unmeasured on more CPUs.
 _MAX_WORKERS = 2
 
 
@@ -49,12 +50,16 @@ def _cpu_workers() -> int:
     return min(cpus, _MAX_WORKERS)
 
 
-def _run_blocks(starts, work, buffers) -> None:
-    """Call work(start, buffer) for every start, on one worker per buffer:
-    the calling thread with buffers[0] and a pool thread with each other.
-    An exception in a worker, or an interrupt, stops each after its current
-    block and propagates.  The caller allocates the buffers: memory a pool
-    thread's malloc arena keeps would add to the peak of later stages."""
+def _run_blocks(starts, work, make_buffer, workers=None) -> None:
+    """Call work(start, buffer) for every start, on the calling thread and
+    workers - 1 pool threads, each with its own buffer.  workers defaults to
+    _cpu_workers() and never exceeds the blocks, so one block starts no pool
+    thread.  make_buffer() builds every buffer on the calling thread: memory
+    a pool thread's malloc arena keeps would add to the peak of later
+    stages.  An exception in a worker, or an interrupt, stops each after its
+    current block and propagates."""
+    count = min(_cpu_workers() if workers is None else workers, len(starts))
+    buffers = [make_buffer() for _ in range(count)]
     pending = iter(starts)
     lock = threading.Lock()
     halt = threading.Event()
@@ -213,10 +218,10 @@ TARGET_REL = 1e-6
 #: Most refinement levels, each halving the cell size.
 MAX_LEVELS = 30
 #: Most active cells one refinement level may split.  A split cell costs
-#: about 730 bytes of vertex values and cell arrays, so a level stays under
-#: about 190 MB; no base-grid block outlives the scan.  At t = 6 the
-#: largest level splits 94,858 cells at n = 12 (69 MB traced peak) and
-#: 253,639 at n = 13 (177 MB); n = 14 needs 727,004.
+#: about 660 bytes of vertex values and cell arrays, so a level stays under
+#: about 175 MB; no base-grid block outlives the scan.  At t = 6 the
+#: largest level splits 94,858 cells at n = 12 (61 MB traced peak) and
+#: 253,639 at n = 13 (160 MB); n = 14 needs 727,004.
 MAX_ACTIVE_CELLS = 2**18
 
 
@@ -313,7 +318,7 @@ class _BaseGrid:
             kept.append((self.cgrid[i + rows], self.xgrid[cols], *fs, bound[at]))
         return high, low, *kept
 
-    def scan(self, workers: int):
+    def scan(self):
         """(best, cells) for R and -R: the best sample and, in row-major order,
         the cells whose bound beats it.  A block's best is at most the grid's,
         so its kept cells include those; np.max over the blocks propagates a
@@ -324,7 +329,7 @@ class _BaseGrid:
         def bound(i, buffers):
             blocks[i // self.rows] = self.cells(i, buffers)
 
-        _run_blocks(starts, bound, [self.buffers() for _ in range(workers)])
+        _run_blocks(starts, bound, self.buffers)
         highs, lows, *kept = zip(*blocks)
         best = (float(np.max(highs)), -float(np.min(lows)))
         cells = [[np.concatenate(col) for col in zip(*parts)] for parts in kept]
@@ -364,17 +369,17 @@ def _branch_bound_max(evalf, best, cells, hc, hx):
         a = c0.size
         fm0, f0m, fmm, fm1, f1m = (vals[i * a:(i + 1) * a] for i in range(5))
         best = max(best, float(vals.max()))
-        nc0 = np.concatenate([c0, c0 + hc2, c0, c0 + hc2])
-        nx0 = np.concatenate([x0, x0, x0 + hx2, x0 + hx2])
-        g00 = np.concatenate([f00, fm0, f0m, fmm])
-        g10 = np.concatenate([fm0, f10, fmm, f1m])
-        g01 = np.concatenate([f0m, fmm, f01, fm1])
-        g11 = np.concatenate([fmm, f1m, fm1, f11])
+        # the four children in turn, each filtered before they are joined;
+        # c1 and x1 are built only now, past the peak of evalf
+        c1, x1 = c0 + hc2, x0 + hx2
         hc, hx = hc2, hx2
-        ub = _cell_upper(g00, g10, g01, g11)
-        keep = ub > best
-        cells = (nc0[keep], nx0[keep], g00[keep], g10[keep], g01[keep], g11[keep])
-        ub = ub[keep]
+        parts = []
+        for child in ((c0, x0, f00, fm0, f0m, fmm), (c1, x0, fm0, f10, fmm, f1m),
+                      (c0, x1, f0m, fmm, f01, fm1), (c1, x1, fmm, f1m, fm1, f11)):
+            bound = _cell_upper(*child[2:])
+            keep = bound > best
+            parts.append([col[keep] for col in (*child, bound)])
+        *cells, ub = (np.concatenate(col) for col in zip(*parts))
 
     upper = float(ub.max()) if ub.size else best
     if upper - best > TARGET_REL * max(1.0, abs(best)):
@@ -406,7 +411,7 @@ def remainder_extrema(n, t: int) -> RemainderExtrema:
         raise ValueError(f"requires t >= 1, got {t}")
     cgrid = np.linspace(-1.0, 1.0, GRID_RESOLUTION)
     xgrid = np.linspace(0.0, 0.5, (GRID_RESOLUTION + 1) // 2)
-    pos, neg = _BaseGrid(n, t, cgrid, xgrid).scan(_cpu_workers())
+    pos, neg = _BaseGrid(n, t, cgrid, xgrid).scan()
     hc, hx = float(cgrid[1] - cgrid[0]), float(xgrid[1] - xgrid[0])
 
     def f_pos(c, x):

@@ -450,24 +450,45 @@ def _strip_runtime(cert):
 
 
 def test_certify_deterministic_and_thread_independent(monkeypatch):
-    monkeypatch.setattr(certify_mod, "_worker_count", lambda terms: 1)
+    monkeypatch.setattr(kernel_mod, "_cpu_workers", lambda: 1)
     a = certify_bounds(3, 3, 5.0)
     b = certify_bounds(3, 3, 5.0)
-    monkeypatch.setattr(certify_mod, "_worker_count", lambda terms: 4)
+    monkeypatch.setattr(kernel_mod, "_cpu_workers", lambda: 4)
     c = certify_bounds(3, 3, 5.0)
     assert _strip_runtime(a) == _strip_runtime(b)
     assert _strip_runtime(a) == _strip_runtime(c)
 
 
-def test_worker_count_from_the_machine():
+def test_worker_count_from_the_machine(monkeypatch):
+    """kernel._run_blocks alone picks how many workers run: the CPUs this
+    process may run on, at most _MAX_WORKERS, and never more than the
+    blocks.  It builds every worker's buffer on the calling thread, and a
+    one-block run starts no pool thread."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    assert certify_mod._worker_count(1) == 1
-    assert certify_mod._worker_count(2**23 - 1) == 1
-    assert certify_mod._worker_count(2**23) == min(cpus, kernel_mod._MAX_WORKERS)
     assert kernel_mod._cpu_workers() == min(cpus, kernel_mod._MAX_WORKERS)
+    monkeypatch.setattr(kernel_mod, "_cpu_workers", lambda: 3)
+    caller = threading.get_ident()
+
+    def run(blocks):
+        built, ran = [], []
+
+        def make_buffer():
+            built.append(threading.get_ident())
+            return len(built)
+
+        def work(start, buffer):
+            ran.append((start, threading.get_ident(), threading.active_count()))
+
+        kernel_mod._run_blocks(range(blocks), work, make_buffer)
+        assert sorted(start for start, _, _ in ran) == list(range(blocks))
+        return built, ran
+
+    threads = threading.active_count()
+    assert run(1) == ([caller], [(0, caller, threads)])
+    assert run(3)[0] == [caller] * 3
 
 
 def test_certify_enumerates_canonical_reps_once(monkeypatch):

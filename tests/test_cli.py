@@ -6,11 +6,10 @@ import pytest
 
 import advbounds.certify as certify_mod
 import advbounds.cli as cli
+import advbounds.kernel as kernel_mod
 from advbounds.certify import certify_bounds
 from advbounds.fields import field_from_text
 from advbounds.kernel import EnclosureWidthError
-from advbounds.sums import SumConfig, Z_n
-from advbounds.tail import delta_K
 from conftest import rel_err
 
 REPORT_KEYS = [
@@ -58,7 +57,6 @@ def test_parsers():
     assert cli._parse_complex("1,-2") == 1 - 2j
     assert cli._parse_complex_vec("1,0;0,1") == (1 + 0j, 1j)
     assert cli._parse_complex_vec("") == ()
-    assert cli._parse_int_vec("9,9,9") == (9, 9, 9)
 
 
 def test_certify_json_report(tmp_path):
@@ -141,7 +139,7 @@ def test_nonfinite_n_exit_1(argv, n, monkeypatch, capsys):
     [
         ["certify", "--rho", "inf"],
         ["table", "--n", "3", "--rho", "inf"],
-        ["sums", "--rho", "inf"],
+        ["certify", "--d", "4", "--n", "3", "--rho", "1e400"],  # parses to inf
         ["certify", "--d", "2", "--n", "2", "--rho", "1e308"],  # 2 rho overflows
     ],
 )
@@ -247,31 +245,6 @@ def test_certify_large_n_hits_cell_cap_exit_3(capsys):
     assert err.count("\n") == 1
 
 
-def test_sums_overflowing_scale_exit_1(capsys):
-    argv = ["sums", "--d", "3", "--n", "200", "--rho", "4", "--k", "7,0,0"]
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: |k|^(2n) = 49^200.0 overflows a float")
-
-
-def test_sums_k_past_int64_exit_1(capsys):
-    """A component past int64 was an OverflowError traceback from numpy."""
-    assert cli.main(["sums", "--k", "99999999999999999999,0,0"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: k needs -2^63 <= k_i < 2^63 (int64), got")
-    assert err.count("\n") == 1
-
-
-def test_sums_k_past_exactness_bound_exit_1(capsys):
-    """|k|^2 = 2^64 wrapped to 0 in int64, and the refusal blamed an
-    underflowing |k|^(2n); it is the float64 exactness bound of h.k."""
-    assert cli.main(["sums", "--k", "4294967296,0,0"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: |k|^2 = 1.8446744073709552e+19 too large: "
-                          "float64 h.k is exact only while |k|^2 max|h|^2 < 2^53")
-    assert err.count("\n") == 1
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -296,11 +269,6 @@ def test_witness_norm_overflow_exit_1(argv, capsys):
         (["witness", "--n", "2000"], "|k|^(2n) = 2^2000.0 overflows a float"),
         (["witness", "--n", "-5000"], "|k|^(2n) = 2^-5000.0 underflows to 0"),
         (["witness", "--n", "-1070"], "the predicted ratio^2 underflows to 0"),
-        (["sums", "--n", "10000", "--rho", "5"], "B_n = 2^(2n+1)"),
-        (["sums", "--n", "1e300", "--rho", "5"], "B_n = 2^(2n+1)"),
-        (["sums", "--n", "200.5", "--rho", "5"], "evaluating B_n in floats overflows"),
-        (["sums", "--n", "200", "--rho", "3.5"], "(rho - 2 sqrt(d))^(nu-1-i)"),
-        (["sums", "--n", "100", "--rho", "3.5"], "delta_K = 2 B_n T overflows"),
     ],
 )
 def test_out_of_float_range_exit_1(argv, message, capsys):
@@ -429,21 +397,10 @@ def test_witness_small_normal_amplitude_is_accurate(capsys):
     assert float(out.split("rel. diff  = ")[1]) < 1e-15
 
 
-def test_sums_subcommand(capsys):
-    assert cli.main(
-        ["sums", "--d", "3", "--n", "2", "--rho", "5", "--k", "3,2,1"]
-    ) == 0
-    out = capsys.readouterr().out
-    cfg = SumConfig.create(3, 2, 5.0)
-    assert f"K_m(3, 2, 1) = {20.963980443100873!r}" in out
-    assert f"Z_n = {Z_n(cfg)!r}" in out
-    assert f"delta_K = {delta_K(3, 2.0, 5.0)!r}" in out
-
-
 def test_cli_thread_count_does_not_change_results(tmp_path, monkeypatch):
     reports = []
     for threads, name in ((1, "a.json"), (4, "b.json")):
-        monkeypatch.setattr(certify_mod, "_worker_count", lambda terms: threads)
+        monkeypatch.setattr(kernel_mod, "_cpu_workers", lambda: threads)
         out = tmp_path / name
         assert cli.main(
             ["certify", "--d", "3", "--n", "3", "--rho", "5",
@@ -470,6 +427,7 @@ def test_cli_thread_count_does_not_change_results(tmp_path, monkeypatch):
         ["certify", "--search-radius", "30"],
         ["table", "--t", "8"],
         ["table", "--search-radius", "30"],
+        ["sums", "--k", "1,0,0"],
     ],
 )
 def test_removed_flags_exit_1(argv, capsys):

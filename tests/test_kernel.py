@@ -235,7 +235,8 @@ def test_base_grid_keeps_the_reference_cells(monkeypatch, n, t):
     xgrid = np.linspace(0.0, 0.5, 101)
     want = reference_base_cells(n, t, cgrid, xgrid)
     for workers in (1, 2, 3):
-        got = _BaseGrid(n, t, cgrid, xgrid).scan(workers)
+        monkeypatch.setattr(kernel_mod, "_cpu_workers", lambda: workers)
+        got = _BaseGrid(n, t, cgrid, xgrid).scan()
         for (got_best, got_cells), (best, cells) in zip(got, want):
             assert got_best == best and cells[0].size > 0
             assert len(got_cells) == len(cells) == 7

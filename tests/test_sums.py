@@ -77,9 +77,14 @@ def test_K_m_input_validation():
         K_m((1, 0), cfg)
     with pytest.raises(ValueError, match="too large"):
         K_m((600_000_000, 0, 0), cfg)
+    # |k|^2 = 2^64 wraps to 0 in int64; the refusal names the exactness bound
+    with pytest.raises(ParameterError, match=r"^\|k\|\^2 = 1.8446744073709552e\+19 "
+                       r"too large: float64 h.k is exact only while "
+                       r"\|k\|\^2 max\|h\|\^2 < 2\^53"):
+        K_m((4294967296, 0, 0), cfg)
     with pytest.raises(ValueError, match=r"k needs -2\^63 <= k_i < 2\^63 \(int64\)"):
         K_m((2**63, 0, 0), cfg)
-    with pytest.raises(ParameterError, match=r"\|k\|\^\(2n\) = 49\^200.0 overflows"):
+    with pytest.raises(ParameterError, match=r"\|k\|\^\(2n\) = 49\^200.0 overflows a float"):
         K_m((7, 0, 0), SumConfig.create(3, 200, 4.0))
 
 
@@ -117,6 +122,7 @@ def test_K_m_reference_values():
     # (2,1,0) dominates (1,1,0) from n = 4 on; exact-rational cross-check below
     assert rel_err(K_m((2, 1, 0), cfg10(5)), 106.99081809714596) < 1e-12
     assert rel_err(K_m((2, 1, 0), cfg10(10)), 9556.568572305623) < 1e-12
+    assert K_m((3, 2, 1), SumConfig.create(3, 2, 5.0)) == 20.963980443100873
 
 
 @pytest.mark.parametrize("n", [5, 10])

@@ -5,12 +5,14 @@ perfbench/worker.py imports and patches names of the package directly, so
 trimming the surface must not silently break ``perfbench/run.py --trace 1``.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
 from pathlib import Path
 
 from advbounds.certify import BoundCertificate, search_sup_Km
+from advbounds.cli import _build_parser
 from advbounds.sums import SumConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,3 +116,28 @@ def test_search_returns_what_perfbench_unpacks():
     found = search_sup_Km(SumConfig.create(3, 2, 4.0), 8.0)
     assert type(found) is tuple and len(found) == 3
     assert type(found[0]) is float and type(found[1]) is tuple
+
+
+#: The (subcommand, option) pairs the command line accepts, help aside.
+CLI_SETTABLE_VALUES = {
+    *((cmd, opt) for cmd in ("certify", "table")
+      for opt in ("--d", "--out", "--rho", "--n", "--verbose", "--format")),
+    *(("witness", opt) for opt in ("--d", "--out", "--n", "--alpha", "--alpha-vec",
+                                   "--beta", "--beta-vec", "--dump-fields")),
+}
+
+
+def test_cli_settable_values():
+    """Each value a user can set, by its longest option string: a new knob
+    is a one-line change here."""
+    parser = _build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [a.dest for a in parser._actions] == ["help", "subcommand"]
+    settable = {
+        (cmd, max(action.option_strings, key=len))
+        for cmd, p in sub.choices.items()
+        for action in p._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    }
+    assert settable == CLI_SETTABLE_VALUES
+    assert len(settable) == 20

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,26 @@ def test_wedge_power_bound_float_range():
         tail_sum_bound(3, 400.0, 3.5)
     with pytest.raises(ParameterError, match=r"\^799.0 overflows a float"):
         delta_K(3, 400, 1e6)
+
+
+@pytest.mark.parametrize(
+    "n,rho,message",
+    [
+        (10000, 5.0, "B_n = 2^(2n+1)"),
+        (1e300, 5.0, "B_n = 2^(2n+1)"),
+        (200.5, 5.0, "evaluating B_n in floats overflows"),
+        (200, 3.5, "(rho - 2 sqrt(d))^(nu-1-i)"),
+        (100, 3.5, "delta_K = 2 B_n T overflows"),
+    ],
+)
+def test_delta_K_out_of_float_range(n, rho, message):
+    """A power that leaves the float range is a named precondition, found
+    before any huge integer is built."""
+    start = time.perf_counter()
+    with pytest.raises(ParameterError) as exc:
+        delta_K(3, n, rho)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value).startswith(message)
 
 
 def test_wedge_power_ratio_attains_bound():
