@@ -77,15 +77,29 @@ def test_K_m_input_validation():
         K_m((1, 0), cfg)
     with pytest.raises(ValueError, match="too large"):
         K_m((600_000_000, 0, 0), cfg)
-    # |k|^2 = 2^64 wraps to 0 in int64; the refusal names the exactness bound
-    with pytest.raises(ParameterError, match=r"^\|k\|\^2 = 1.8446744073709552e\+19 "
-                       r"too large: float64 h.k is exact only while "
-                       r"\|k\|\^2 max\|h\|\^2 < 2\^53"):
-        K_m((4294967296, 0, 0), cfg)
-    with pytest.raises(ValueError, match=r"k needs -2\^63 <= k_i < 2\^63 \(int64\)"):
-        K_m((2**63, 0, 0), cfg)
-    with pytest.raises(ParameterError, match=r"\|k\|\^\(2n\) = 49\^200.0 overflows a float"):
-        K_m((7, 0, 0), SumConfig.create(3, 200, 4.0))
+
+
+@pytest.mark.parametrize(
+    "k,n,error,message",
+    [
+        pytest.param((7, 0, 0), 200, ParameterError,
+                     "|k|^(2n) = 49^200.0 overflows a float", id="overflowing_scale"),
+        pytest.param((2**63, 0, 0), 2, ValueError,
+                     "k needs -2^63 <= k_i < 2^63 (int64), got", id="k_past_int64"),
+        # |k|^2 = 2^64 wraps to 0 in int64; the refusal names the exactness bound
+        pytest.param((4294967296, 0, 0), 2, ParameterError,
+                     "|k|^2 = 1.8446744073709552e+19 too large: "
+                     "float64 h.k is exact only while |k|^2 max|h|^2 < 2^53",
+                     id="k_past_exactness_bound"),
+    ],
+)
+def test_K_m_refuses_out_of_range_k(k, n, error, message):
+    """A k whose scale or dot products leave the float or int64 range is a
+    one-line named precondition, not a numpy traceback or a wrong sum."""
+    with pytest.raises(error) as exc:
+        K_m(k, SumConfig.create(3, n, 4.0))
+    assert str(exc.value).startswith(message)
+    assert "\n" not in str(exc.value)
 
 
 @pytest.mark.parametrize(
