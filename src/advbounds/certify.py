@@ -13,7 +13,9 @@ and finally the certified constants
 
 The majorant is built at expansion order t = 6, and rebuilt at t = 8, then
 t = 10, while it lies above the searched max; the first t at which it does
-not is kept, and the max is then the searched max itself.
+not is kept, and the max is then the searched max itself.  At each t the
+remainder term takes |R_nt| <= G (kernel.remainder_bound) first, and the grid
+kernel.remainder_extrema, inside [-G, G], only while the gate stays open.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import _run_blocks, remainder_extrema
+from .kernel import RemainderExtrema, _run_blocks, remainder_bound, remainder_extrema
 from .lattice import check_canonical_budget, enumerate_canonical
 from .sums import (
     Interval,
@@ -231,7 +233,9 @@ class BoundCertificate:
     `t` is the expansion order of the asymptotic model the certificate
     settled on (6, 8 or 10), and `asymptotic_bound` that model's majorant at
     `search_radius`.  `sup_KK_interval` is [sup_Km, max(sup_Km,
-    asymptotic_bound) + delta_K].
+    asymptotic_bound) + delta_K].  When the closed-form remainder bound G
+    closed the gate, the diagnostics' `remainder_mu` and `remainder_M` are
+    -G and G and both `*_width` keys are None; else they are the grid's.
     """
 
     d: int
@@ -277,11 +281,16 @@ def certify_bounds(d: int, n, rho) -> BoundCertificate:
     cfg = SumConfig.create(d, nf, rho)
     found = model = None
     for t in _T_STEPS:
-        extrema = remainder_extrema(nf, t)
+        g = remainder_bound(nf, t)
+        extrema = RemainderExtrema(mu=-g, M=g)
         model = build_asymptotic_model(cfg, t, extrema, model)
         if found is None:
             found = search_sup_Km(cfg, search_radius)
         far_bound = asymptotic_upper(model, search_radius)
+        if not far_bound <= found[0]:
+            extrema = remainder_extrema(nf, t)
+            model.v, model.V = vV_nt(cfg, t, extrema)
+            far_bound = asymptotic_upper(model, search_radius)
         if far_bound <= found[0]:
             break
     sup_km, argmax, reps = found

@@ -136,7 +136,7 @@ def _human_certificate(report: dict) -> str:
 
 def _certificates(args):
     """(n, certificate) for each requested n, rho defaulting per n; -v says
-    on stderr how each certificate closed."""
+    on stderr how each certificate closed, and by which remainder bound."""
     for n in args.n:
         rho = args.rho if args.rho is not None else default_rho(args.d, n)
         if args.verbose:
@@ -144,8 +144,10 @@ def _certificates(args):
         cert = certify_bounds(args.d, n, rho)
         if args.verbose:
             margin = (cert.sup_Km - cert.asymptotic_bound) / cert.sup_Km
-            line = (f"closed at t={cert.t}, gate margin "
-                    f"(sup_km - far bound) / sup_km = {margin:.3g}")
+            bound = ("closed form" if cert.diagnostics["remainder_M_width"] is None
+                     else "grid")
+            line = (f"closed at t={cert.t} by the {bound} remainder bound, gate "
+                    f"margin (sup_km - far bound) / sup_km = {margin:.3g}")
             if margin < 0:
                 line += f"; sup_kk_upper set by the far bound {cert.asymptotic_bound!r}"
             print(line, file=sys.stderr)

@@ -6,20 +6,23 @@ Gegenbauer-type three-term recurrence of the generating function
 
     R_nt(c, xi) = xi^(-t) * (E_n(c, xi) - sum_{l<t} E_nl(c) xi^l)
 
-is evaluated through a cancellation-safe branch switch, and its extrema over
-[-1,1] x [0,1/2] are enclosed by a grid scan, streamed in blocks of grid rows
-through up to _MAX_WORKERS threads (_run_blocks, which the sup K_m search
-shares), plus local-slope branch-and-bound refinement.  Those enclosures feed
-the large-|k| sandwich of the lattice sums.
+is evaluated through a cancellation-safe branch switch.  remainder_bound is
+a proven closed-form bound on |R_nt| over [-1,1] x [0,1/2]; its extrema there
+are enclosed by a grid scan, streamed in blocks of grid rows through up to
+_MAX_WORKERS threads (_run_blocks, which the sup K_m search shares), plus
+local-slope branch-and-bound refinement.  Both feed the large-|k| sandwich.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -191,18 +194,44 @@ def remainder_values(n, t: int, c, xi) -> np.ndarray:
     return out.reshape(shape)
 
 
+def remainder_bound(n, t: int) -> float:
+    """G(n, t) = sum_{l>=t} C_l(1) 2^-(l-t) = 2^t (2^(2n+2) - sum_{l<t} C_l(1)
+    2^-l) rounded up (inf past floats): |R_nt| <= G on [-1,1] x [0,1/2].
+
+    Proof: R_nt = sum_{l>=t} (1 - c^2) C_l(c) xi^(l-t), C_l = C_l^(n+1) the
+    Gegenbauer polynomial, |1 - c^2| <= 1, xi <= 1/2 and |C_l(c)| <= C_l(1) =
+    prod_{j<=l} (j + 2n + 1)/j (Szegő, Orthogonal Polynomials, Thm 7.33.1).
+    T_l = C_l(1) 2^-(l-t) has ratios T_{l+1}/T_l = r_l = 1/2 + (2n + 1)/(2l + 2)
+    that do not increase, so past an L with r_L < 1 the terms sum to at most
+    T_L r_L/(1 - r_L), which is added at the first L where it is <= 2^-60 of
+    the sum: all in exact Fractions of the float n, then rounded up once."""
+    two_n, total, ell = 2 * Fraction(float(n)), Fraction(0), t
+    term = math.prod(((j + two_n + 1) / j for j in range(1, t + 1)), start=Fraction(1))
+    while True:
+        total += term
+        if total > sys.float_info.max:
+            return math.inf
+        ratio = (ell + two_n + 2) / (2 * (ell + 1))
+        if ratio < 1 and term * ratio * 2**60 <= (1 - ratio) * total:
+            total += term * ratio / (1 - ratio)
+            break
+        term *= ratio
+        ell += 1
+    return g if (g := float(total)) >= total else math.nextafter(g, math.inf)
+
+
 @dataclass(frozen=True)
 class RemainderExtrema:
     """Outward enclosures of min/max of R_nt over [-1,1] x [0,1/2].
 
     mu <= true minimum, M >= true maximum.  The widths give the gap between
-    each outer bound and the best sampled (inner) value.
+    each outer bound and the best sampled (inner) value, None for (-G, G).
     """
 
     mu: float
     M: float
-    mu_width: float
-    M_width: float
+    mu_width: float | None = None
+    M_width: float | None = None
 
 
 #: Vertices of the base grid along c; xi gets (GRID_RESOLUTION + 1) // 2.
@@ -414,12 +443,9 @@ def remainder_extrema(n, t: int) -> RemainderExtrema:
     pos, neg = _BaseGrid(n, t, cgrid, xgrid).scan()
     hc, hx = float(cgrid[1] - cgrid[0]), float(xgrid[1] - xgrid[0])
 
-    def f_pos(c, x):
-        return remainder_values(n, t, c, x)
-
     def f_neg(c, x):
         return -remainder_values(n, t, c, x)
 
-    m_up, m_w = _branch_bound_max(f_pos, *pos, hc, hx)
+    m_up, m_w = _branch_bound_max(partial(remainder_values, n, t), *pos, hc, hx)
     neg_up, mu_w = _branch_bound_max(f_neg, *neg, hc, hx)
     return RemainderExtrema(mu=-neg_up, M=m_up, mu_width=mu_w, M_width=m_w)

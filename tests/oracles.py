@@ -142,22 +142,23 @@ def sphere_coeffs_exact(d, n, rho, ell, ehat):
     return out
 
 
-#: Ball points per fsum partial in kk_direct.
-CHUNK = 2_000_000
-
-
 def kk_direct(k, d, n, rho, truncation_radius):
     """Interval (S, S + T) for the full, untruncated convolution sum at k,
 
         |k|^(2n) sum_{h != 0, k} |h^k|^2 / (|h|^(2n+2) |k-h|^(2n+2)).
 
-    S is the exact sum over |h| < truncation_radius (an fsum per CHUNK points,
-    then an fsum of those), and T bounds the discarded tail using
-    |h^k|^2 <= |h|^2 |k|^2 and |k-h| >= |h|/2, which holds since the
-    truncation radius exceeds 2 |k|.  Requires truncation_radius >
-    2 (|k| + rho), so that the tail lies past both cutoff regions, and
-    truncation_radius^2 |k|^2 < 2^31, so that the lattice invariants, of
-    which |h|^2 |k|^2 is the largest, are exact in int32.
+    S is the exact sum over |h| < truncation_radius, rounded once, and T
+    bounds the discarded tail using |h^k|^2 <= |h|^2 |k|^2 and |k-h| >=
+    |h|/2, which holds since the truncation radius exceeds 2 |k|.  A term
+    depends on h only through (|h|^2, h.k), so the points are grouped by that
+    pair (one np.bincount) and each distinct term is computed once, with the
+    float operations a per-point sum would use.  Each term is split
+    Veltkamp-style into two halves of at most 26 significant bits, so each
+    count (< 2^27) times a half is exact, and one math.fsum rounds the exact
+    sum.  Requires truncation_radius > 2 (|k| + rho), so that the tail lies
+    past both cutoff regions, and truncation_radius^2 |k|^2 < 2^31, so that
+    the lattice invariants, of which |h|^2 |k|^2 is the largest, are exact in
+    int32.
     """
     n = float(n)
     k = np.asarray(k, dtype=np.int64)
@@ -171,18 +172,30 @@ def kk_direct(k, d, n, rho, truncation_radius):
     if float(truncation_radius) ** 2 * k2 >= 2.0**31:
         raise ValueError("requires truncation_radius^2 |k|^2 < 2^31")
     pts, norms = ball(d, truncation_radius)
-    k32 = k.astype(np.int32)
-    partials = []
-    for start in range(0, len(pts), CHUNK):
-        h2 = norms[start:start + CHUNK]
-        dot = pts[start:start + CHUNK] @ k32  # int32, like every invariant here
-        km2 = k2 - 2 * dot + h2
-        wedge = h2 * k2 - dot * dot
-        live = km2 != 0
-        terms = wedge[live] * (h2[live].astype(float) ** (-(n + 1.0)))
-        terms = terms * (km2[live].astype(float) ** (-(n + 1.0)))
-        partials.append(math.fsum(terms.tolist()))
-    s_val = float(k2) ** n * math.fsum(partials)
+    span = math.isqrt(int(norms.max()) * k2) + 1  # |h.k| < span
+    width = 2 * span + 1
+    key = norms.astype(np.int64)
+    key *= width
+    key += span
+    part = np.empty_like(key)
+    for col, kc in zip(pts.T, k.tolist()):  # key += h.k, one int64 column at a time
+        key += np.multiply(col, kc, out=part, dtype=np.int64)
+    counts = np.bincount(key)
+    at = np.flatnonzero(counts)
+    h2, dot = np.divmod(at, width)
+    dot -= span
+    km2 = k2 - 2 * dot + h2
+    wedge = h2 * k2 - dot * dot
+    live = km2 != 0
+    terms = wedge[live] * (h2[live].astype(float) ** (-(n + 1.0)))
+    terms = terms * (km2[live].astype(float) ** (-(n + 1.0)))
+    count = counts[at][live].astype(float)
+    assert count.max() < 2.0**27
+    split = terms * (2.0**27 + 1.0)
+    hi = split - (split - terms)
+    lo = terms - hi
+    assert np.array_equal(hi + lo, terms)
+    s_val = float(k2) ** n * math.fsum((count * hi).tolist() + (count * lo).tolist())
     tail = tail_sum(d, 4.0 * n + 2.0, float(truncation_radius))
     t_val = float(k2) ** (n + 1.0) * 2.0 ** (2.0 * n + 2.0) * tail
     return s_val, s_val + t_val

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import advbounds.kernel as kernel_mod
-from advbounds.certify import certify_bounds
+from advbounds.certify import asymptotic_upper, build_asymptotic_model, certify_bounds
 from advbounds.cli import (
     GOLDEN_TABLE,
     certificate_report,
@@ -43,7 +43,7 @@ from advbounds.fields import (
     lower_bound_witness,
     sobolev_norm,
 )
-from advbounds.kernel import remainder_values
+from advbounds.kernel import remainder_extrema, remainder_values
 from advbounds.lattice import enumerate_canonical
 from advbounds.sums import K_m, SumConfig
 from advbounds.tail import delta_K, wedge_power_bound
@@ -186,28 +186,49 @@ def test_criterion_2_search_results(production_certs):
 
 
 def test_criterion_3_remainder_extrema(production_certs):
+    """The grid enclosure of R_n6.  The n = 2 certificate's gate needs it, so
+    its diagnostics hold it; the closed-form bound closes the n = 5 and 10
+    gates, whose diagnostics hold -G and G instead."""
     want = {2: (-22.720, 73.835), 5: (-264.44, 7252.9), 10: (-2582.5, 4.6371e6)}
     for n, (mu_ref, m_ref) in want.items():
-        diag = production_certs[n].diagnostics
-        assert rel(diag["remainder_mu"], mu_ref) < 1e-3, (n, diag["remainder_mu"])
-        assert rel(diag["remainder_M"], m_ref) < 1e-3, (n, diag["remainder_M"])
+        ex = remainder_extrema(n, 6)
+        assert rel(ex.mu, mu_ref) < 1e-3, (n, ex.mu)
+        assert rel(ex.M, m_ref) < 1e-3, (n, ex.M)
+        if n == 2:
+            diag = production_certs[n].diagnostics
+            assert (diag["remainder_mu"], diag["remainder_M"]) == (ex.mu, ex.M)
     print("CRITERION 3: PASS — remainder extrema at n=2,5,10 within 0.1%")
 
 
+def _grid_model(n):
+    """The d = 3, rho = 10, t = 6 model on the grid enclosure, and its far
+    bound at the search radius 20."""
+    model = build_asymptotic_model(SumConfig.create(3, n, 10.0), 6,
+                                   remainder_extrema(n, 6))
+    return model, asymptotic_upper(model, 20.0)
+
+
 def test_criterion_4_asymptotic_expansion(production_certs):
+    """The n = 2 (rho = 20) certificate rests on the grid; at n = 4 and 5 the
+    pins are the grid model's, which lies below the closed-form one the
+    certificate kept, both below the searched max."""
     d2 = production_certs[2].diagnostics
     assert rel(d2["z_n"], 21.204) < 1e-4
     assert rel(d2["q_upper"][2], 598.27) < 1e-4
     assert rel(d2["q_upper"][4], 1.1506e5) < 1e-4
     assert rel(d2["V_upper"], 1.1794e9) < 1e-4
     assert production_certs[2].asymptotic_bound <= 21.912
-    assert production_certs[4].asymptotic_bound <= 9.6152
-    d5 = production_certs[5].diagnostics
-    assert rel(d5["z_n"], 8.5682) < 1e-4
-    assert rel(d5["q_upper"][2], 186.23) < 1e-4
-    assert rel(d5["q_upper"][4], 919.89) < 1e-4
-    assert rel(d5["V_upper"], 2.2152e5) < 1e-4
-    assert rel(production_certs[5].asymptotic_bound, 9.0430) < 1e-4
+    _, far4 = _grid_model(4)
+    assert far4 <= 9.6152
+    model5, far5 = _grid_model(5)
+    assert rel(model5.z, 8.5682) < 1e-4
+    assert rel(model5.q_upper[2], 186.23) < 1e-4
+    assert rel(model5.q_upper[4], 919.89) < 1e-4
+    assert rel(model5.V, 2.2152e5) < 1e-4
+    assert rel(far5, 9.0430) < 1e-4
+    for n, far in ((4, far4), (5, far5)):
+        cert = production_certs[n]
+        assert far <= cert.asymptotic_bound <= cert.sup_Km, n
     print("CRITERION 4: PASS — expansion coefficients and outer bounds check out")
 
 

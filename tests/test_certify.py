@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import sys
@@ -19,7 +20,8 @@ from advbounds.certify import (
     certify_bounds,
     search_sup_Km,
 )
-from advbounds.kernel import remainder_extrema
+from advbounds.cli import certificate_report
+from advbounds.kernel import remainder_bound, remainder_extrema
 from advbounds.lattice import (
     CANONICAL_BUDGET,
     PointBudgetExceeded,
@@ -449,6 +451,54 @@ def _strip_runtime(cert):
     )
 
 
+#: The seven bench cases, where the closed form G closes every gate but those
+#: of d = 3, n = 2, rho = 20 and d = 4, n = 3, and five more: the grid closes
+#: d3 n1.6 at t = 8, d4 n2.2 at t = 10 and d3 n2.5 rho 6 at t = 6, neither
+#: closes d5 n2.501 rho 5 (the fallback), and G closes d2 n2 rho 100.
+GRID_PATH_CASES = [
+    (3, 2, 20.0), (3, 3, 10.0), (3, 4, 10.0), (3, 5, 10.0), (3, 10, 10.0),
+    (4, 3, 10.0), (2, 2, 10.0), (3, 1.6, 10.0), (4, 2.2, 10.0), (5, 2.501, 5.0),
+    (3, 2.5, 6.0), (2, 2, 100.0),
+]
+
+
+def _report_json(cert):
+    report = certificate_report(cert)
+    del report["runtime_ms"]
+    return json.dumps(report)
+
+
+@pytest.mark.parametrize("d,n,rho", GRID_PATH_CASES)
+def test_grid_path_gives_the_same_report(monkeypatch, d, n, rho):
+    """With the closed form G made useless, every gate goes to the grid; the
+    report keeps every byte and its t.  The diagnostics say which bound
+    decided: (-G, G) with no widths, or the grid's enclosure.  Neither the
+    search nor the grid depends on which bound runs first, so both runs
+    share each result."""
+    def once(fn):
+        done = {}
+
+        def call(*args):
+            key = tuple(a.n if isinstance(a, SumConfig) else a for a in args)
+            if key not in done:
+                done[key] = fn(*args)
+            return done[key]
+        return call
+
+    monkeypatch.setattr(certify_mod, "search_sup_Km", once(search_sup_Km))
+    monkeypatch.setattr(certify_mod, "remainder_extrema", once(remainder_extrema))
+    cert = certify_bounds(d, n, rho)
+    diag = cert.diagnostics
+    if diag["remainder_M_width"] is None:
+        g = remainder_bound(n, cert.t)
+        assert (diag["remainder_mu"], diag["remainder_M"]) == (-g, g)
+        assert diag["remainder_mu_width"] is None
+    monkeypatch.setattr(certify_mod, "remainder_bound", lambda n, t: math.inf)
+    grid = certify_bounds(d, n, rho)
+    assert grid.diagnostics["remainder_M_width"] is not None
+    assert _report_json(grid) == _report_json(cert)
+
+
 def test_certify_deterministic_and_thread_independent(monkeypatch):
     monkeypatch.setattr(kernel_mod, "_cpu_workers", lambda: 1)
     a = certify_bounds(3, 3, 5.0)
@@ -509,6 +559,7 @@ def test_certify_refuses_an_over_budget_search_before_any_stage(monkeypatch):
         raise AssertionError("a stage ran before the canonical budget check")
 
     monkeypatch.setattr(certify_mod, "SumConfig", SimpleNamespace(create=never))
+    monkeypatch.setattr(certify_mod, "remainder_bound", never)
     monkeypatch.setattr(certify_mod, "remainder_extrema", never)
     with pytest.raises(PointBudgetExceeded, match="canonical reps d=2, radius=5000.0"):
         certify_bounds(2, 2, 2500.0)

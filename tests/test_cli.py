@@ -152,6 +152,8 @@ def test_nonfinite_rho_exit_1(argv, capsys):
 
 
 def test_enclosure_failure_exit_3(monkeypatch, capsys):
+    """At d3 n2.5 rho 6 the closed-form bound leaves the t = 6 gate open, so
+    the grid runs, and its failure exits 3."""
     def stuck(*args, **kwargs):
         raise EnclosureWidthError(
             "extrema enclosure at width 1.0e+00 needs 295935 active cells, more "
@@ -159,9 +161,24 @@ def test_enclosure_failure_exit_3(monkeypatch, capsys):
         )
 
     monkeypatch.setattr(certify_mod, "remainder_extrema", stuck)
-    assert cli.main(["certify", "--d", "3", "--n", "3", "--rho", "5"]) == 3
+    assert cli.main(["certify", "--d", "3", "--n", "2.5", "--rho", "6"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: extrema enclosure at width")
+
+
+@pytest.mark.parametrize("n", ["14", "20"])
+def test_certify_past_the_grid_cell_cap_exit_0(n, monkeypatch, capsys):
+    """The grid's refinement passes its active-cell cap from n = 14 on, but
+    the closed-form remainder bound closes these gates at t = 6 first."""
+    def never(*args, **kwargs):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(certify_mod, "remainder_extrema", never)
+    assert cli.main(["certify", "--d", "3", "--n", n, "--format", "json", "-v"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["t"] == 6
+    assert err.splitlines()[1].startswith(
+        "closed at t=6 by the closed form remainder bound, gate margin")
 
 
 @pytest.mark.parametrize(
@@ -201,9 +218,18 @@ def test_verbose_names_the_far_bound_of_an_open_gate(capsys):
     assert cli.main(["certify", "--d", "5", "--n", "2.501", "--rho", "5", "-v"]) == 0
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "certifying d=5 n=2.501 rho=5.0"
-    assert err[1].startswith("closed at t=10, gate margin")
+    assert err[1].startswith("closed at t=10 by the grid remainder bound, gate margin")
     assert float(err[1].split("= ")[1].split(";")[0]) < 0
     assert err[1].endswith("sup_kk_upper set by the far bound 84.61376621016473")
+
+
+def test_verbose_names_the_grid_when_it_closed_the_gate(capsys):
+    """At d3 n2.5 rho 6 the closed-form bound leaves the t = 6 gate open and
+    the grid closes it (d3 n3, below, closes under the closed form)."""
+    assert cli.main(["certify", "--d", "3", "--n", "2.5", "--rho", "6", "-v"]) == 0
+    closed = capsys.readouterr().err.splitlines()[1]
+    assert closed.startswith("closed at t=6 by the grid remainder bound, gate margin")
+    assert float(closed.split("= ")[1]) > 0
 
 
 def test_verbose_gate_margin_leaves_the_reports_alone(capsys):
@@ -222,7 +248,8 @@ def test_verbose_gate_margin_leaves_the_reports_alone(capsys):
                 outputs.append([line for line in lines if "runtime" not in line])
             if verbose:
                 closed = err.splitlines()[1]
-                assert closed.startswith("closed at t=6, gate margin")
+                assert closed.startswith(
+                    "closed at t=6 by the closed form remainder bound, gate margin")
                 assert float(closed.split("= ")[1]) > 0
                 assert "set by" not in closed
         assert outputs[0] == outputs[1]

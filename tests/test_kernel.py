@@ -13,6 +13,7 @@ from advbounds.kernel import (
     EnclosureWidthError,
     _BaseGrid,
     _cell_upper,
+    remainder_bound,
     remainder_extrema,
     remainder_values,
     series_switch,
@@ -359,3 +360,43 @@ def test_remainder_extrema_int_and_float_order_agree():
     second = remainder_extrema(3.0, 6)
     assert first == second
     assert taylor_coeff(3, 8) is taylor_coeff(3.0, 8)
+
+
+#: Orders at which the closed-form bound is checked against the grid: the
+#: certified rows, the orders near d/2 whose gates need t = 8 or 10, and
+#: n = 13, the largest the grid's cell cap took before the closed form.
+REMAINDER_BOUND_ORDERS = (1.6, 2, 2.2, 2.5, 2.501, 3, 3.1, 4, 5, 10, 13)
+
+
+@pytest.mark.parametrize("t", [6, 8, 10])
+@pytest.mark.parametrize("n", REMAINDER_BOUND_ORDERS)
+def test_remainder_bound_encloses_the_grid(n, t):
+    """-G <= mu and M <= G: a model on (-G, G) majorizes the grid's model,
+    so a gate that G closes also closes under the grid at the same t, and
+    certify_bounds' report does not depend on which of the two closed it."""
+    g = remainder_bound(n, t)
+    ex = remainder_extrema(n, t)
+    assert -g <= ex.mu and ex.M <= g
+
+
+@pytest.mark.parametrize("t", [6, 8, 10])
+@pytest.mark.parametrize("n", REMAINDER_BOUND_ORDERS)
+def test_remainder_bound_closed_form(n, t):
+    """G sums the majorant series C_l(1) (1/2)^(l-t), C_l(1) = binom(l + 2n +
+    1, l), whose full sum is (1 - 1/2)^-(2n+2) times 2^t: so G = 2^t (2^(2n+2)
+    - sum_{l<t} C_l(1) 2^-l), which G rounds up, by at most two ulps."""
+    with mp.workdps(50):
+        nn = mp.mpf(float(n))
+        head = mp.fsum(mp.binomial(ell + 2 * nn + 1, ell) / mp.mpf(2) ** ell
+                       for ell in range(t))
+        exact = mp.mpf(2) ** t * (mp.mpf(2) ** (2 * nn + 2) - head)
+        g = remainder_bound(n, t)
+        assert exact <= g <= exact + 2 * math.ulp(g), (n, t, g)
+
+
+def test_remainder_bound_past_the_largest_float_is_inf():
+    """G, just under 2^(2n+2+t), passes the largest float at n = 508 for
+    t = 6; the sum then stops with inf rather than run out its terms."""
+    assert math.isfinite(remainder_bound(507, 6))
+    assert remainder_bound(508, 6) == math.inf
+    assert remainder_bound(1e300, 10) == math.inf
