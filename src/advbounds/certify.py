@@ -15,7 +15,8 @@ The majorant is built at expansion order t = 6, and rebuilt at t = 8, then
 t = 10, while it lies above the searched max; the first t at which it does
 not is kept, and the max is then the searched max itself.  At each t the
 remainder term takes |R_nt| <= G (kernel.remainder_bound) first, and the grid
-kernel.remainder_extrema, inside [-G, G], only while the gate stays open.
+kernel.remainder_extrema, inside [-G, G], only while the gate stays open.  A
+grid that fails to converge passes on to the next t, except at t = 10.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import RemainderExtrema, _run_blocks, remainder_bound, remainder_extrema
+from .kernel import (EnclosureWidthError, RemainderExtrema, _run_blocks,
+                     remainder_bound, remainder_extrema)
 from .lattice import check_canonical_budget, enumerate_canonical
 from .sums import (
     Interval,
@@ -269,8 +271,9 @@ def certify_bounds(d: int, n, rho) -> BoundCertificate:
         [searched max, max(searched max, majorant at R) + delta_K],
 
     whose lower end is attained (KK >= K_m pointwise).  Raises ParameterError
-    when a precondition on (d, n, rho) fails, and PointBudgetExceeded, before
-    any stage runs, when the search at R is over the canonical budget.
+    when a precondition on (d, n, rho) fails, PointBudgetExceeded, before
+    any stage runs, when the search at R is over the canonical budget, and
+    EnclosureWidthError when the remainder grid does not converge at t = 10.
     """
     start = time.perf_counter()
     check_parameters(d, n, rho)
@@ -288,7 +291,12 @@ def certify_bounds(d: int, n, rho) -> BoundCertificate:
             found = search_sup_Km(cfg, search_radius)
         far_bound = asymptotic_upper(model, search_radius)
         if not far_bound <= found[0]:
-            extrema = remainder_extrema(nf, t)
+            try:
+                extrema = remainder_extrema(nf, t)
+            except EnclosureWidthError:
+                if t == _T_STEPS[-1]:
+                    raise
+                continue
             model.v, model.V = vV_nt(cfg, t, extrema)
             far_bound = asymptotic_upper(model, search_radius)
         if far_bound <= found[0]:

@@ -21,7 +21,7 @@ from advbounds.certify import (
     search_sup_Km,
 )
 from advbounds.cli import certificate_report
-from advbounds.kernel import remainder_bound, remainder_extrema
+from advbounds.kernel import EnclosureWidthError, remainder_bound, remainder_extrema
 from advbounds.lattice import (
     CANONICAL_BUDGET,
     PointBudgetExceeded,
@@ -497,6 +497,27 @@ def test_grid_path_gives_the_same_report(monkeypatch, d, n, rho):
     grid = certify_bounds(d, n, rho)
     assert grid.diagnostics["remainder_M_width"] is not None
     assert _report_json(grid) == _report_json(cert)
+
+
+def test_grid_failure_below_t10_moves_on_to_the_next_t(monkeypatch):
+    """At d3 n2.5 rho 6 the grid closes the t = 6 gate.  A grid that fails
+    there decides nothing: the run goes on to t = 8, whose closed form G
+    closes the gate, and certifies what a run that starts at t = 8 does."""
+    calls = []
+
+    def fails_at_6(n, t):
+        calls.append(t)
+        if t == 6:
+            raise EnclosureWidthError("extrema enclosure did not converge")
+        return remainder_extrema(n, t)
+
+    monkeypatch.setattr(certify_mod, "remainder_extrema", fails_at_6)
+    cert = certify_bounds(3, 2.5, 6.0)
+    assert calls == [6] and cert.t == 8
+    g = remainder_bound(2.5, 8)
+    assert (cert.diagnostics["remainder_mu"], cert.diagnostics["remainder_M"]) == (-g, g)
+    monkeypatch.setattr(certify_mod, "_T_STEPS", (8, 10))
+    assert _strip_runtime(certify_bounds(3, 2.5, 6.0)) == _strip_runtime(cert)
 
 
 def test_certify_deterministic_and_thread_independent(monkeypatch):

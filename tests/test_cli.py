@@ -59,14 +59,12 @@ def test_parsers():
     assert cli._parse_complex_vec("") == ()
 
 
-def test_certify_json_report(tmp_path):
-    out = tmp_path / "report.json"
+def test_certify_json_report(capsys):
     code = cli.main(
-        ["certify", "--d", "3", "--n", "2", "--rho", "5", "--format", "json",
-         "--out", str(out)]
+        ["certify", "--d", "3", "--n", "2", "--rho", "5", "--format", "json"]
     )
     assert code == 0
-    report = json.loads(out.read_text())
+    report = json.loads(capsys.readouterr().out)
     assert list(report) == REPORT_KEYS
     assert report["d"] == 3 and report["n"] == 2 and report["rho"] == 5.0
     assert report["argmax"] == [3, 3, 3]
@@ -80,17 +78,8 @@ def test_certify_json_report(tmp_path):
     assert report["sup_kk_upper"] == cert.sup_KK_interval.upper
 
 
-def test_certify_csv_and_human(tmp_path, capsys):
-    out = tmp_path / "report.csv"
-    assert cli.main(
-        ["certify", "--d", "3", "--n", "3", "--rho", "5", "--format", "csv",
-         "--out", str(out)]
-    ) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == ",".join(REPORT_KEYS)
-    cells = lines[1].split(",")
-    assert cells[0] == "3" and cells[1] == "3.0"
-    assert cells[5] == "2 1 1"  # argmax flattened with spaces
+def test_certify_csv_and_human(capsys):
+    """The human report; the csv format is gone (test_removed_flags_exit_1)."""
     assert cli.main(["certify", "--d", "3", "--n", "3", "--rho", "5"]) == 0
     text = capsys.readouterr().out
     assert "K_plus  (round up)" in text
@@ -98,13 +87,11 @@ def test_certify_csv_and_human(tmp_path, capsys):
     assert "sup K_m" in text
 
 
-def test_certify_multiple_n_json(tmp_path):
-    out = tmp_path / "multi.json"
+def test_certify_multiple_n_json(capsys):
     assert cli.main(
-        ["certify", "--d", "3", "--n", "2,3", "--rho", "5", "--format", "json",
-         "--out", str(out)]
+        ["certify", "--d", "3", "--n", "2,3", "--rho", "5", "--format", "json"]
     ) == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(capsys.readouterr().out)
     assert isinstance(payload, list) and len(payload) == 2
     assert [r["n"] for r in payload] == [2, 3]
 
@@ -152,33 +139,51 @@ def test_nonfinite_rho_exit_1(argv, capsys):
 
 
 def test_enclosure_failure_exit_3(monkeypatch, capsys):
-    """At d3 n2.5 rho 6 the closed-form bound leaves the t = 6 gate open, so
-    the grid runs, and its failure exits 3."""
-    def stuck(*args, **kwargs):
+    """With the closed-form bound made useless, every gate of d3 n2.5 rho 6
+    goes to the grid.  A grid failure at t = 6 or 8 passes on to the next t;
+    at t = 10 it exits 3."""
+    calls = []
+
+    def stuck(n, t):
+        calls.append(t)
         raise EnclosureWidthError(
             "extrema enclosure at width 1.0e+00 needs 295935 active cells, more "
             "than the cap of 262144"
         )
 
     monkeypatch.setattr(certify_mod, "remainder_extrema", stuck)
+    monkeypatch.setattr(certify_mod, "remainder_bound", lambda n, t: math.inf)
     assert cli.main(["certify", "--d", "3", "--n", "2.5", "--rho", "6"]) == 3
+    assert calls == [6, 8, 10]
     err = capsys.readouterr().err
     assert err.startswith("error: extrema enclosure at width")
 
 
-@pytest.mark.parametrize("n", ["14", "20"])
-def test_certify_past_the_grid_cell_cap_exit_0(n, monkeypatch, capsys):
-    """The grid's refinement passes its active-cell cap from n = 14 on, but
-    the closed-form remainder bound closes these gates at t = 6 first."""
-    def never(*args, **kwargs):
-        raise AssertionError("the grid ran")
+@pytest.mark.parametrize(
+    "n, t", [("14", 6), ("20", 6), ("22", 8), ("31", 10)], ids=["14", "20", "22", "31"]
+)
+def test_certify_past_the_grid_cell_cap_exit_0(n, t, monkeypatch, capsys):
+    """The grid's refinement passes its active-cell cap from n = 14 on.  The
+    closed-form remainder bound closes these gates at t = 6 first, or, from
+    n = 22, at a later t, once the grid at each t before it hit the cap."""
+    calls, failed = [], []
 
-    monkeypatch.setattr(certify_mod, "remainder_extrema", never)
+    def grid(n, t):
+        calls.append(t)
+        try:
+            return kernel_mod.remainder_extrema(n, t)
+        except EnclosureWidthError as exc:
+            failed.append(str(exc))
+            raise
+
+    monkeypatch.setattr(certify_mod, "remainder_extrema", grid)
     assert cli.main(["certify", "--d", "3", "--n", n, "--format", "json", "-v"]) == 0
     out, err = capsys.readouterr()
-    assert json.loads(out)["t"] == 6
+    assert json.loads(out)["t"] == t
+    assert calls == list(range(6, t, 2)) and len(failed) == len(calls)
+    assert all("more than the cap of 262144" in msg for msg in failed)
     assert err.splitlines()[1].startswith(
-        "closed at t=6 by the closed form remainder bound, gate margin")
+        f"closed at t={t} by the closed form remainder bound, gate margin")
 
 
 @pytest.mark.parametrize(
@@ -233,19 +238,15 @@ def test_verbose_names_the_grid_when_it_closed_the_gate(capsys):
 
 
 def test_verbose_gate_margin_leaves_the_reports_alone(capsys):
-    """-v writes to stderr only; every report format is unchanged, apart
-    from its runtime (the last csv column, a line of the other two)."""
-    for fmt in ("json", "csv", "human"):
+    """-v writes to stderr only; both report formats are unchanged, apart
+    from their runtime line."""
+    for fmt in ("json", "human"):
         outputs = []
         for verbose in ([], ["-v"]):
             argv = ["certify", "--d", "3", "--n", "3", "--format", fmt]
             assert cli.main(argv + verbose) == 0
             out, err = capsys.readouterr()
-            lines = out.splitlines()
-            if fmt == "csv":
-                outputs.append([line.rsplit(",", 1)[0] for line in lines])
-            else:
-                outputs.append([line for line in lines if "runtime" not in line])
+            outputs.append([line for line in out.splitlines() if "runtime" not in line])
             if verbose:
                 closed = err.splitlines()[1]
                 assert closed.startswith(
@@ -264,8 +265,9 @@ def test_over_budget_search_exit_1(capsys):
 def test_certify_large_n_hits_cell_cap_exit_3(capsys):
     """Past n = 13 the remainder refinement would split more cells than
     kernel.MAX_ACTIVE_CELLS; the run stops with exit 3 instead of growing
-    without bound (n = 20 was OOM-killed before the cap)."""
-    assert cli.main(["certify", "--d", "3", "--n", "30"]) == 3
+    without bound (n = 20 was OOM-killed before the cap).  At n = 41 the
+    closed-form bound closes no gate, and the grid hits the cap at t = 10."""
+    assert cli.main(["certify", "--d", "3", "--n", "41"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: extrema enclosure at width")
     assert "active cells, more than the cap of 262144" in err
@@ -336,28 +338,27 @@ def test_witness_small_normal_ratio_is_accurate(d, n, capsys):
 
 
 def test_table_single_rows(capsys):
-    assert cli.main(["table", "--n", "3", "--format", "csv"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[0] == "n,k_minus,k_plus,ratio,status"
-    assert out[1] == "3,0.179,0.323,0.554,ok"
+    assert cli.main(["table", "--n", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["n", "K-", "K+", "K-/K+", "status"]
+    assert out[1].split() == ["3", "0.179", "0.323", "0.554", "ok"]
+    assert len(out) == 2
 
 
 def test_table_detects_reference_mismatch(capsys):
     """n = 5 reproduces the documented disagreement with the reference row:
     the true lattice maximum (at (2,1,0), cross-checked in exact arithmetic)
     exceeds the reference value, so K+ comes out 0.657 instead of 0.510."""
-    assert cli.main(["table", "--n", "5", "--format", "csv"]) == 1
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[1] == "5,0.359,0.657,0.546,mismatch"
     assert cli.main(["table", "--n", "5"]) == 1
-    human = capsys.readouterr().out
-    assert "mismatch   (expected 0.359, 0.510, 0.703)" in human
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.split()[:5] == ["5", "0.359", "0.657", "0.546", "mismatch"]
+    assert row.endswith("mismatch   (expected 0.359, 0.510, 0.703)")
 
 
 def test_table_unlisted_n_gets_dash(capsys):
-    assert cli.main(["table", "--n", "7", "--format", "csv"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[1] == "7,0.718,1.59,0.451,-"
+    assert cli.main(["table", "--n", "7"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split() == ["7", "0.718", "1.59", "0.451", "-"]
 
 
 def test_witness_default_canonical(capsys):
@@ -424,16 +425,14 @@ def test_witness_small_normal_amplitude_is_accurate(capsys):
     assert float(out.split("rel. diff  = ")[1]) < 1e-15
 
 
-def test_cli_thread_count_does_not_change_results(tmp_path, monkeypatch):
+def test_cli_thread_count_does_not_change_results(monkeypatch, capsys):
     reports = []
-    for threads, name in ((1, "a.json"), (4, "b.json")):
+    for threads in (1, 4):
         monkeypatch.setattr(kernel_mod, "_cpu_workers", lambda: threads)
-        out = tmp_path / name
         assert cli.main(
-            ["certify", "--d", "3", "--n", "3", "--rho", "5",
-             "--format", "json", "--out", str(out)]
+            ["certify", "--d", "3", "--n", "3", "--rho", "5", "--format", "json"]
         ) == 0
-        rep = json.loads(out.read_text())
+        rep = json.loads(capsys.readouterr().out)
         rep.pop("runtime_ms")
         reports.append(rep)
     assert reports[0] == reports[1]
@@ -455,6 +454,11 @@ def test_cli_thread_count_does_not_change_results(tmp_path, monkeypatch):
         ["table", "--t", "8"],
         ["table", "--search-radius", "30"],
         ["sums", "--k", "1,0,0"],
+        ["certify", "--out", "report.json"],
+        ["table", "--out", "table.txt"],
+        ["witness", "--out", "witness.txt"],
+        ["certify", "--format", "csv"],
+        ["table", "--format", "csv"],
     ],
 )
 def test_removed_flags_exit_1(argv, capsys):

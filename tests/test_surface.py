@@ -9,8 +9,11 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
+import advbounds
+import advbounds.certify
 from advbounds.certify import BoundCertificate, search_sup_Km
 from advbounds.cli import _build_parser
 from advbounds.sums import SumConfig
@@ -118,26 +121,69 @@ def test_search_returns_what_perfbench_unpacks():
     assert type(found[0]) is float and type(found[1]) is tuple
 
 
+def test_top_level_names():
+    """The top level holds the certificate and its two closed-form helpers;
+    everything else is imported from its submodule."""
+    assert sorted(advbounds.__all__) == [
+        "BoundCertificate", "K_minus", "ParameterError", "certify_bounds"]
+    for name in advbounds.__all__:
+        assert getattr(advbounds, name) is getattr(advbounds.certify, name)
+
+
 #: The (subcommand, option) pairs the command line accepts, help aside.
 CLI_SETTABLE_VALUES = {
-    *((cmd, opt) for cmd in ("certify", "table")
-      for opt in ("--d", "--out", "--rho", "--n", "--verbose", "--format")),
-    *(("witness", opt) for opt in ("--d", "--out", "--n", "--alpha", "--alpha-vec",
+    *(("certify", opt) for opt in ("--d", "--rho", "--n", "--verbose", "--format")),
+    *(("table", opt) for opt in ("--d", "--rho", "--n", "--verbose")),
+    *(("witness", opt) for opt in ("--d", "--n", "--alpha", "--alpha-vec",
                                    "--beta", "--beta-vec", "--dump-fields")),
 }
+
+
+def _cli_options():
+    """{subcommand: [option actions]} of the command line, help aside."""
+    parser = _build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [a.dest for a in parser._actions] == ["help", "subcommand"]
+    return {
+        cmd: [action for action in p._actions
+              if action.option_strings and not isinstance(action, argparse._HelpAction)]
+        for cmd, p in sub.choices.items()
+    }
 
 
 def test_cli_settable_values():
     """Each value a user can set, by its longest option string: a new knob
     is a one-line change here."""
-    parser = _build_parser()
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert [a.dest for a in parser._actions] == ["help", "subcommand"]
     settable = {
         (cmd, max(action.option_strings, key=len))
-        for cmd, p in sub.choices.items()
-        for action in p._actions
-        if action.option_strings and not isinstance(action, argparse._HelpAction)
+        for cmd, actions in _cli_options().items() for action in actions
     }
     assert settable == CLI_SETTABLE_VALUES
-    assert len(settable) == 20
+    assert len(settable) == 16
+
+
+def _readme_command_line():
+    """{subcommand: its bullet} from README's "Command line" section, and
+    the whole section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^\* `([a-z]+)`: (.*?)(?=\n\* |\n\n)", section, re.M | re.S)
+    return {cmd: " ".join(bullet.split()) for cmd, bullet in bullets}, section
+
+
+def test_readme_command_line_lists_every_option():
+    """README's bullet for each subcommand names each of its options, with
+    the choices it accepts, and no option it does not accept."""
+    bullets, section = _readme_command_line()
+    options = _cli_options()
+    assert sorted(bullets) == sorted(options)
+    for cmd, actions in options.items():
+        accepted = {opt for action in actions for opt in action.option_strings}
+        named = set(re.findall(r"`(--?[\w-]+)", bullets[cmd]))
+        assert named <= accepted, (cmd, named - accepted)
+        for action in actions:
+            assert named & set(action.option_strings), (cmd, action.option_strings)
+            if action.choices:
+                (opt,) = named & set(action.option_strings)
+                assert f"`{opt} {{{','.join(action.choices)}}}`" in bullets[cmd]
+    assert "--out" not in section and "csv" not in section.lower()
