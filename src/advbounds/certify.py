@@ -15,8 +15,9 @@ The majorant is built at expansion order t = 6, and rebuilt at t = 8, then
 t = 10, while it lies above the searched max; the first t at which it does
 not is kept, and the max is then the searched max itself.  At each t the
 remainder term takes |R_nt| <= G (kernel.remainder_bound) first, and the grid
-kernel.remainder_extrema, inside [-G, G], only while the gate stays open.  A
-grid that fails to converge passes on to the next t, except at t = 10.
+kernel.remainder_extrema, inside [-G, G], only while the gate stays open.  The
+grid only refines G: one that fails to converge leaves that t's G model in
+place, so every input ends in a certificate or a ParameterError.
 """
 
 from __future__ import annotations
@@ -270,10 +271,11 @@ def certify_bounds(d: int, n, rho) -> BoundCertificate:
 
         [searched max, max(searched max, majorant at R) + delta_K],
 
-    whose lower end is attained (KK >= K_m pointwise).  Raises ParameterError
-    when a precondition on (d, n, rho) fails, PointBudgetExceeded, before
-    any stage runs, when the search at R is over the canonical budget, and
-    EnclosureWidthError when the remainder grid does not converge at t = 10.
+    whose lower end is attained (KK >= K_m pointwise).  A remainder grid that
+    does not converge keeps the closed-form G model of its t.  Raises
+    ParameterError when a precondition on (d, n, rho) fails, or, before any
+    stage runs, when the search at R is over the canonical budget
+    (PointBudgetExceeded).
     """
     start = time.perf_counter()
     check_parameters(d, n, rho)
@@ -294,8 +296,6 @@ def certify_bounds(d: int, n, rho) -> BoundCertificate:
             try:
                 extrema = remainder_extrema(nf, t)
             except EnclosureWidthError:
-                if t == _T_STEPS[-1]:
-                    raise
                 continue
             model.v, model.V = vV_nt(cfg, t, extrema)
             far_bound = asymptotic_upper(model, search_radius)

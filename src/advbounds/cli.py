@@ -19,10 +19,7 @@ certify.certify_bounds picks the expansion order t itself and searches
 
 Every report goes to stdout.  Exit codes: 0 success, 1 a usage error,
 invalid parameters (message names the violated precondition) or a table row
-that mismatches the reference, 3 a remainder-extrema enclosure at t = 10 that
-did not reach its target width within its budget, or a remainder refinement
-past its active-cell cap (at d = 3, rho = 10 from n = 41, measured; n = 22
-to 40 certify at t = 8 or 10).
+that mismatches the reference.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import json
 import sys
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 
-from .certify import ParameterError, certify_bounds
+from .certify import certify_bounds
 from .fields import (
     advect,
     field_to_text,
@@ -41,8 +38,6 @@ from .fields import (
     trial_pair,
     witness_prediction,
 )
-from .kernel import EnclosureWidthError
-from .lattice import PointBudgetExceeded
 from .tail import check_finite_n
 
 #: Published d=3 reference values: n -> (k_minus, k_plus, ratio), all as the
@@ -164,7 +159,7 @@ def cmd_table(args) -> int:
         km = round_sig_down(cert.K_minus)
         kp = round_sig_up(cert.K_plus)
         ratio = ratio_truncated(km, kp)
-        golden = GOLDEN_TABLE.get(n) if args.d == 3 else None
+        golden = GOLDEN_TABLE.get(n)
         line = f"{n:>4}  {km:>8}  {kp:>8}  {ratio:>8}  "
         if golden is None:
             line += "-"
@@ -264,26 +259,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser(
         "table",
         help="reproduce the d=3 constants table",
-        description="Recompute the published d=3 table and mark each row ok or "
-        "mismatch; exit 1 if any row mismatches.  Rows n=5 and n=10 always "
-        "mismatch, so the full table exits 1: the published values there are "
-        "the maxima over the |k|^2=2 shell, not the sup (README, \"Known "
-        "deviations\").",
+        description="Recompute the published d=3 table at the default rho and "
+        "mark each row ok or mismatch; exit 1 if any row mismatches.  Rows n=5 "
+        "and n=10 always mismatch, so the full table exits 1: the published "
+        "values there are the maxima over the |k|^2=2 shell, not the sup "
+        "(README, \"Known deviations\").",
     )
     p_wit = sub.add_parser("witness", help="trial-field lower-bound ratio")
 
     for p, func in ((p_cert, cmd_certify), (p_table, cmd_table),
                     (p_wit, cmd_witness)):
         p.set_defaults(func=func)
+    for p in (p_cert, p_wit):
         p.add_argument("--d", type=int, default=3, help="dimension (default 3)")
     p_wit.add_argument("--n", type=_parse_n, default=2, help="order n (default 2)")
+    p_cert.add_argument("--rho", type=float, default=None,
+                        help="summation cutoff; default 10 (20 for d=3, n=2)")
     for p in (p_cert, p_table):
-        p.add_argument(
-            "--rho",
-            type=float,
-            default=None,
-            help="summation cutoff; default 10 (20 for d=3, n=2)",
-        )
         p.add_argument(
             "--n",
             type=_parse_n_list,
@@ -292,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("-v", "--verbose", action="count", default=0)
     p_cert.add_argument("--format", choices=("human", "json"), default="human")
-    p_table.set_defaults(n=[2, 3, 4, 5, 10])
+    p_table.set_defaults(d=3, rho=None, n=[2, 3, 4, 5, 10])
 
     p_wit.add_argument("--alpha", type=_parse_complex, default=None)
     p_wit.add_argument(
@@ -313,10 +305,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EnclosureWidthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParameterError, PointBudgetExceeded, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

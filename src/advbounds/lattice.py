@@ -19,6 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .tail import ParameterError
+
 LatticeVector = tuple[int, ...]
 
 #: Hard cap on the number of candidate cube points an enumeration may visit.
@@ -32,8 +34,9 @@ POINT_BUDGET = 80_000_000
 CANONICAL_BUDGET = 2**19
 
 
-class PointBudgetExceeded(RuntimeError):
-    """Ball enumeration would visit more candidate points than the budget allows."""
+class PointBudgetExceeded(ParameterError):
+    """An enumeration would visit more points, or build more canonical reps,
+    than its budget allows."""
 
 
 def max_norm_sq_inside(rho) -> int:

@@ -582,6 +582,7 @@ def test_certify_refuses_an_over_budget_search_before_any_stage(monkeypatch):
     monkeypatch.setattr(certify_mod, "SumConfig", SimpleNamespace(create=never))
     monkeypatch.setattr(certify_mod, "remainder_bound", never)
     monkeypatch.setattr(certify_mod, "remainder_extrema", never)
+    assert issubclass(PointBudgetExceeded, ParameterError)
     with pytest.raises(PointBudgetExceeded, match="canonical reps d=2, radius=5000.0"):
         certify_bounds(2, 2, 2500.0)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -125,7 +126,6 @@ def test_nonfinite_n_exit_1(argv, n, monkeypatch, capsys):
     "argv",
     [
         ["certify", "--rho", "inf"],
-        ["table", "--n", "3", "--rho", "inf"],
         ["certify", "--d", "4", "--n", "3", "--rho", "1e400"],  # parses to inf
         ["certify", "--d", "2", "--n", "2", "--rho", "1e308"],  # 2 rho overflows
     ],
@@ -138,10 +138,11 @@ def test_nonfinite_rho_exit_1(argv, capsys):
     assert "Traceback" not in err
 
 
-def test_enclosure_failure_exit_3(monkeypatch, capsys):
-    """With the closed-form bound made useless, every gate of d3 n2.5 rho 6
-    goes to the grid.  A grid failure at t = 6 or 8 passes on to the next t;
-    at t = 10 it exits 3."""
+def test_grid_failure_at_every_t_keeps_the_closed_form(monkeypatch, capsys):
+    """At d3 n1.6 rho 10 the closed form G leaves every gate open (its far
+    bound at t = 10 is 43.71, above sup 38.69), so each t goes to the grid.
+    A grid that fails at every t leaves G's t = 10 model standing: the run
+    exits 0 with the fallback certificate, max(sup, far bound) + delta_K."""
     calls = []
 
     def stuck(n, t):
@@ -152,11 +153,21 @@ def test_enclosure_failure_exit_3(monkeypatch, capsys):
         )
 
     monkeypatch.setattr(certify_mod, "remainder_extrema", stuck)
-    monkeypatch.setattr(certify_mod, "remainder_bound", lambda n, t: math.inf)
-    assert cli.main(["certify", "--d", "3", "--n", "2.5", "--rho", "6"]) == 3
+    argv = ["certify", "--d", "3", "--n", "1.6", "--format", "json"]
+    assert cli.main(argv) == 0
     assert calls == [6, 8, 10]
-    err = capsys.readouterr().err
-    assert err.startswith("error: extrema enclosure at width")
+    report = json.loads(capsys.readouterr().out)
+    cfg = certify_mod.SumConfig.create(3, 1.6, 10.0)
+    g = kernel_mod.remainder_bound(1.6, 10)
+    model = certify_mod.build_asymptotic_model(
+        cfg, 10, kernel_mod.RemainderExtrema(mu=-g, M=g))
+    far = certify_mod.asymptotic_upper(model, 20.0)
+    assert 43.71 < far < 43.72 and 38.68 < report["sup_km"] < 38.69
+    upper = far + report["delta_k"]
+    k_plus = (2.0 * math.pi) ** -1.5 * math.sqrt(upper)
+    assert report["t"] == 10 and report["z_n"] == model.z
+    assert (report["sup_kk_upper"], report["k_plus"]) == (upper, k_plus)
+    assert report["k_plus_rounded"] == cli.round_sig_up(k_plus)
 
 
 @pytest.mark.parametrize(
@@ -226,6 +237,7 @@ def test_verbose_names_the_far_bound_of_an_open_gate(capsys):
     assert err[1].startswith("closed at t=10 by the grid remainder bound, gate margin")
     assert float(err[1].split("= ")[1].split(";")[0]) < 0
     assert err[1].endswith("sup_kk_upper set by the far bound 84.61376621016473")
+    assert err[1] in (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def test_verbose_names_the_grid_when_it_closed_the_gate(capsys):
@@ -262,16 +274,33 @@ def test_over_budget_search_exit_1(capsys):
     assert err.startswith("error: canonical reps d=2, radius=5000.0 span")
 
 
-def test_certify_large_n_hits_cell_cap_exit_3(capsys):
+def test_certify_large_n_hits_cell_cap_certifies_under_the_closed_form(
+        monkeypatch, capsys):
     """Past n = 13 the remainder refinement would split more cells than
-    kernel.MAX_ACTIVE_CELLS; the run stops with exit 3 instead of growing
-    without bound (n = 20 was OOM-killed before the cap).  At n = 41 the
-    closed-form bound closes no gate, and the grid hits the cap at t = 10."""
-    assert cli.main(["certify", "--d", "3", "--n", "41"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: extrema enclosure at width")
-    assert "active cells, more than the cap of 262144" in err
-    assert err.count("\n") == 1
+    kernel.MAX_ACTIVE_CELLS, and stops at the cap instead of growing without
+    bound (n = 20 was OOM-killed before the cap).  At n = 41 the closed form
+    G closes no gate and the grid hits the cap at t = 6, 8 and 10, so the
+    certificate rests on G's t = 10 far bound, which lies above sup K_m."""
+    certs = []
+
+    def capture(*args):
+        certs.append(certify_bounds(*args))
+        return certs[-1]
+
+    monkeypatch.setattr(cli, "certify_bounds", capture)
+    argv = ["certify", "--d", "3", "--n", "41", "--format", "json", "-v"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    (cert,) = certs
+    assert report["t"] == 10 and report["k_plus_rounded"] == "9.68E+6"
+    assert cert.asymptotic_bound > report["sup_km"]
+    assert report["sup_kk_upper"] == cert.asymptotic_bound + report["delta_k"]
+    diag = cert.diagnostics
+    assert diag["remainder_mu_width"] is None and diag["remainder_M_width"] is None
+    closed = err.splitlines()[1]
+    assert closed.startswith("closed at t=10 by the closed form remainder bound")
+    assert closed.endswith(f"set by the far bound {cert.asymptotic_bound!r}")
 
 
 @pytest.mark.parametrize(
@@ -459,6 +488,9 @@ def test_cli_thread_count_does_not_change_results(monkeypatch, capsys):
         ["witness", "--out", "witness.txt"],
         ["certify", "--format", "csv"],
         ["table", "--format", "csv"],
+        ["table", "--n", "3", "--rho", "inf"],
+        ["table", "--d", "3"],
+        ["table", "--rho", "10"],
     ],
 )
 def test_removed_flags_exit_1(argv, capsys):

@@ -396,7 +396,12 @@ def test_remainder_bound_closed_form(n, t):
 
 def test_remainder_bound_past_the_largest_float_is_inf():
     """G, just under 2^(2n+2+t), passes the largest float at n = 508 for
-    t = 6; the sum then stops with inf rather than run out its terms."""
+    t = 6; the sum then stops with inf rather than run out its terms.  A
+    grid that gives up leaves G standing, so G is finite at every n a search
+    accepts: the search refuses |k|^(2n) past the float range first, and at
+    d = 2, rho just above 2 sqrt 2 (|k|^2 up to 32) it accepts n = 204 and
+    refuses 205; every other (d, rho) refuses sooner."""
     assert math.isfinite(remainder_bound(507, 6))
+    assert math.isfinite(remainder_bound(211, 10))
     assert remainder_bound(508, 6) == math.inf
     assert remainder_bound(1e300, 10) == math.inf

@@ -9,14 +9,17 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import json
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import advbounds
 import advbounds.certify
 from advbounds.certify import BoundCertificate, search_sup_Km
 from advbounds.cli import _build_parser
-from advbounds.sums import SumConfig
+from advbounds.kernel import EnclosureWidthError
+from advbounds.sums import Interval, SumConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -133,7 +136,7 @@ def test_top_level_names():
 #: The (subcommand, option) pairs the command line accepts, help aside.
 CLI_SETTABLE_VALUES = {
     *(("certify", opt) for opt in ("--d", "--rho", "--n", "--verbose", "--format")),
-    *(("table", opt) for opt in ("--d", "--rho", "--n", "--verbose")),
+    *(("table", opt) for opt in ("--n", "--verbose")),
     *(("witness", opt) for opt in ("--d", "--n", "--alpha", "--alpha-vec",
                                    "--beta", "--beta-vec", "--dump-fields")),
 }
@@ -159,14 +162,18 @@ def test_cli_settable_values():
         for cmd, actions in _cli_options().items() for action in actions
     }
     assert settable == CLI_SETTABLE_VALUES
-    assert len(settable) == 16
+    assert len(settable) == 14
+
+
+def _readme_section(title):
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def _readme_command_line():
     """{subcommand: its bullet} from README's "Command line" section, and
     the whole section."""
-    text = (ROOT / "README.md").read_text()
-    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    section = _readme_section("Command line")
     bullets = re.findall(r"^\* `([a-z]+)`: (.*?)(?=\n\* |\n\n)", section, re.M | re.S)
     return {cmd: " ".join(bullet.split()) for cmd, bullet in bullets}, section
 
@@ -187,3 +194,65 @@ def test_readme_command_line_lists_every_option():
                 (opt,) = named & set(action.option_strings)
                 assert f"`{opt} {{{','.join(action.choices)}}}`" in bullets[cmd]
     assert "--out" not in section and "csv" not in section.lower()
+
+
+def test_readme_library_values(monkeypatch):
+    """Every `# value` comment in README "Library" is what its print shows.
+    The certificate's values come from the d3n2 report of
+    perfbench/reference.json, not a new certificate run; K_m, Z_n and
+    delta_K at rho 10 run fresh."""
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    report = reference["d=3 n=2 rho=20"]
+
+    def certify_bounds(d, n, rho):
+        assert (d, n, rho) == (3, 2, 20.0)
+        return SimpleNamespace(
+            K_plus=report["k_plus"], K_minus=report["k_minus"],
+            sup_Km=report["sup_km"], argmax=tuple(report["argmax"]),
+            sup_KK_interval=Interval(report["sup_kk_lower"], report["sup_kk_upper"]))
+
+    monkeypatch.setattr(advbounds, "certify_bounds", certify_bounds)
+    blocks = re.findall(r"```python\n(.*?)```", _readme_section("Library"), re.S)
+    checked = 0
+    for block in blocks:
+        shown = []
+        exec(block, {"print": lambda *args: shown.append(" ".join(map(str, args)))})
+        assert shown == re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+        checked += len(shown)
+    assert checked == 5
+
+
+def _raised_exceptions():
+    """{exception class: modules of src/advbounds that raise it by name}."""
+    raised = {}
+    for path in sorted((ROOT / "src" / "advbounds").glob("*.py")):
+        module = importlib.import_module(f"advbounds.{path.stem}".replace(".__init__", ""))
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                cls = eval(ast.unparse(exc), vars(module))
+                raised.setdefault(cls, set()).add(path.stem)
+    return raised
+
+
+def test_every_refusal_is_a_value_error():
+    """The command line maps ValueError to exit 1 in its one handler, so
+    every exception the package raises is a ValueError, apart from three:
+    EnclosureWidthError, raised only in kernel.py and caught in
+    certify_bounds; InconclusiveSearchRadius, raised nowhere here; and
+    argparse.ArgumentTypeError, raised only in the cli's type= parsers,
+    whose parser turns it into a usage error.  A new exit path cannot
+    appear unnoticed."""
+    raised = _raised_exceptions()
+    others = {cls: mods for cls, mods in raised.items() if not issubclass(cls, ValueError)}
+    assert others == {EnclosureWidthError: {"kernel"},
+                      argparse.ArgumentTypeError: {"cli"}}
+    assert advbounds.certify.InconclusiveSearchRadius not in raised
+    handlers = {
+        func.name: [ast.unparse(h.type) for h in ast.walk(func)
+                    if isinstance(h, ast.ExceptHandler)]
+        for name in ("certify", "cli")
+        for func in ast.walk(_tree(ROOT / "src" / "advbounds" / f"{name}.py"))
+        if isinstance(func, ast.FunctionDef) and func.name in ("certify_bounds", "main")
+    }
+    assert handlers == {"certify_bounds": ["EnclosureWidthError"], "main": ["ValueError"]}
