@@ -7,14 +7,13 @@ in Fourier space, weighted Sobolev norms, and a trial-field construction that
 witnesses the lower bound for the advection constant end to end -- through the
 actual convolution, projection and norm code, with no closed-form shortcut.
 
-advect, leray_project, sobolev_norm and the reality check run as array
-operations on a field's stacked keys and coefficients.  Dot products such as
-k . c are added component by component, left to right: np.dot of a float and
-a complex vector goes through BLAS, whose last bits depend on its build.
-Every output component of advect is reduced with math.fsum, which rounds the
-exact sum of its terms once, whatever their order.  When the inputs satisfy
-v_{-k} = conj(v_k) exactly, as build() makes them, the terms at -k are the
-exact conjugates of those at k, so the outputs satisfy it exactly too.
+A field holds its keys and coefficients as arrays and is stored exactly
+real; advect, leray_project and sobolev_norm run on those arrays.  Dot
+products such as k . c are added component by component, left to right:
+np.dot of a float and a complex vector goes through BLAS, whose last bits
+depend on its build.  advect sums one member of each +-k output pair with
+math.fsum, which rounds the exact sum of its terms once, whatever their
+order, and mirrors the other exactly (see advect).
 
 Serialization: one line per coefficient,
 
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,19 +53,6 @@ def _neg(k: tuple) -> tuple:
     return tuple(-c for c in k)
 
 
-def _stack(d: int, coeffs: dict):
-    """A coefficient map as (keys int64[M, d], coeffs complex[M, d]), in the
-    map's order."""
-    keys = np.array(list(coeffs), dtype=np.int64).reshape(-1, d)
-    table = np.array(list(coeffs.values()), dtype=complex).reshape(-1, d)
-    return keys, table
-
-
-def _coeff_scale(table) -> float:
-    """max(1, largest |c_j|) over the coefficients, ignoring nan."""
-    return float(np.fmax.reduce(np.abs(table), axis=None, initial=1.0))
-
-
 def _lex_runs(rows):
     """Stable lexicographic order of the int64 rows, and a mask over the
     sorted rows that is True where a run of equal rows starts."""
@@ -89,13 +75,16 @@ def _dot(a, b):
 class FourierField:
     """Finitely supported Fourier coefficients of a real vector field.
 
-    Both members of each +-k pair are stored; construction validates the
-    reality constraint, so every instance represents a real-valued field.
-    The stored coefficients are read-only rows of one complex array.
+    Both members of each +-k pair are stored, exactly real: construction
+    validates the reality constraint, then a row at a key whose first nonzero
+    coordinate is negative takes conj of its partner's row where the two
+    differ in value.  The read-only arrays keys and rows hold coeffs in order.
     """
 
     d: int
     coeffs: dict
+    keys: np.ndarray = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.d
@@ -106,15 +95,26 @@ class FourierField:
             key = _as_key(k, d)
             vec = np.asarray(c, dtype=complex)
             if vec.shape != (d,):
-                raise ValueError(
-                    f"coefficient at {key} has shape {vec.shape}, "
-                    f"expected ({d},)"
-                )
+                raise ValueError(f"coefficient at {key} has shape {vec.shape}, "
+                                 f"expected ({d},)")
             vecs[key] = vec
-        keys, table = _stack(d, vecs)
-        table.setflags(write=False)
-        # partner[i] is the row of -keys[i], or -1: keys and their negations
-        # share a run id when equal, and the keys are distinct.
+        keys = np.array(list(vecs), dtype=np.int64).reshape(-1, d)
+        self._store(keys, np.array(list(vecs.values()), dtype=complex).reshape(-1, d))
+
+    @classmethod
+    def _of_arrays(cls, d: int, keys, rows) -> "FourierField":
+        """The field of distinct nonzero int64 keys and complex rows, checked."""
+        big = (np.abs(keys) >= _KEY_BOUND).any(axis=1)
+        if big.any():  # _as_key raises its 2^62 error
+            _as_key(tuple(keys[np.argmax(big)].tolist()), d)
+        out = cls.__new__(cls)
+        object.__setattr__(out, "d", d)
+        out._store(keys, rows)
+        return out
+
+    def _store(self, keys, rows):
+        # partner[i] is the row of -keys[i] or -1 (distinct keys: one per run at most);
+        # runs rise in lexicographic order, so keys[i] < 0 iff run[i] < run[m + i].
         m = len(keys)
         order, starts = _lex_runs(np.concatenate([keys, -keys]))
         run = np.empty(2 * m, dtype=np.int64)
@@ -122,17 +122,22 @@ class FourierField:
         owner = np.full(2 * m, -1)
         owner[run[:m]] = np.arange(m)
         partner = owner[run[m:]]
-        err = np.abs(table[partner] - np.conj(table)).max(axis=1, initial=0.0)
-        bad = (partner < 0) | (err > _REL_TOL * _coeff_scale(table))
+        mirror = np.conj(rows[partner])
+        err = np.abs(mirror - rows).max(axis=1, initial=0.0)
+        scale = float(np.fmax.reduce(np.abs(rows), axis=None, initial=1.0))
+        bad = (partner < 0) | (err > _REL_TOL * scale)
         if bad.any():
             i = int(np.argmax(bad))
-            k = list(vecs)[i]
+            k = tuple(keys[i].tolist())
             if partner[i] < 0:
                 raise ValueError(f"reality violated: {_neg(k)} missing for {k}")
-            raise ValueError(
-                f"reality violated at {k}: conjugate mismatch {err[i]:.3e}"
-            )
-        object.__setattr__(self, "coeffs", dict(zip(vecs, table)))
+            raise ValueError(f"reality violated at {k}: conjugate mismatch {err[i]:.3e}")
+        rows = np.where((run[:m] < run[m:])[:, None] & (rows != mirror), mirror, rows)
+        keys.setflags(write=False)
+        rows.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "coeffs", dict(zip(map(tuple, keys.tolist()), rows)))
 
     @classmethod
     def build(cls, d: int, partial) -> "FourierField":
@@ -154,13 +159,12 @@ def leray_project(field: FourierField) -> FourierField:
     norm-nonincreasing (it is an orthogonal projection mode by mode).
 
     All modes are projected at once; k.c is added left to right.  Negating
-    k and conjugating c conjugates every rounded step, so an input with
-    v_{-k} = conj(v_k) exactly gives an output with it exactly.
+    k and conjugating c conjugates every rounded step, so an exactly real
+    input gives an exactly real output.
     """
-    keys, table = _stack(field.d, field.coeffs)
-    k = keys.astype(float)
-    out = table - (_dot(k, table) / _dot(k, k))[:, None] * k
-    return FourierField(d=field.d, coeffs=dict(zip(field.coeffs, out)))
+    k = field.keys.astype(float)
+    out = field.rows - (_dot(k, field.rows) / _dot(k, k))[:, None] * k
+    return FourierField._of_arrays(field.d, field.keys, out)
 
 
 def advect(v: FourierField, w: FourierField) -> FourierField:
@@ -173,43 +177,46 @@ def advect(v: FourierField, w: FourierField) -> FourierField:
     roundoff-level one is dropped, as are output modes that sum to zero.
 
     All H x G terms prefactor (v_h . g) w_g are built at once, with v_h . g
-    added left to right, then sorted stably by k = h + g.  Each output
-    component is math.fsum over its run of terms, which rounds their exact
-    sum once.  For inputs that meet the reality constraint exactly, the
-    terms at -k are the exact conjugates of those at k, so the output meets
-    it exactly.
+    added left to right.  The terms at the zero mode and at the k = h + g
+    whose first nonzero coordinate is positive are sorted stably by k; each
+    component is math.fsum over its run, which rounds the exact sum once.
+    The row at -k is conj(row at k) + 0.0, as summing its own terms gives:
+    v and w are stored exactly real, so the term at (-h, -g) is in value the
+    conjugate of the term at (h, g) (each rounded product in v_h . g, their
+    left-to-right sum, and the complex products with w_g and the imaginary
+    prefactor commute with negation and conjugation); fsum rounds correctly,
+    which commutes with negation, and gives +0.0 for an exact zero sum, where
+    conj gives -0.0 and + 0.0 restores it.  The keys -k of the positive keys
+    in reverse, then those keys, are in lexicographic order.
     """
     if v.d != w.d:
         raise ValueError(f"dimension mismatch: {v.d} != {w.d}")
     d = v.d
     prefactor = 1j * (2.0 * math.pi) ** (-d / 2.0)
-    h_keys, v_table = _stack(d, v.coeffs)
-    g_keys, w_table = _stack(d, w.coeffs)
-    factor = prefactor * _dot(v_table[:, None, :], g_keys[None, :, :].astype(float))
-    terms = (factor[:, :, None] * w_table[None, :, :]).reshape(-1, d)
-    keys = (h_keys[:, None, :] + g_keys[None, :, :]).reshape(-1, d)
+    factor = prefactor * _dot(v.rows[:, None, :], w.keys[None, :, :].astype(float))
+    terms = (factor[:, :, None] * w.rows[None, :, :]).reshape(-1, d)
+    keys = (v.keys[:, None, :] + w.keys[None, :, :]).reshape(-1, d)
     biggest = float(np.abs(terms).max(initial=0.0))
+    half = keys[np.arange(len(keys)), (keys != 0).argmax(axis=1)] >= 0  # k >= 0
+    keys, terms = keys[half], terms[half]
     order, starts = _lex_runs(keys)
     keys, terms = keys[order][starts], terms[order]
     cuts = np.append(np.flatnonzero(starts), len(order)).tolist()
-    columns = terms.real.T.tolist() + terms.imag.T.tolist()
-    sums = np.array(
+    columns = terms.view(float).T.tolist()  # re_1, im_1, ..., re_d, im_d
+    vecs = np.array(
         [[math.fsum(col[a:b]) for col in columns] for a, b in zip(cuts, cuts[1:])]
-    ).reshape(-1, 2 * d)
-    vecs = np.empty((len(keys), d), dtype=complex)
-    vecs.real = sums[:, :d]
-    vecs.imag = sums[:, d:]
+    ).reshape(-1, 2 * d).view(complex)
     zero = ~keys.any(axis=1)
     if zero.any():
         mean = float(np.abs(vecs[zero]).max())
         if mean > _REL_TOL * max(1.0, biggest):
-            raise ValueError(
-                f"advection output has nonzero mean {mean:.3e}; "
-                f"the transporting field is not divergence-free"
-            )
+            raise ValueError(f"advection output has nonzero mean {mean:.3e}; "
+                             f"the transporting field is not divergence-free")
     keep = ~zero & (vecs != 0.0).any(axis=1)
-    out_keys = map(tuple, keys[keep].tolist())
-    return FourierField(d=d, coeffs=dict(zip(out_keys, vecs[keep])))
+    pos, rows = keys[keep], vecs[keep]
+    return FourierField._of_arrays(
+        d, np.concatenate([-pos[::-1], pos]),
+        np.concatenate([np.conj(rows[::-1]) + 0.0, rows]))
 
 
 def sobolev_norm(field: FourierField, n) -> float:
@@ -220,8 +227,7 @@ def sobolev_norm(field: FourierField, n) -> float:
     does a weighted sum that is not finite.
     """
     nf = float(n)
-    keys, table = _stack(field.d, field.coeffs)
-    k = keys.astype(float)
+    table, k = field.rows, field.keys.astype(float)
     k2, inverse = np.unique(_dot(k, k), return_inverse=True)
     weights = np.array([_k_scale(int(m), nf) for m in k2.tolist()])[inverse]
     # x ** 2 on a float is libm pow(x, 2), which is not always x * x;

@@ -204,18 +204,19 @@ def remainder_bound(n, t: int) -> float:
     T_l = C_l(1) 2^-(l-t) has ratios T_{l+1}/T_l = r_l = 1/2 + (2n + 1)/(2l + 2)
     that do not increase, so past an L with r_L < 1 the terms sum to at most
     T_L r_L/(1 - r_L), which is added at the first L where it is <= 2^-60 of
-    the sum: all in exact Fractions of the float n, then rounded up once."""
-    two_n, total, ell = 2 * Fraction(float(n)), Fraction(0), t
-    term = math.prod(((j + two_n + 1) / j for j in range(1, t + 1)), start=Fraction(1))
+    the sum: exact, in integers over one common denominator, rounded up once."""
+    top, bot = (2 * Fraction(float(n))).as_integer_ratio()
+    a = math.prod(j * bot + top + bot for j in range(1, t + 1))
+    den, s, ell = math.factorial(t) * bot**t, 0, t
     while True:
-        total += term
-        if total > sys.float_info.max:
+        s += a
+        if s > int(sys.float_info.max) * den:
             return math.inf
-        ratio = (ell + two_n + 2) / (2 * (ell + 1))
-        if ratio < 1 and term * ratio * 2**60 <= (1 - ratio) * total:
-            total += term * ratio / (1 - ratio)
+        rn, rd = (ell + 2) * bot + top, 2 * (ell + 1) * bot  # r_l = rn / rd
+        if rn < rd and a * rn << 60 <= (rd - rn) * s:
+            total = Fraction(s * (rd - rn) + a * rn, den * (rd - rn))
             break
-        term *= ratio
+        a, den, s = a * rn, den * rd, s * rd
         ell += 1
     return g if (g := float(total)) >= total else math.nextafter(g, math.inf)
 

@@ -325,22 +325,32 @@ def _peval(p, x):
     return reduce(lambda acc, c: acc * x + c, reversed(p), 0)  # Horner
 
 
+def _scaled_at(p, a: int, k: int) -> int:
+    """2^(k deg p) p(a / 2^k), for integer coefficients p; same sign as p."""
+    return _peval([c << k * (len(p) - 1 - i) for i, c in enumerate(p)], a)
+
+
 def _root_brackets(p) -> list:
     """Disjoint brackets (lo, hi), at most 2^-64 wide, in order, holding every
     root of p in [0, 1]: those of p', and between them, where p is monotone,
-    one where p changes sign or vanishes at an end, halved by bisection."""
+    one where p changes sign or vanishes at an end, halved by bisection with
+    signs taken in integers at the dyadic ends a / 2^k."""
     if len(p) < 2:
         return []
     inner = _root_brackets([i * c for i, c in enumerate(p)][1:])
+    scale = math.lcm(*(Fraction(c).denominator for c in p))
+    ip = [int(c * scale) for c in p]
     out, edges = list(inner), [0, *(x for lh in inner for x in lh), 1]
     for lo, hi in zip(edges[::2], edges[1::2]):
-        flo = _peval(p, lo)
-        if flo * _peval(p, hi) <= 0:
-            while (hi - lo) * 2**64 > 1:
-                mid = Fraction(lo + hi) / 2
-                fmid = _peval(p, mid)
-                lo, hi, flo = (lo, mid, flo) if flo * fmid <= 0 else (mid, hi, fmid)
-            out.append((lo, hi))
+        k = max(Fraction(lo).denominator, Fraction(hi).denominator).bit_length() - 1
+        a, b = int(lo * 2**k), int(hi * 2**k)
+        fa = _scaled_at(ip, a, k)
+        if fa * _scaled_at(ip, b, k) <= 0:
+            while (b - a) << 64 > 1 << k:
+                a, b, mid, k = 2 * a, 2 * b, a + b, k + 1
+                fmid = _scaled_at(ip, mid, k)
+                a, b, fa = (a, mid, fa) if fa * fmid <= 0 else (mid, b, fmid)
+            out.append((Fraction(a, 2**k), Fraction(b, 2**k)))
     return sorted(out)
 
 

@@ -394,3 +394,30 @@ def sobolev_loop(field, n):
         for x in field[k]:
             terms.append(weight * (x.real ** 2 + x.imag ** 2))
     return math.sqrt(math.fsum(terms))
+
+
+def root_brackets_fraction(p):
+    """Brackets (lo, hi), at most 2^-64 wide, in order, of every root of the
+    polynomial p (exact coefficients, lowest degree first) in [0, 1]: those
+    of p', and between them, where p is monotone, one where p changes sign or
+    vanishes at an end, halved by bisection in Fractions."""
+
+    def peval(x):
+        acc = 0
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
+
+    if len(p) < 2:
+        return []
+    inner = root_brackets_fraction([i * c for i, c in enumerate(p)][1:])
+    out, edges = list(inner), [0, *(x for lh in inner for x in lh), 1]
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        flo = peval(lo)
+        if flo * peval(hi) <= 0:
+            while (hi - lo) * 2**64 > 1:
+                mid = Fraction(lo + hi) / 2
+                fmid = peval(mid)
+                lo, hi, flo = (lo, mid, flo) if flo * fmid <= 0 else (mid, hi, fmid)
+            out.append((lo, hi))
+    return sorted(out)

@@ -352,6 +352,10 @@ def test_field_text_errors():
         )
 
 
+def _neg(k):
+    return tuple(-x for x in k)
+
+
 def _same_bits(got, want):
     """Equal key sets and bit-identical coefficients."""
     assert set(got) == set(want)
@@ -361,13 +365,22 @@ def _same_bits(got, want):
 
 def _conjugate_symmetric(coeffs):
     for k, c in coeffs.items():
-        assert np.array_equal(coeffs[tuple(-x for x in k)], np.conj(c)), k
+        assert np.array_equal(coeffs[_neg(k)], np.conj(c)), k
+
+
+def _shipped_pair(d):
+    """The witness CLI's trial pair at d: exact zero components, so the
+    mirrored rows of advect carry zeros whose signs the loops pin."""
+    if d == 2:
+        return trial_pair(2, 1.0, (), 1.0, ())
+    return trial_pair(d, 1.0, (0j,) * (d - 2), 0j, (1.0,) + (0j,) * (d - 3))
 
 
 def _loop_cases():
     """(v, w) pairs for d = 2, 3, 4: sparse random supports up to
     |k|_inf <= 4, where k . c and v_h . g have inexact products, one dense
-    d = 3 pair, and pairs with an empty field."""
+    d = 3 pair, pairs with an empty field, and the shipped trial pairs for
+    d = 2 to 5."""
     rng = np.random.default_rng(20261018)
     cases = []
     for d in (2, 3, 4):
@@ -380,7 +393,7 @@ def _loop_cases():
     cases.append((dense, random_field(rng, 3, 62, 2)))
     empty = FourierField(d=3, coeffs={})
     cases += [(empty, random_field(rng, 3)), (dense, empty)]
-    return cases
+    return cases + [_shipped_pair(d) for d in (2, 3, 4, 5)]
 
 
 @pytest.mark.parametrize("v,w", _loop_cases())
@@ -417,3 +430,53 @@ def test_sobolev_norm_squares_like_the_reference_loop():
     for x in xs[:20] + [1.1]:
         field = FourierField.build(2, {(1, 0): (x, 0.0)})
         assert sobolev_norm(field, 0).hex() == sobolev_loop(field.coeffs, 0).hex()
+
+
+def test_near_conjugate_row_is_stored_exactly_real():
+    """A -k row within the tolerance of conj(v_k) but not equal to it
+    constructs, is stored as conj(v_k), and advects bit for bit like the
+    exact field; rows that already agree in value keep their bits."""
+    rng = np.random.default_rng(3)
+    v = leray_project(random_field(rng, 3, 20, 2))
+    w = random_field(rng, 3, 20, 2)
+    k = max(w.coeffs)  # lexicographically largest, so first coordinate > 0
+    near = dict(w.coeffs)
+    off = np.array(near[_neg(k)])
+    off[1] = complex(np.nextafter(off[1].real, math.inf), off[1].imag)
+    near[_neg(k)] = off
+    stored = FourierField(d=3, coeffs=near)
+    assert not np.array_equal(off, np.conj(w.coeffs[k]))
+    _same_bits(stored.coeffs, w.coeffs)
+    _same_bits(advect(v, stored).coeffs, advect(v, w).coeffs)
+    assert list(advect(v, stored).coeffs) == list(advect(v, w).coeffs)
+
+
+def test_advect_refuses_output_keys_past_the_int64_bound():
+    """Input keys stay below 2^62, so h + g cannot wrap int64; an output key
+    at 2^62 or more is refused as the constructor refuses an input key, the
+    first in key order named."""
+    v = FourierField.build(2, {(2**62 - 1, 0): (0.0, 1.0)})
+    w = FourierField.build(2, {(1, 1): (1.0, 0.0)})
+    with pytest.raises(ValueError, match=r"\(-4611686018427387904, -1\) has a "
+                                         r"component of 2\^62 or more"):
+        advect(v, w)
+
+
+def test_advect_sums_one_member_of_each_output_pair(monkeypatch):
+    """Work-count guard: on the dense d = 3 pair (728 output keys and the
+    zero mode), advect calls math.fsum 2d x (364 + 1) = 2,190 times, one
+    member of each +-k pair and the zero mode, not 2d x 729 = 4,374."""
+    v, w = next((v, w) for v, w in _loop_cases() if len(v.coeffs) == 124)
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+    advect(v, w)
+    assert len(calls) == 2 * 3 * (364 + 1)
+
+
+def test_fsum_returns_positive_zero_for_a_zero_sum():
+    """advect mirrors a row as conj(row) + 0.0, which equals summing the -k
+    terms only if math.fsum returns +0.0 for every exact zero sum, as it does
+    on CPython 3.11; an fsum that keeps the sign of zero fails here."""
+    assert math.copysign(1.0, math.fsum([-0.0, -0.0])) == 1.0
+    assert math.copysign(1.0, math.fsum([0.5, -0.5])) == 1.0

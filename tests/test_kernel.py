@@ -394,6 +394,30 @@ def test_remainder_bound_closed_form(n, t):
         assert exact <= g <= exact + 2 * math.ulp(g), (n, t, g)
 
 
+#: G(n, t) at t = 6, 8, 10 in hex, as the exact-Fraction summation gave them.
+REMAINDER_BOUND_HEX = {
+    1.6: ("0x1.d8cd9d2c3e2d6p+9", "0x1.f30e9cfbb4ae8p+10", "0x1.d9805fb84d7b2p+11"),
+    2: ("0x1.0000000000001p+11", "0x1.2980000000001p+12", "0x1.3500000000001p+13"),
+    2.2: ("0x1.7164b36489814p+11", "0x1.c07dbb79ef58bp+12", "0x1.e5e257d8af63ap+13"),
+    2.5: ("0x1.39c0000000001p+12", "0x1.94c0000000001p+13", "0x1.d168000000001p+14"),
+    2.501: ("0x1.3a4b13d41c904p+12", "0x1.95876342b1ad2p+13", "0x1.d2641d26a0cb5p+14"),
+    3: ("0x1.6b40000000001p+13", "0x1.0000000000001p+15", "0x1.4214000000001p+16"),
+    3.1: ("0x1.ab5ce48219a64p+13", "0x1.3206b1891dfc6p+15", "0x1.877c7a365b41ep+16"),
+    4: ("0x1.b2c0000000001p+15", "0x1.5ef6000000001p+17", "0x1.0000000000001p+19"),
+    5: ("0x1.db46000000001p+17", "0x1.a406000000001p+19", "0x1.561cc00000001p+21"),
+    10: ("0x1.ff9ccc0000001p+27", "0x1.fdeb304000001p+29", "0x1.f876018000001p+31"),
+    13: ("0x1.fffba98e00001p+33", "0x1.ffdeb0ce00001p+35", "0x1.ff58048180001p+37"),
+}
+
+
+@pytest.mark.parametrize("n", REMAINDER_BOUND_ORDERS)
+def test_remainder_bound_bits(n):
+    """The integer summation over one common denominator rounds the same
+    exact rational as the Fraction one did, so G keeps its bits."""
+    got = tuple(remainder_bound(n, t).hex() for t in (6, 8, 10))
+    assert got == REMAINDER_BOUND_HEX[n]
+
+
 def test_remainder_bound_past_the_largest_float_is_inf():
     """G, just under 2^(2n+2+t), passes the largest float at n = 508 for
     t = 6; the sum then stops with inf rather than run out its terms.  A

@@ -13,6 +13,7 @@ from advbounds.kernel import EnclosureWidthError, remainder_extrema, substituted
 from advbounds.lattice import max_norm_sq_inside
 from advbounds.sums import (
     K_m,
+    _root_brackets,
     ParameterError,
     SpherePolynomial,
     SumConfig,
@@ -27,6 +28,7 @@ from oracles import (
     kk_direct,
     km_exact,
     power_fsum,
+    root_brackets_fraction,
     signed_permutations,
     sphere_coeffs_exact,
     sphere_eval,
@@ -693,3 +695,21 @@ def test_asymptotic_sandwich_on_shell():
         hi = z + sum(q_bounds[l][1] * k2 ** (-l / 2.0) for l in (2, 4))
         hi += V * k2 ** (-t / 2.0)
         assert lo <= km <= hi
+
+
+def test_root_brackets_match_the_fraction_bisection(rng):
+    """The integer sign evaluation brackets the same roots as bisection in
+    Fractions: random polynomials on [0, 1] with double roots, roots at
+    dyadic points (where the bisection lands on a root) and rational
+    coefficients whose denominators are not powers of 2."""
+    dyadic = [Fraction(j, 16) for j in range(17)]
+    for trial in range(40):
+        roots = [dyadic[i] for i in rng.integers(0, 17, size=rng.integers(1, 4))]
+        roots += [Fraction(int(rng.integers(1, 99)), 99)] * int(rng.integers(0, 3))
+        if trial % 3 == 0:
+            roots += roots[:1]  # a double root
+        p = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 7)))
+             * (-1) ** int(rng.integers(0, 2))]
+        for r in roots:  # p *= (x - r)
+            p = [a - r * b for a, b in zip([0, *p], [*p, 0])]
+        assert _root_brackets(p) == root_brackets_fraction(p), roots
