@@ -1,7 +1,7 @@
 """End-to-end certification of the advection-inequality constant.
 
-The pipeline: a symmetry-reduced exact search for the cutoff sum's maximum on
-|k| < R = 2 rho, an asymptotic majorant bounding K_m at and beyond R, the
+The pipeline: a symmetry-reduced exact search for the cutoff sum's maximum
+on |k| < R, an asymptotic majorant bounding K_m at and beyond R, the
 enclosure
 
     sup K_m  <=  sup KK  <=  max(searched max, majorant at R) + delta_K,
@@ -11,13 +11,15 @@ and finally the certified constants
     K_plus  = (2 pi)^(-d/2) sqrt(max(searched max, majorant at R) + delta_K),
     K_minus = 2^(n/2) (2 pi)^(-d/2) U_d,   U_2 = sqrt(2 - sqrt(2)), U_d = 1 else.
 
-The majorant is built at expansion order t = 6, and rebuilt at t = 8, then
-t = 10, while it lies above the searched max; the first t at which it does
-not is kept, and the max is then the searched max itself.  At each t the
-remainder term takes |R_nt| <= G (kernel.remainder_bound) first, and the grid
-kernel.remainder_extrema, inside [-G, G], only while the gate stays open.  The
-grid only refines G: one that fails to converge leaves that t's G model in
-place, so every input ends in a certificate or a ParameterError.
+The majorant (far_bound) holds for every R > rho: its order-t remainder is
+weighted per shell (sums.remainder_term) by a proven bound on the Taylor
+coefficients of the kernel (kernel.sampled_maxima).  So the search stops at
+the smallest rung R of a fixed ladder, 2 rho (0.55, 0.60, ..., 1), whose
+t = 6 majorant lies below the searched max; if none does by 2 rho, the
+majorant at 2 rho is rebuilt at t = 8, then t = 10, while it lies above the
+searched max.  Every input ends in a certificate or a ParameterError.
+kernel.remainder_extrema's grid, G and the V model (build_asymptotic_model
+with extrema, asymptotic_upper) serve the staged benchmark and the tests.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .kernel import (EnclosureWidthError, RemainderExtrema, _run_blocks,
-                     remainder_bound, remainder_extrema)
-from .lattice import check_canonical_budget, enumerate_canonical
+# certify_bounds does not call remainder_extrema; the staged benchmark's
+# tracer patches it here.
+from .kernel import _run_blocks, remainder_extrema, round_up  # noqa: F401
+from .lattice import check_canonical_budget, enumerate_canonical, max_norm_sq_inside
 from .sums import (
     Interval,
     K_m,
@@ -42,6 +46,7 @@ from .sums import (
     _power_table,
     build_Q,
     extremize_Q,
+    remainder_term,
     vV_nt,
 )
 from .tail import check_even_t, check_parameters, delta_K
@@ -51,7 +56,7 @@ class InconclusiveSearchRadius(RuntimeError):
     """The asymptotic region is not dominated by the finite search.
 
     certify_bounds never raises it (it certifies the larger of the two
-    instead); perfbench/worker.py's staged mode does."""
+    instead); the staged benchmark (perfbench/worker.py) does."""
 
 
 def _require(cond: bool, message: str) -> None:
@@ -69,7 +74,9 @@ class AsymptoticModel:
           <= K_m(k) <=
         z + sum_l q_upper[l] |k|^(-l) + V |k|^(-t),
 
-    l ranging over the even integers 2, 4, ..., t-2.
+    l ranging over the even integers 2, 4, ..., t-2.  certify_bounds
+    builds the model without extrema, so v = V = 0 there: far_bound takes
+    its remainder per shell instead.
     """
 
     z: float
@@ -82,8 +89,9 @@ class AsymptoticModel:
     V: float = 0.0
 
 
-def build_asymptotic_model(cfg: SumConfig, t: int, extrema, prior=None):
-    """Extremize each direction coefficient and assemble the sandwich.
+def build_asymptotic_model(cfg: SumConfig, t: int, extrema=None, prior=None):
+    """Extremize each direction coefficient and assemble the sandwich, its
+    remainder coefficients (v, V) from the R_nt enclosure `extrema` if given.
 
     z and the Q_l extrema do not depend on t: those of `prior`, a model of
     the same cfg at a smaller t, are kept, and only the new l are built."""
@@ -98,8 +106,17 @@ def build_asymptotic_model(cfg: SumConfig, t: int, extrema, prior=None):
         model.q_lower[ell] = lo
         model.q_upper[ell] = hi
         model.q_argmax[ell] = arg
-    model.v, model.V = vV_nt(cfg, t, extrema)
+    if extrema is not None:
+        model.v, model.V = vV_nt(cfg, t, extrema)
     return model
+
+
+def _upper_head(model: AsymptoticModel, radius: float) -> float:
+    """z + sum_l max(q_upper[l], 0) radius^(-l)."""
+    total = model.z
+    for ell in sorted(model.q_upper):
+        total += max(model.q_upper[ell], 0.0) * radius ** (-ell)
+    return total
 
 
 def asymptotic_upper(model: AsymptoticModel, k_norm: float) -> float:
@@ -113,11 +130,32 @@ def asymptotic_upper(model: AsymptoticModel, k_norm: float) -> float:
         k_norm >= 2.0 * model.rho,
         f"requires k_norm >= 2*rho = {2.0 * model.rho}, got k_norm={k_norm}",
     )
-    total = model.z
-    for ell in sorted(model.q_upper):
-        total += max(model.q_upper[ell], 0.0) * k_norm ** (-ell)
-    total += max(model.V, 0.0) * k_norm ** (-model.t)
-    return total
+    return _upper_head(model, k_norm) + max(model.V, 0.0) * k_norm ** (-model.t)
+
+
+def far_bound(model: AsymptoticModel, cfg: SumConfig, radius: float) -> float:
+    """Upper bound for K_m on the whole region |k| >= radius > rho:
+
+        z + sum_l max(q_l, 0) R^(-l) + R^(-t) 2 sum_m r(m) m^((t-2n)/2) B_t(sqrt(m)/R),
+
+    the last term sums.remainder_term, and the sum rounded up.
+
+    Proof: for |k| >= R > rho every h in the ball has |h| < |k|, and the
+    fold factor [1 + (|k-h| >= rho)] is at most 2, so K_m(k) <= 2 sum_h
+    |h|^(-2n) E_n(c_h, xi_h), with c_h the cosine between h and k, xi_h =
+    |h|/|k| < 1 and E_n the kernel (1 - c^2)(1 - 2 c xi + xi^2)^(-(n+1)).
+    Expanded to order t, the l = 0 term sums to z and the even l < t terms
+    to Q_l(k/|k|) |k|^(-l) <= max(q_l, 0) R^(-l), while the odd ones cancel
+    between h and -h; so does the odd part of the order-t remainder,
+    |k|^(-t) 2 sum_h |h|^(t-2n) R_nt(c_h, xi_h), which leaves its even part
+    (R_nt(c, xi) + R_nt(-c, xi)) / 2 <= B_t(xi) (kernel.remainder_majorant),
+    and B_t >= 0 grows with xi <= sqrt(m)/R.  Every term is nonincreasing in
+    |k|, so the value at R bounds the supremum over |k| >= R.  Unlike the V
+    model it needs no lower branch, and so no uniform fold: R may lie below
+    2 rho.
+    """
+    return float(round_up(_upper_head(model, radius)
+                          + remainder_term(cfg, model.t, radius)))
 
 
 def _check_search_radius(search_radius, rho) -> None:
@@ -177,49 +215,73 @@ def _screen(pairs: np.ndarray, scales: np.ndarray):
     return np.where(np.isfinite(lo), lo, 0.0), hi
 
 
-def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
-    """Exact maximum of K_m over 0 < |k| < search_radius.
+#: The search ladder's rungs, in twentieths of 2 rho: all above rho.
+_RUNGS = range(11, 21)
+
+
+def _search(cfg: SumConfig, rungs, far=None, threads=None):
+    """Exact maximum of K_m over 0 < |k| < R, R the smallest of the
+    ascending `rungs` with far(R) < max(lo) after the screen of the first
+    rung, else the last rung.  Without `far`, R is the first rung.
 
     Only canonical representatives (coordinates sorted descending,
     nonnegative) are evaluated; K_m is invariant under the signed-permutation
-    group, so this loses nothing.  First the workers screen them, in lex
+    group, so this loses nothing.  They are enumerated once, below the last
+    rung.  First the workers screen the reps below the first rung, in lex
     order and blocks of `rows` reps (at most _BLOCK_TERMS paired terms):
     sums._PairedTerms takes h and -h together, over half the ball, and
-    _screen bounds each rep's K_m(k) in [lo, hi].  Then the calling thread
-    sums K_m(k) exactly, over the full ball and correctly rounded, at each
-    rep with hi >= max(lo).  A rep attaining the maximum M has hi >= M >=
-    K_m(j) >= lo_j for every rep j, so it and every tie are summed, whatever
-    the workers and their blocks.  The bounds start at (-inf, inf), so an
-    unscreened rep would be summed, not skipped; yet this second phase runs
-    only once every block was screened, as any exception propagates first.
+    _screen bounds each rep's K_m(k) in [lo, hi].  If far(R) is an upper
+    bound for K_m on |k| >= R, the search extends once, to the reps below R:
+    the floor max(lo) can only rise, so far(R) stays below the maximum.
+    Then the calling thread sums K_m(k) exactly, over the full ball and
+    correctly rounded, at each searched rep with hi >= max(lo).  A rep
+    attaining the maximum M has hi >= M >= K_m(j) >= lo_j for every searched
+    rep j, so it and every tie are summed, whatever the workers and their
+    blocks.  An exception in a worker, or an interrupt, stops each after its
+    current block and propagates before any exact sum.
 
-    Returns (max, argmax, reps): the maximum, the lexicographically smallest
-    rep attaining it, and the number of canonical reps searched.  The
-    workers of kernel._run_blocks take the blocks one at a time, `threads`
-    of them if given, else as many as the CPUs and blocks allow; an
-    exception in a worker, or an interrupt, stops each after its current
-    block.
+    Returns (max, argmax, reps, R): the maximum, the lexicographically
+    smallest rep attaining it, and the number of canonical reps searched.
+    The workers of kernel._run_blocks take the blocks one at a time,
+    `threads` of them if given, else as many as the CPUs and blocks allow.
     """
-    _check_search_radius(search_radius, cfg.rho)
-    reps = enumerate_canonical(cfg.d, search_radius)
-    k2 = [sum(c * c for c in k) for k in reps]
+    reps = enumerate_canonical(cfg.d, rungs[-1])
+    k2 = np.array([sum(c * c for c in k) for k in reps])
     ks = np.array(reps, dtype=np.int64)
-    scales = np.array([_k_scale(s, cfg.n) for s in k2])
+    scales = np.array([_k_scale(s, cfg.n) for s in k2.tolist()])
     rows = max(1, _BLOCK_TERMS // (len(cfg.ball) // 2))
-    table = _power_table(cfg, max(k2))
+    table = _power_table(cfg, int(k2.max()))
+    tops = [max_norm_sq_inside(r) for r in rungs]
     lo, hi = np.full((2, len(reps)), [[-math.inf], [math.inf]])
 
-    def screen(a, pairs_of):
-        b = a + rows
-        lo[a:b], hi[a:b] = _screen(pairs_of(ks[a:b]), scales[a:b])
+    def screen(at):
+        def block(i, pairs_of):
+            j = at[i:i + rows]
+            lo[j], hi[j] = _screen(pairs_of(ks[j]), scales[j])
 
-    _run_blocks(range(0, len(reps), rows), screen,
-                lambda: _PairedTerms(cfg, rows, table), threads)
+        if at.size:
+            _run_blocks(range(0, at.size, rows), block,
+                        lambda: _PairedTerms(cfg, rows, table), threads)
 
-    live = np.flatnonzero(hi >= lo.max()).tolist()
+    screen(np.flatnonzero(k2 <= tops[0]))
+    rung = 0
+    if far is not None:
+        floor = lo.max()
+        rung = next((i for i, r in enumerate(rungs) if far(r) < floor), len(rungs) - 1)
+        screen(np.flatnonzero((k2 > tops[0]) & (k2 <= tops[rung])))
+    searched = k2 <= tops[rung]
+    live = np.flatnonzero(searched & (hi >= lo.max())).tolist()
     found = [(K_m(reps[i], cfg), reps[i]) for i in live]
     best = max(value for value, _ in found)
-    return best, min(k for value, k in found if value == best), len(reps)
+    argmax = min(k for value, k in found if value == best)
+    return best, argmax, int(searched.sum()), rungs[rung]
+
+
+def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
+    """Exact maximum of K_m over 0 < |k| < search_radius >= 2 rho: _search
+    on the one rung search_radius.  Returns (max, argmax, reps)."""
+    _check_search_radius(search_radius, cfg.rho)
+    return _search(cfg, (search_radius,), threads=threads)[:3]
 
 
 def K_minus(d: int, n) -> float:
@@ -233,12 +295,11 @@ def K_minus(d: int, n) -> float:
 class BoundCertificate:
     """Everything needed to audit one (d, n) bound computation.
 
-    `t` is the expansion order of the asymptotic model the certificate
-    settled on (6, 8 or 10), and `asymptotic_bound` that model's majorant at
-    `search_radius`.  `sup_KK_interval` is [sup_Km, max(sup_Km,
-    asymptotic_bound) + delta_K].  When the closed-form remainder bound G
-    closed the gate, the diagnostics' `remainder_mu` and `remainder_M` are
-    -G and G and both `*_width` keys are None; else they are the grid's.
+    `search_radius` is the rung R the search stopped at, `t` the expansion
+    order of the asymptotic model the certificate settled on (6, 8 or 10,
+    the last two only at R = 2 rho), and `asymptotic_bound` that model's
+    far_bound at R.  `sup_KK_interval` is [sup_Km, max(sup_Km,
+    asymptotic_bound) + delta_K].
     """
 
     d: int
@@ -263,48 +324,38 @@ _T_STEPS = (6, 8, 10)
 def certify_bounds(d: int, n, rho) -> BoundCertificate:
     """Run the full pipeline and return a certificate (or raise).
 
-    The search covers |k| < R = 2 rho.  The asymptotic majorant at R bounds
-    K_m on |k| >= R, so sup K_m <= max(searched max, majorant at R) for every
-    t; the model is raised to the next t of _T_STEPS while the majorant lies
-    above the searched max, keeping its z and Q_l extrema.  The search does
-    not depend on t and runs once.  The certified sup KK enclosure is
+    The search (_search) screens |k| below the lowest rung of the ladder
+    2 rho (11, 12, ..., 20) / 20 and stops at the smallest rung R whose t = 6
+    far_bound lies below its floor; then sup K_m is the searched max.  If no
+    rung closes, R = 2 rho and the model is raised to the next t of _T_STEPS
+    while its far bound lies above the searched max, keeping its z and Q_l
+    extrema.  The certified sup KK enclosure is
 
-        [searched max, max(searched max, majorant at R) + delta_K],
+        [searched max, max(searched max, far bound at R) + delta_K],
 
-    whose lower end is attained (KK >= K_m pointwise).  A remainder grid that
-    does not converge keeps the closed-form G model of its t.  Raises
+    whose lower end is attained (KK >= K_m pointwise).  Raises
     ParameterError when a precondition on (d, n, rho) fails, or, before any
-    stage runs, when the search at R is over the canonical budget
+    stage runs, when the search at 2 rho is over the canonical budget
     (PointBudgetExceeded).
     """
     start = time.perf_counter()
     check_parameters(d, n, rho)
     nf, rf = float(n), float(rho)
-    search_radius = 2.0 * rf
-    check_canonical_budget(d, search_radius)
+    check_canonical_budget(d, 2.0 * rf)
 
     cfg = SumConfig.create(d, nf, rho)
-    found = model = None
-    for t in _T_STEPS:
-        g = remainder_bound(nf, t)
-        extrema = RemainderExtrema(mu=-g, M=g)
-        model = build_asymptotic_model(cfg, t, extrema, model)
-        if found is None:
-            found = search_sup_Km(cfg, search_radius)
-        far_bound = asymptotic_upper(model, search_radius)
-        if not far_bound <= found[0]:
-            try:
-                extrema = remainder_extrema(nf, t)
-            except EnclosureWidthError:
-                continue
-            model.v, model.V = vV_nt(cfg, t, extrema)
-            far_bound = asymptotic_upper(model, search_radius)
-        if far_bound <= found[0]:
+    model = build_asymptotic_model(cfg, _T_STEPS[0])
+    sup_km, argmax, reps, radius = _search(
+        cfg, [2.0 * rf * k / 20 for k in _RUNGS], partial(far_bound, model, cfg))
+    bound = far_bound(model, cfg, radius)
+    for t in _T_STEPS[1:]:
+        if bound <= sup_km:
             break
-    sup_km, argmax, reps = found
+        model = build_asymptotic_model(cfg, t, prior=model)
+        bound = far_bound(model, cfg, radius)
 
     dk = delta_K(d, nf, rho)
-    upper = max(sup_km, far_bound) + dk
+    upper = max(sup_km, bound) + dk
     k_plus = (2.0 * math.pi) ** (-d / 2.0) * math.sqrt(upper)
     k_minus = K_minus(d, nf)
     runtime_ms = (time.perf_counter() - start) * 1000.0
@@ -314,27 +365,21 @@ def certify_bounds(d: int, n, rho) -> BoundCertificate:
         "z_n": model.z,
         "points_in_ball": len(cfg.ball),
         "canonical_candidates": reps,
-        "remainder_mu": extrema.mu,
-        "remainder_M": extrema.M,
-        "remainder_mu_width": extrema.mu_width,
-        "remainder_M_width": extrema.M_width,
         "q_upper": dict(model.q_upper),
         "q_lower": dict(model.q_lower),
-        "v_lower": model.v,
-        "V_upper": model.V,
         "runtime_ms": runtime_ms,
     }
     return BoundCertificate(
         d=d,
         n=nf,
         rho=rf,
-        t=t,
+        t=model.t,
         sup_Km=sup_km,
         argmax=tuple(int(c) for c in argmax),
         sup_KK_interval=Interval(sup_km, upper),
         K_plus=k_plus,
         K_minus=k_minus,
-        search_radius=search_radius,
-        asymptotic_bound=far_bound,
+        search_radius=radius,
+        asymptotic_bound=bound,
         diagnostics=diagnostics,
     )

@@ -10,12 +10,12 @@ Presentation rounding is asymmetric on purpose: upper bounds round up, lower
 bounds round down, three significant digits, and the ratio row is truncated
 (never rounded up).  JSON reports carry full-precision floats plus the rounded
 strings; runtime_ms is the only field allowed to vary between identical runs.
-The sup K_m search and the remainder grid run their blocks on as many
-workers as the CPUs the process may run on and the blocks allow
-(kernel._run_blocks), so no flag sets them, and no report depends on them.
+The sup K_m search runs its blocks on as many workers as the CPUs the
+process may run on and the blocks allow (kernel._run_blocks), so no flag
+sets them, and no report depends on them.
 
-certify.certify_bounds picks the expansion order t itself and searches
-|k| < 2 rho, so no flag sets either.
+certify.certify_bounds picks the expansion order t and the search radius
+(at most 2 rho) itself, so no flag sets either.
 
 Every report goes to stdout.  Exit codes: 0 success, 1 a usage error,
 invalid parameters (message names the violated precondition) or a table row
@@ -125,7 +125,8 @@ def _human_certificate(report: dict) -> str:
 
 def _certificates(args):
     """(n, certificate) for each requested n, rho defaulting per n; -v says
-    on stderr how each certificate closed, and by which remainder bound."""
+    on stderr how each certificate closed, at which search radius and over
+    how many canonical reps."""
     for n in args.n:
         rho = args.rho if args.rho is not None else default_rho(args.d, n)
         if args.verbose:
@@ -133,9 +134,8 @@ def _certificates(args):
         cert = certify_bounds(args.d, n, rho)
         if args.verbose:
             margin = (cert.sup_Km - cert.asymptotic_bound) / cert.sup_Km
-            bound = ("closed form" if cert.diagnostics["remainder_M_width"] is None
-                     else "grid")
-            line = (f"closed at t={cert.t} by the {bound} remainder bound, gate "
+            line = (f"closed at t={cert.t} searching |k| < {cert.search_radius!r} "
+                    f"({cert.diagnostics['canonical_candidates']} reps), gate "
                     f"margin (sup_km - far bound) / sup_km = {margin:.3g}")
             if margin < 0:
                 line += f"; sup_kk_upper set by the far bound {cert.asymptotic_bound!r}"

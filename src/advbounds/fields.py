@@ -78,13 +78,15 @@ class FourierField:
     Both members of each +-k pair are stored, exactly real: construction
     validates the reality constraint, then a row at a key whose first nonzero
     coordinate is negative takes conj of its partner's row where the two
-    differ in value.  The read-only arrays keys and rows hold coeffs in order.
+    differ in value.  The read-only arrays keys and rows hold coeffs in
+    order, and partner[i] is the row of -keys[i].
     """
 
     d: int
     coeffs: dict
     keys: np.ndarray = field(init=False, repr=False)
     rows: np.ndarray = field(init=False, repr=False)
+    partner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = self.d
@@ -102,26 +104,32 @@ class FourierField:
         self._store(keys, np.array(list(vecs.values()), dtype=complex).reshape(-1, d))
 
     @classmethod
-    def _of_arrays(cls, d: int, keys, rows) -> "FourierField":
-        """The field of distinct nonzero int64 keys and complex rows, checked."""
+    def _of_arrays(cls, d: int, keys, rows, partner=None) -> "FourierField":
+        """The field of distinct nonzero int64 keys and complex rows, checked;
+        partner[i], if given, is the row of -keys[i]."""
         big = (np.abs(keys) >= _KEY_BOUND).any(axis=1)
         if big.any():  # _as_key raises its 2^62 error
             _as_key(tuple(keys[np.argmax(big)].tolist()), d)
         out = cls.__new__(cls)
         object.__setattr__(out, "d", d)
-        out._store(keys, rows)
+        out._store(keys, rows, partner)
         return out
 
-    def _store(self, keys, rows):
-        # partner[i] is the row of -keys[i] or -1 (distinct keys: one per run at most);
-        # runs rise in lexicographic order, so keys[i] < 0 iff run[i] < run[m + i].
+    def _store(self, keys, rows, partner=None):
         m = len(keys)
-        order, starts = _lex_runs(np.concatenate([keys, -keys]))
-        run = np.empty(2 * m, dtype=np.int64)
-        run[order] = np.cumsum(starts) - 1
-        owner = np.full(2 * m, -1)
-        owner[run[:m]] = np.arange(m)
-        partner = owner[run[m:]]
+        if partner is None:
+            # partner[i] is the row of -keys[i] or -1 (distinct keys: one per
+            # run at most); runs rise in lexicographic order, so keys[i] < 0
+            # iff run[i] < run[m + i].
+            order, starts = _lex_runs(np.concatenate([keys, -keys]))
+            run = np.empty(2 * m, dtype=np.int64)
+            run[order] = np.cumsum(starts) - 1
+            owner = np.full(2 * m, -1)
+            owner[run[:m]] = np.arange(m)
+            partner = owner[run[m:]]
+            negative = run[:m] < run[m:]
+        else:  # the first nonzero coordinate is negative
+            negative = keys[np.arange(m), (keys != 0).argmax(axis=1)] < 0
         mirror = np.conj(rows[partner])
         err = np.abs(mirror - rows).max(axis=1, initial=0.0)
         scale = float(np.fmax.reduce(np.abs(rows), axis=None, initial=1.0))
@@ -132,11 +140,12 @@ class FourierField:
             if partner[i] < 0:
                 raise ValueError(f"reality violated: {_neg(k)} missing for {k}")
             raise ValueError(f"reality violated at {k}: conjugate mismatch {err[i]:.3e}")
-        rows = np.where((run[:m] < run[m:])[:, None] & (rows != mirror), mirror, rows)
+        rows = np.where(negative[:, None] & (rows != mirror), mirror, rows)
         keys.setflags(write=False)
         rows.setflags(write=False)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "partner", partner)
         object.__setattr__(self, "coeffs", dict(zip(map(tuple, keys.tolist()), rows)))
 
     @classmethod
@@ -164,7 +173,7 @@ def leray_project(field: FourierField) -> FourierField:
     """
     k = field.keys.astype(float)
     out = field.rows - (_dot(k, field.rows) / _dot(k, k))[:, None] * k
-    return FourierField._of_arrays(field.d, field.keys, out)
+    return FourierField._of_arrays(field.d, field.keys, out, field.partner)
 
 
 def advect(v: FourierField, w: FourierField) -> FourierField:
@@ -216,7 +225,8 @@ def advect(v: FourierField, w: FourierField) -> FourierField:
     pos, rows = keys[keep], vecs[keep]
     return FourierField._of_arrays(
         d, np.concatenate([-pos[::-1], pos]),
-        np.concatenate([np.conj(rows[::-1]) + 0.0, rows]))
+        np.concatenate([np.conj(rows[::-1]) + 0.0, rows]),
+        np.arange(2 * len(pos))[::-1])
 
 
 def sobolev_norm(field: FourierField, n) -> float:

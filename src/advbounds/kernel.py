@@ -6,11 +6,19 @@ Gegenbauer-type three-term recurrence of the generating function
 
     R_nt(c, xi) = xi^(-t) * (E_n(c, xi) - sum_{l<t} E_nl(c) xi^l)
 
-is evaluated through a cancellation-safe branch switch.  remainder_bound is
-a proven closed-form bound on |R_nt| over [-1,1] x [0,1/2]; its extrema there
-are enclosed by a grid scan, streamed in blocks of grid rows through up to
+is evaluated through a cancellation-safe branch switch.  The certificate's
+large-|k| majorant takes its even part per shell: remainder_majorant bounds
+it by B_t(x) = sum_{even l >= t} M_l x^(l-t), with M_l >= max_c E_nl(c)
+proven by sampling (sampled_maxima) up to SAMPLED_ORDER and C_l(1) past it,
+summed by remainder_bound, the exact geometric tail of sum C_l(1) x^(l-t).
+
+remainder_extrema encloses the extrema of R_nt over [-1,1] x [0,1/2] by a
+heuristic grid scan (_SAFETY), streamed in blocks of grid rows through up to
 _MAX_WORKERS threads (_run_blocks, which the sup K_m search shares), plus
-local-slope branch-and-bound refinement.  Both feed the large-|k| sandwich.
+local-slope branch-and-bound refinement.  No certificate uses it: it stays,
+with _BaseGrid, _branch_bound_max and _cell_upper (about 175 lines), only
+because the staged benchmark (perfbench/worker.py) builds its V model on
+it; the change that moves that mode can delete them.
 """
 
 from __future__ import annotations
@@ -194,31 +202,138 @@ def remainder_values(n, t: int, c, xi) -> np.ndarray:
     return out.reshape(shape)
 
 
-def remainder_bound(n, t: int) -> float:
-    """G(n, t) = sum_{l>=t} C_l(1) 2^-(l-t) = 2^t (2^(2n+2) - sum_{l<t} C_l(1)
-    2^-l) rounded up (inf past floats): |R_nt| <= G on [-1,1] x [0,1/2].
+@lru_cache(maxsize=None)
+def remainder_bound(n, t: int, x=Fraction(1, 2), bits: int = 60) -> float:
+    """G(n, t, x) = sum_{l>=t} C_l(1) x^(l-t), for a rational 0 <= x < 1,
+    rounded up (inf past floats).  At x = 1/2 it is 2^t (2^(2n+2) -
+    sum_{l<t} C_l(1) 2^-l), and |R_nt| <= G on [-1,1] x [0,1/2].
 
     Proof: R_nt = sum_{l>=t} (1 - c^2) C_l(c) xi^(l-t), C_l = C_l^(n+1) the
     Gegenbauer polynomial, |1 - c^2| <= 1, xi <= 1/2 and |C_l(c)| <= C_l(1) =
     prod_{j<=l} (j + 2n + 1)/j (Szegő, Orthogonal Polynomials, Thm 7.33.1).
-    T_l = C_l(1) 2^-(l-t) has ratios T_{l+1}/T_l = r_l = 1/2 + (2n + 1)/(2l + 2)
+    T_l = C_l(1) x^(l-t) has ratios T_{l+1}/T_l = r_l = x (l + 2n + 2)/(l + 1)
     that do not increase, so past an L with r_L < 1 the terms sum to at most
-    T_L r_L/(1 - r_L), which is added at the first L where it is <= 2^-60 of
-    the sum: exact, in integers over one common denominator, rounded up once."""
+    T_L r_L/(1 - r_L), which is added at the first L where it is <= 2^-bits
+    of the sum: exact, in integers over one common denominator, rounded up
+    once."""
     top, bot = (2 * Fraction(float(n))).as_integer_ratio()
+    p, q = Fraction(x).as_integer_ratio()
     a = math.prod(j * bot + top + bot for j in range(1, t + 1))
     den, s, ell = math.factorial(t) * bot**t, 0, t
     while True:
         s += a
         if s > int(sys.float_info.max) * den:
             return math.inf
-        rn, rd = (ell + 2) * bot + top, 2 * (ell + 1) * bot  # r_l = rn / rd
-        if rn < rd and a * rn << 60 <= (rd - rn) * s:
+        rn, rd = p * ((ell + 2) * bot + top), q * (ell + 1) * bot  # r_l = rn / rd
+        if rn < rd and a * rn << bits <= (rd - rn) * s:
             total = Fraction(s * (rd - rn) + a * rn, den * (rd - rn))
             break
         a, den, s = a * rn, den * rd, s * rd
         ell += 1
     return g if (g := float(total)) >= total else math.nextafter(g, math.inf)
+
+
+_U = 2.0**-53  # unit roundoff
+
+
+def round_up(x, roundings: int = 1):
+    """For floats or arrays x >= 0, an upper bound of every y with 0 <= y <=
+    x (1 + 1.5 k u), k = roundings >= 1, u = 2^-53, k u <= 1/8: so of any
+    value that k roundings, each within a factor 1 +- u, took down to x, as
+    both (1 + u)^k and 1/(1 - gamma_k), gamma_k = k u / (1 - k u), are at
+    most 1 + 1.5 k u there.  Proof: 1 + 2 k u is a float, fl(x (1 + 2 k u))
+    >= x (1 + 2 k u)(1 - u), and the next float up is at least u x higher."""
+    return np.nextafter(x * (1.0 + 2.0 * roundings * _U), np.inf)
+
+
+#: Highest even order l whose max of E_nl is bounded by sampling
+#: (sampled_maxima); remainder_majorant bounds the higher orders by C_l(1).
+#: At 100 the d = 3, n = 3 to 10, rho = 10 gates close at 0.6 x 2 rho, and
+#: the table takes about 3 ms; at 60 n = 3 to 5 need 0.65.
+SAMPLED_ORDER = 100
+#: Absolute error allowed for each entry of the cosine table: math.cos errs
+#: by under 1 ulp (glibc), and its argument pi i / (2 m) by under 20 u.
+_COS_ERR = 2.0**-47
+
+
+@lru_cache(maxsize=None)
+def sampled_maxima(n) -> tuple:
+    """(M, C): for even l = 0, 2, ..., SAMPLED_ORDER, M[l // 2] >= max over
+    c in [-1, 1] of E_nl(c) = (1 - c^2) C_l(c), and C[l // 2] >= C_l(1),
+    C_l = C_l^(n+1).  Orders that compare equal share one entry.
+
+    Proof.  With w_k = (n + 1)_k / k! > 0, C_l(cos th) = sum_{k<=l} w_k
+    w_(l-k) cos((l - 2k) th) (Szegő, Orthogonal Polynomials, (4.9.19)), so
+    C_l(1) = sum_k w_k w_(l-k) bounds |C_l| and E_nl on [-1, 1].  Sample at
+    the zeros c_j = cos th_j, th_j = (2j - 1) pi / (2m), of T_m for
+    m = 4 (SAMPLED_ORDER + 2): cos((l - 2k) th_j) is the entry
+    (l - 2k)(2j - 1) mod 4m of a table of cos(pi i / (2m)), and 1 - c_j^2 =
+    (1 - cos 2 th_j) / 2.  E_nl is even and the zeros symmetric, so j <= m/2
+    suffice.  Each float w_k takes 4k roundings, each coefficient 2 w_k
+    w_(l-k) 4l + 1, the dot product with the table l/2 + 1 more (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1, in any order), and
+    the table errs by _COS_ERR; so each sample is within e_l = Cbar (4
+    _COS_ERR + (6l + 12) u) of E_nl(c_j), Cbar >= C_l(1) the rounded-up
+    float sum.  With A <= E_nl(c_j) <= B at every zero (B = max + e_l,
+    A = min - e_l), p = E_nl - (A + B)/2 has degree N = l + 2 <= m/4 and
+    |p(c_j)| <= (B - A)/2, so by Ehlich and Zeller (Math. Z. 86, 1964), max
+    |p| <= (B - A) / (2 cos(N pi / (2m))) on [-1, 1], and max E_nl <= B +
+    (B - A)(sec - 1)/2, sec >= 1/cos(N pi/(2m)) <= 1/cos(pi/8).  Adding
+    4 u (|B| + 2(B - A)) covers the roundings of B, A and that sum, and the
+    step to the next float the last addition.  M takes the smaller of that
+    and Cbar."""
+    big = SAMPLED_ORDER
+    lam = float(n) + 1.0
+    w = [1.0]
+    for k in range(1, big + 1):
+        w.append(w[-1] * ((lam + (k - 1)) / k))
+    w = np.array(w)
+    m = 4 * (big + 2)
+    table = np.array([math.cos(math.pi * i / (2 * m)) for i in range(4 * m)])
+    odd = np.arange(1, m, 2)  # 2j - 1, j = 1 .. m/2
+    # row l/2 of coef weighs cos(q th), q = l - 2k, by 2 w_k w_(l-k), k < l/2,
+    # and by w_(l/2)^2 at q = 0; the zeros add nothing to its dot products
+    rows, k = np.tril_indices(big // 2 + 1)
+    coef = np.zeros((big // 2 + 1, big + 1))
+    coef[rows, 2 * (rows - k)] = np.where(k == rows, 1.0, 2.0) * w[k] * w[2 * rows - k]
+    cosines = table[np.outer(np.arange(big + 1), odd) % (4 * m)]
+    samples = (coef @ cosines) * ((1.0 - table[2 * odd]) / 2.0)
+    maxima, caps = [], []
+    for ell, row, values in zip(range(0, big + 1, 2), coef, samples):
+        cap = float(round_up(row.sum(), 6 * (ell + 1)))
+        err = cap * (4.0 * _COS_ERR + (6 * ell + 12) * _U)
+        hi, lo = float(values.max()) + err, float(values.min()) - err
+        sec = 1.0 / (math.cos((ell + 2) * math.pi / (2 * m)) - 2.0**-49)
+        half = (sec - 1.0) / 2.0 + 2.0**-50
+        spread = hi - lo
+        bound = hi + spread * half + 4 * _U * (abs(hi) + 2.0 * spread)
+        maxima.append(min(math.nextafter(bound, math.inf), cap))
+        caps.append(cap)
+    return tuple(maxima), tuple(caps)
+
+
+def remainder_majorant(n, t: int, x, x_max) -> np.ndarray:
+    """Upper bounds of B_t(x) = sum_{even l >= t} M_l x^(l-t), M_l >= max_c
+    E_nl(c), at each float 0 <= x <= x_max < 1, x_max rational, for even
+    t <= SAMPLED_ORDER.  For even t, (R_nt(c, x) + R_nt(-c, x)) / 2 =
+    sum_{even l >= t} E_nl(c) x^(l-t) <= B_t(x): the odd l cancel.
+
+    M_l is sampled_maxima's up to SAMPLED_ORDER = L and C_l(1) past it, whose
+    sum over even l >= L + 2 is at most x^(L+2-t) G(n', L + 2, x_max)
+    (remainder_bound to 2^-10; G grows with x and with n' >= n, n' the
+    multiple of 2^-11 that keeps its integers short).  With y = fl(x * x),
+    Horner's rule runs over the K + 1 coefficients M_t, ..., M_L, G,
+    K = (L + 2 - t)/2, all >= 0: each term passes at most 2K + 1 roundings
+    and y^j K more, each by a factor within 1 +- u, so round_up(3K + 1)
+    covers them."""
+    big = SAMPLED_ORDER
+    maxima, _ = sampled_maxima(n)
+    y = np.square(np.asarray(x, dtype=float))
+    tail = remainder_bound(math.ceil(n * 2048) / 2048, big + 2, x_max, 10)
+    acc = np.full_like(y, tail)
+    for ell in range(big, t - 1, -2):
+        acc = acc * y + maxima[ell // 2]
+    return round_up(acc, 3 * (big + 2 - t) // 2 + 1)
 
 
 @dataclass(frozen=True)

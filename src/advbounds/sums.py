@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import substituted_coeff
+from .kernel import remainder_majorant, round_up, substituted_coeff
 from .lattice import BallEnumeration, enumerate_ball, max_norm_sq_inside
 from .tail import ParameterError, check_even_t, check_parameters
 
@@ -418,6 +418,31 @@ def extremize_Q(q: SpherePolynomial):
     u = sorted((math.sqrt(s) for s in point), reverse=True)
     return (math.nextafter(float(lower), -math.inf),
             math.nextafter(float(upper), math.inf), tuple(u))
+
+
+def remainder_term(cfg: SumConfig, t: int, radius: float) -> float:
+    """An upper bound, for every |k| >= R = radius > rho, on the order-t
+    remainder of K_m's upper model (certify.far_bound):
+
+        R^(-t) 2 sum_m r(m) m^((t-2n)/2) B_t(sqrt(m) / R),
+
+    r(m) the ball's points with |h|^2 = m and B_t kernel.remainder_majorant,
+    taken at sqrt(m) / R rounded up twice (two roundings) and with x_max
+    = rho / R rounded up to a multiple of 2^-16.  m^((t-2n)/2) is the float
+    power shell_sum uses.  The terms are >= 0, so past those inputs the
+    products (2 roundings), the sum over the S shells (S - 1, in any order),
+    R^t by t - 1 products and the division (1) are covered by round_up."""
+    check_even_t(t)
+    if not radius > cfg.rho:
+        raise ValueError(f"requires radius > rho = {cfg.rho}, got {radius}")
+    _, starts, m = cfg.shells
+    counts = np.diff(starts, append=len(cfg.ball))
+    m = m.astype(float)
+    x = round_up(np.sqrt(m) / radius, 2)
+    x_max = Fraction(math.ceil(Fraction(cfg.rho) / Fraction(radius) * 2**16), 2**16)
+    terms = counts * m ** (t / 2.0 - cfg.n) * remainder_majorant(cfg.n, t, x, x_max)
+    power = math.prod([float(radius)] * t)
+    return float(round_up(2.0 * float(terms.sum()) / power, len(m) + t + 1))
 
 
 def vV_nt(cfg: SumConfig, t: int, extrema) -> tuple[float, float]:

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
+import mpmath
 import numpy as np
 
 
@@ -241,6 +242,47 @@ def taylor_exact(n, ell):
     for j, x in enumerate(cl):
         e[j + 2] -= x
     return tuple(e)
+
+
+def gegenbauer_coefficients_mp(n, ell_max, c):
+    """[E_nl(c) for l = 0 .. ell_max] at one c, in mpmath at the working
+    precision, from C_l^(n+1)'s three-term recurrence (taylor_exact's)."""
+    n, c = mpmath.mpf(n), mpmath.mpf(c)
+    prev2, prev1 = mpmath.mpf(1), 2 * (n + 1) * c
+    out = [prev2, prev1]
+    for l in range(2, ell_max + 1):
+        prev2, prev1 = prev1, (2 * c * (l + n) * prev1 - (l + 2 * n) * prev2) / l
+        out.append(prev1)
+    return [(1 - c * c) * x for x in out[:ell_max + 1]]
+
+
+def gegenbauer_maxima_mp(n, ell_max, samples=400, dps=40):
+    """max over c = cos(pi j / samples), j = 0 .. samples, of E_nl(c), for
+    l = 0 .. ell_max, at dps digits: a dense lower estimate of max_c E_nl
+    (uniform in the angle, so dense near c = +-1, where E_nl peaks for large
+    n)."""
+    with mpmath.workdps(dps):
+        best = [-mpmath.inf] * (ell_max + 1)
+        for j in range(samples + 1):
+            c = mpmath.cos(mpmath.pi * j / samples)
+            for ell, e in enumerate(gegenbauer_coefficients_mp(n, ell_max, c)):
+                best[ell] = max(best[ell], e)
+        return [float(x) for x in best]
+
+
+def even_remainder_mp(n, t, c, xi, dps=60):
+    """(R_nt(c, xi) + R_nt(-c, xi)) / 2 from the closed-form kernel
+    (1 - c^2)(1 - 2 c xi + xi^2)^(-(n+1)) minus its Taylor head, at dps
+    digits: R_nt = xi^(-t) (E_n(c, xi) - sum_{l<t} E_nl(c) xi^l)."""
+    with mpmath.workdps(dps):
+        n, xi = mpmath.mpf(n), mpmath.mpf(xi)
+        total = mpmath.mpf(0)
+        for cc in (mpmath.mpf(c), -mpmath.mpf(c)):
+            e = (1 - cc * cc) * (1 - 2 * cc * xi + xi * xi) ** (-(n + 1))
+            head = sum(x * xi**ell for ell, x in
+                       enumerate(gegenbauer_coefficients_mp(n, t - 1, cc)))
+            total += (e - head) / xi**t
+        return float(total / 2)
 
 
 def wedge_power_ratio(n, c, u):

@@ -18,10 +18,10 @@ from advbounds.certify import (
     asymptotic_upper,
     build_asymptotic_model,
     certify_bounds,
+    far_bound,
     search_sup_Km,
 )
-from advbounds.cli import certificate_report
-from advbounds.kernel import EnclosureWidthError, remainder_bound, remainder_extrema
+from advbounds.kernel import EnclosureWidthError, remainder_extrema
 from advbounds.lattice import (
     CANONICAL_BUDGET,
     PointBudgetExceeded,
@@ -46,14 +46,8 @@ DIAG_KEYS = {
     "z_n",
     "points_in_ball",
     "canonical_candidates",
-    "remainder_mu",
-    "remainder_M",
-    "remainder_mu_width",
-    "remainder_M_width",
     "q_upper",
     "q_lower",
-    "v_lower",
-    "V_upper",
     "runtime_ms",
 }
 
@@ -414,12 +408,12 @@ def test_certificate_structure():
     assert cert.K_minus == K_minus(3, 3)
     assert cert.K_minus < cert.K_plus
     assert cert.asymptotic_bound <= cert.sup_Km
-    assert cert.search_radius == 10.0
+    assert cert.search_radius in [10.0 * k / 20 for k in range(11, 21)]
     assert is_canonical(cert.argmax)
     assert set(cert.diagnostics) == DIAG_KEYS
     assert cert.diagnostics["points_in_ball"] == len(enumerate_ball(3, 5.0))
     assert cert.diagnostics["canonical_candidates"] == len(
-        enumerate_canonical(3, 10.0)
+        enumerate_canonical(3, cert.search_radius)
     )
     assert cert.diagnostics["runtime_ms"] > 0.0
 
@@ -451,10 +445,10 @@ def _strip_runtime(cert):
     )
 
 
-#: The seven bench cases, where the closed form G closes every gate but those
-#: of d = 3, n = 2, rho = 20 and d = 4, n = 3, and five more: the grid closes
-#: d3 n1.6 at t = 8, d4 n2.2 at t = 10 and d3 n2.5 rho 6 at t = 6, neither
-#: closes d5 n2.501 rho 5 (the fallback), and G closes d2 n2 rho 100.
+#: The seven bench cases and five more: d3 n1.6 and d4 n2.2 close at t = 8,
+#: d5 n2.501 rho 5 at t = 10, d3 n2.5 rho 6 at 0.7 x 2 rho and d2 n2 rho 100
+#: at 0.55 x 2 rho.  The remainder grid closed d4 n2.2 at t = 10 and left
+#: d5 n2.501 rho 5 open (the fallback).
 GRID_PATH_CASES = [
     (3, 2, 20.0), (3, 3, 10.0), (3, 4, 10.0), (3, 5, 10.0), (3, 10, 10.0),
     (4, 3, 10.0), (2, 2, 10.0), (3, 1.6, 10.0), (4, 2.2, 10.0), (5, 2.501, 5.0),
@@ -462,62 +456,79 @@ GRID_PATH_CASES = [
 ]
 
 
-def _report_json(cert):
-    report = certificate_report(cert)
-    del report["runtime_ms"]
-    return json.dumps(report)
-
-
 @pytest.mark.parametrize("d,n,rho", GRID_PATH_CASES)
-def test_grid_path_gives_the_same_report(monkeypatch, d, n, rho):
-    """With the closed form G made useless, every gate goes to the grid; the
-    report keeps every byte and its t.  The diagnostics say which bound
-    decided: (-G, G) with no widths, or the grid's enclosure.  Neither the
-    search nor the grid depends on which bound runs first, so both runs
-    share each result."""
-    def once(fn):
-        done = {}
-
-        def call(*args):
-            key = tuple(a.n if isinstance(a, SumConfig) else a for a in args)
-            if key not in done:
-                done[key] = fn(*args)
-            return done[key]
-        return call
-
-    monkeypatch.setattr(certify_mod, "search_sup_Km", once(search_sup_Km))
-    monkeypatch.setattr(certify_mod, "remainder_extrema", once(remainder_extrema))
+def test_grid_path_gives_the_same_report(d, n, rho):
+    """The grid path, the V model on remainder_extrema at 2 rho that the
+    staged benchmark builds, against certify_bounds' per-shell bound and
+    ladder.  The ladder finds the full 2 rho search's max and argmax, bit for
+    bit; the per-shell bound closes at the grid's t or before, and wherever
+    the grid closes, sup_kk_upper and K_plus are the grid's.  No K_plus
+    grows."""
     cert = certify_bounds(d, n, rho)
-    diag = cert.diagnostics
-    if diag["remainder_M_width"] is None:
-        g = remainder_bound(n, cert.t)
-        assert (diag["remainder_mu"], diag["remainder_M"]) == (-g, g)
-        assert diag["remainder_mu_width"] is None
-    monkeypatch.setattr(certify_mod, "remainder_bound", lambda n, t: math.inf)
-    grid = certify_bounds(d, n, rho)
-    assert grid.diagnostics["remainder_M_width"] is not None
-    assert _report_json(grid) == _report_json(cert)
+    cfg = SumConfig.create(d, n, rho)
+    sup, argmax, _ = search_sup_Km(cfg, 2.0 * rho)
+    assert (cert.sup_Km.hex(), cert.argmax) == (sup.hex(), argmax)
+    model = None
+    for t in (6, 8, 10):
+        model = build_asymptotic_model(cfg, t, remainder_extrema(n, t), model)
+        far = asymptotic_upper(model, 2.0 * rho)
+        if far <= sup:
+            break
+    assert cert.t <= t
+    grid_upper = max(sup, far) + cert.diagnostics["delta_k"]
+    assert cert.sup_KK_interval.upper <= grid_upper
+    assert cert.K_plus <= (2.0 * math.pi) ** (-d / 2.0) * math.sqrt(grid_upper)
+    if far <= sup:
+        assert cert.sup_KK_interval.upper == grid_upper
+        assert cert.K_plus == (2.0 * math.pi) ** (-d / 2.0) * math.sqrt(grid_upper)
 
 
 def test_grid_failure_below_t10_moves_on_to_the_next_t(monkeypatch):
-    """At d3 n2.5 rho 6 the grid closes the t = 6 gate.  A grid that fails
-    there decides nothing: the run goes on to t = 8, whose closed form G
-    closes the gate, and certifies what a run that starts at t = 8 does."""
-    calls = []
+    """certify_bounds runs no remainder grid, so one that fails changes
+    nothing.  At d3 n1.6 rho 10 no rung closes at t = 6, so the search
+    covers |k| < 2 rho, and the far bound there moves on to t = 8, which
+    closes the gate."""
+    def fails(n, t):
+        raise EnclosureWidthError("extrema enclosure did not converge")
 
-    def fails_at_6(n, t):
-        calls.append(t)
-        if t == 6:
-            raise EnclosureWidthError("extrema enclosure did not converge")
-        return remainder_extrema(n, t)
+    monkeypatch.setattr(kernel_mod, "remainder_extrema", fails)
+    monkeypatch.setattr(certify_mod, "remainder_extrema", fails)
+    cert = certify_bounds(3, 1.6, 10.0)
+    assert (cert.t, cert.search_radius) == (8, 20.0)
+    assert cert.diagnostics["canonical_candidates"] == len(enumerate_canonical(3, 20.0))
+    cfg = SumConfig.create(3, 1.6, 10.0)
+    model6 = build_asymptotic_model(cfg, 6)
+    model8 = build_asymptotic_model(cfg, 8, prior=model6)
+    assert far_bound(model6, cfg, 20.0) > cert.sup_Km
+    assert far_bound(model8, cfg, 20.0) == cert.asymptotic_bound <= cert.sup_Km
 
-    monkeypatch.setattr(certify_mod, "remainder_extrema", fails_at_6)
-    cert = certify_bounds(3, 2.5, 6.0)
-    assert calls == [6] and cert.t == 8
-    g = remainder_bound(2.5, 8)
-    assert (cert.diagnostics["remainder_mu"], cert.diagnostics["remainder_M"]) == (-g, g)
-    monkeypatch.setattr(certify_mod, "_T_STEPS", (8, 10))
-    assert _strip_runtime(certify_bounds(3, 2.5, 6.0)) == _strip_runtime(cert)
+
+@pytest.mark.parametrize("d,n,rho", [(5, 3, 5.0), (3, 2.5, 6.0)])
+def test_ladder_matches_the_full_search(monkeypatch, d, n, rho):
+    """The ladder screens the lowest rung, 0.55 x 2 rho, then extends once
+    to the rung that closes (0.7 x 2 rho at d3 n2.5 rho 6; none at d5 n3
+    rho 5, which searches all of |k| < 2 rho): the max and argmax are the
+    full search's, bit for bit, and the reps searched are those below the
+    rung.  Each rep is screened at most once."""
+    screened = []
+    paired = sums_mod._PairedTerms
+
+    class Counted(paired):
+        def __call__(self, ks):
+            screened.extend(map(tuple, ks.tolist()))
+            return super().__call__(ks)
+
+    monkeypatch.setattr(certify_mod, "_PairedTerms", Counted)
+    cert = certify_bounds(d, n, rho)
+    during = list(screened)
+    cfg = SumConfig.create(d, n, rho)
+    sup, argmax, reps = search_sup_Km(cfg, 2.0 * rho)
+    assert (cert.sup_Km.hex(), cert.argmax) == (sup.hex(), argmax)
+    below = enumerate_canonical(d, cert.search_radius)
+    assert cert.diagnostics["canonical_candidates"] == len(below)
+    assert sorted(during) == below
+    assert cert.search_radius == (8.4 if d == 3 else 10.0)
+    assert (len(below) < reps) == (d == 3)
 
 
 def test_certify_deterministic_and_thread_independent(monkeypatch):
@@ -572,7 +583,9 @@ def test_certify_enumerates_canonical_reps_once(monkeypatch):
     monkeypatch.setattr(certify_mod, "enumerate_canonical", counted)
     cert = certify_bounds(3, 3, 5.0)
     assert calls == [(3, 10.0)]
-    assert cert.diagnostics["canonical_candidates"] == len(enumerate_canonical(3, 10.0))
+    assert cert.search_radius < 10.0
+    assert cert.diagnostics["canonical_candidates"] == len(
+        enumerate_canonical(3, cert.search_radius))
 
 
 def test_certify_refuses_an_over_budget_search_before_any_stage(monkeypatch):
@@ -580,8 +593,8 @@ def test_certify_refuses_an_over_budget_search_before_any_stage(monkeypatch):
         raise AssertionError("a stage ran before the canonical budget check")
 
     monkeypatch.setattr(certify_mod, "SumConfig", SimpleNamespace(create=never))
-    monkeypatch.setattr(certify_mod, "remainder_bound", never)
-    monkeypatch.setattr(certify_mod, "remainder_extrema", never)
+    monkeypatch.setattr(certify_mod, "build_asymptotic_model", never)
+    monkeypatch.setattr(certify_mod, "far_bound", never)
     assert issubclass(PointBudgetExceeded, ParameterError)
     with pytest.raises(PointBudgetExceeded, match="canonical reps d=2, radius=5000.0"):
         certify_bounds(2, 2, 2500.0)
@@ -604,13 +617,12 @@ def test_t_escalation_builds_each_direction_coefficient_once(monkeypatch):
     assert cert.t == 8
     assert calls == [("Z_n", ()), ("build_Q", (2,)), ("build_Q", (4,)),
                      ("build_Q", (6,))]
-    fresh = build_asymptotic_model(
-        SumConfig.create(3, 1.6, 10.0), 8, remainder_extrema(1.6, 8)
-    )
+    cfg = SumConfig.create(3, 1.6, 10.0)
+    fresh = build_asymptotic_model(cfg, 8)
     assert cert.diagnostics["z_n"] == fresh.z
     assert list(cert.diagnostics["q_upper"].items()) == list(fresh.q_upper.items())
     assert list(cert.diagnostics["q_lower"].items()) == list(fresh.q_lower.items())
-    assert cert.diagnostics["V_upper"] == fresh.V
+    assert cert.asymptotic_bound == far_bound(fresh, cfg, cert.search_radius)
 
 
 def test_search_interrupt_stops_within_one_block_per_worker(monkeypatch):
@@ -684,18 +696,22 @@ def test_certify_parameter_errors():
 
 
 def test_inconclusive_search_radius(monkeypatch):
-    """If no t brings the asymptotic bound at the search radius below the
-    searched maximum, the certificate takes the larger of the two as its
-    bound on sup K_m rather than silently under-reporting; the searched
-    maximum stays the attained lower end."""
+    """If no rung and no t brings the far bound below the searched maximum,
+    the search covers |k| < 2 rho and the certificate takes the larger of
+    the two as its bound on sup K_m rather than silently under-reporting;
+    the searched maximum stays the attained lower end."""
+    rungs_seen = []
 
-    def tiny_search(cfg, radius, *, threads=None):
-        return 0.001, (1, 0, 0), 1
+    def tiny_search(cfg, rungs, far=None, threads=None):
+        rungs_seen.extend(rungs)
+        assert all(far(r) > 0.001 for r in rungs)
+        return 0.001, (1, 0, 0), 1, rungs[-1]
 
-    monkeypatch.setattr(certify_mod, "search_sup_Km", tiny_search)
+    monkeypatch.setattr(certify_mod, "_search", tiny_search)
     cert = certify_bounds(3, 2, 5.0)
     delta_k = cert.diagnostics["delta_k"]
-    assert cert.t == 10
+    assert rungs_seen == [10.0 * k / 20 for k in range(11, 21)]
+    assert (cert.t, cert.search_radius) == (10, 10.0)
     assert cert.asymptotic_bound > cert.sup_Km == 0.001
     assert cert.sup_KK_interval.lower == 0.001
     assert cert.sup_KK_interval.upper == cert.asymptotic_bound + delta_k

@@ -113,7 +113,7 @@ def test_nonfinite_n_exit_1(argv, n, monkeypatch, capsys):
         raise AssertionError("a stage ran before n was checked")
 
     for mod, name in ((certify_mod.SumConfig, "create"),
-                      (certify_mod, "remainder_extrema"),
+                      (certify_mod, "build_asymptotic_model"),
                       (cli, "lower_bound_witness"), (cli, "witness_prediction")):
         monkeypatch.setattr(mod, name, no_stage)
     assert cli.main(argv + ["--n", n]) == 1
@@ -138,72 +138,68 @@ def test_nonfinite_rho_exit_1(argv, capsys):
     assert "Traceback" not in err
 
 
-def test_grid_failure_at_every_t_keeps_the_closed_form(monkeypatch, capsys):
-    """At d3 n1.6 rho 10 the closed form G leaves every gate open (its far
-    bound at t = 10 is 43.71, above sup 38.69), so each t goes to the grid.
-    A grid that fails at every t leaves G's t = 10 model standing: the run
-    exits 0 with the fallback certificate, max(sup, far bound) + delta_K."""
-    calls = []
-
+def _no_grid(monkeypatch):
+    """Make every remainder grid run raise: certify_bounds must not need one."""
     def stuck(n, t):
-        calls.append(t)
         raise EnclosureWidthError(
             "extrema enclosure at width 1.0e+00 needs 295935 active cells, more "
             "than the cap of 262144"
         )
 
+    monkeypatch.setattr(kernel_mod, "remainder_extrema", stuck)
     monkeypatch.setattr(certify_mod, "remainder_extrema", stuck)
+
+
+def test_grid_failure_at_every_t_keeps_the_closed_form(monkeypatch, capsys):
+    """At d3 n1.6 rho 10 neither the closed form G nor the grid closed the
+    gate below t = 10 before; the per-shell bound needs no grid, so a grid
+    that fails at every t changes nothing: the run exits 0 and the gate
+    closes at t = 8, sup_kk_upper = sup_km + delta_K."""
+    _no_grid(monkeypatch)
     argv = ["certify", "--d", "3", "--n", "1.6", "--format", "json"]
     assert cli.main(argv) == 0
-    assert calls == [6, 8, 10]
     report = json.loads(capsys.readouterr().out)
-    cfg = certify_mod.SumConfig.create(3, 1.6, 10.0)
-    g = kernel_mod.remainder_bound(1.6, 10)
-    model = certify_mod.build_asymptotic_model(
-        cfg, 10, kernel_mod.RemainderExtrema(mu=-g, M=g))
-    far = certify_mod.asymptotic_upper(model, 20.0)
-    assert 43.71 < far < 43.72 and 38.68 < report["sup_km"] < 38.69
-    upper = far + report["delta_k"]
+    assert report["t"] == 8 and 38.68 < report["sup_km"] < 38.69
+    upper = report["sup_km"] + report["delta_k"]
     k_plus = (2.0 * math.pi) ** -1.5 * math.sqrt(upper)
-    assert report["t"] == 10 and report["z_n"] == model.z
     assert (report["sup_kk_upper"], report["k_plus"]) == (upper, k_plus)
     assert report["k_plus_rounded"] == cli.round_sig_up(k_plus)
 
 
 @pytest.mark.parametrize(
-    "n, t", [("14", 6), ("20", 6), ("22", 8), ("31", 10)], ids=["14", "20", "22", "31"]
+    "n, t", [("14", 6), ("20", 6), ("22", 6), ("31", 6)], ids=["14", "20", "22", "31"]
 )
 def test_certify_past_the_grid_cell_cap_exit_0(n, t, monkeypatch, capsys):
-    """The grid's refinement passes its active-cell cap from n = 14 on.  The
-    closed-form remainder bound closes these gates at t = 6 first, or, from
-    n = 22, at a later t, once the grid at each t before it hit the cap."""
-    calls, failed = [], []
-
-    def grid(n, t):
-        calls.append(t)
-        try:
-            return kernel_mod.remainder_extrema(n, t)
-        except EnclosureWidthError as exc:
-            failed.append(str(exc))
-            raise
-
-    monkeypatch.setattr(certify_mod, "remainder_extrema", grid)
+    """The grid's refinement passes its active-cell cap from n = 14 on, and
+    before the per-shell bound n = 22 and 31 settled at t = 8 and 10 once
+    the grid at each t before it hit the cap.  Now no grid runs, and each
+    closes at t = 6 below 2 rho."""
+    _no_grid(monkeypatch)
     assert cli.main(["certify", "--d", "3", "--n", n, "--format", "json", "-v"]) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["t"] == t
-    assert calls == list(range(6, t, 2)) and len(failed) == len(calls)
-    assert all("more than the cap of 262144" in msg for msg in failed)
-    assert err.splitlines()[1].startswith(
-        f"closed at t={t} by the closed form remainder bound, gate margin")
+    assert err.splitlines()[1].startswith(f"closed at t={t} searching |k| < 1")
+
+
+@pytest.mark.parametrize("n", ["41", "60"])
+def test_certify_large_n_closes_without_the_grid(n, monkeypatch, capsys):
+    """Before the per-shell bound, n >= 41 rested on G's t = 10 far bound,
+    above sup K_m, as the grid hit its cell cap at every t.  Now the gate
+    closes at t = 6 with no grid run, so sup_kk_upper is sup_km + delta_K."""
+    _no_grid(monkeypatch)
+    assert cli.main(["certify", "--d", "3", "--n", n, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["t"] == 6
+    assert report["sup_kk_upper"] == report["sup_km"] + report["delta_k"]
 
 
 @pytest.mark.parametrize(
     "argv, t",
     [
-        (["--d", "3", "--n", "1.6", "--rho", "5"], 8),
-        (["--d", "5", "--n", "3", "--rho", "5"], 10),
+        (["--d", "3", "--n", "1.6"], 8),
+        (["--d", "5", "--n", "2.501", "--rho", "5"], 10),
     ],
-    ids=["d3-n1.6-rho5-t8", "d5-n3-rho5-t10"],
+    ids=["d3-n1.6-rho10-t8", "d5-n2.501-rho5-t10"],
 )
 def test_certify_other_t_and_d_exit_0(argv, t, monkeypatch, capsys):
     """Near n = d/2 the t = 6 asymptotic bound at the search radius lies
@@ -229,23 +225,25 @@ def test_certify_other_t_and_d_exit_0(argv, t, monkeypatch, capsys):
 
 
 def test_verbose_names_the_far_bound_of_an_open_gate(capsys):
-    """At d5 n2.501 rho 5 no t closes the gate, so sup_kk_upper is the far
-    bound plus delta_K, and -v says so."""
-    assert cli.main(["certify", "--d", "5", "--n", "2.501", "--rho", "5", "-v"]) == 0
+    """At d6 n3.1 rho 5 no rung and no t closes the gate, so the search
+    covers |k| < 2 rho, sup_kk_upper is the far bound plus delta_K, and -v
+    says so."""
+    assert cli.main(["certify", "--d", "6", "--n", "3.1", "--rho", "5", "-v"]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert err[0] == "certifying d=5 n=2.501 rho=5.0"
-    assert err[1].startswith("closed at t=10 by the grid remainder bound, gate margin")
+    assert err[0] == "certifying d=6 n=3.1 rho=5.0"
+    assert err[1].startswith("closed at t=10 searching |k| < 10.0 (969 reps), gate margin")
     assert float(err[1].split("= ")[1].split(";")[0]) < 0
-    assert err[1].endswith("sup_kk_upper set by the far bound 84.61376621016473")
+    assert err[1].endswith("sup_kk_upper set by the far bound 92.49653553023076")
     assert err[1] in (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def test_verbose_names_the_grid_when_it_closed_the_gate(capsys):
-    """At d3 n2.5 rho 6 the closed-form bound leaves the t = 6 gate open and
-    the grid closes it (d3 n3, below, closes under the closed form)."""
+    """-v names the rung the search stopped at and the reps below it: at d3
+    n2.5 rho 6, where the grid once closed the t = 6 gate, the per-shell
+    bound closes it at 0.7 x 2 rho, over 91 of the 223 reps below 2 rho."""
     assert cli.main(["certify", "--d", "3", "--n", "2.5", "--rho", "6", "-v"]) == 0
     closed = capsys.readouterr().err.splitlines()[1]
-    assert closed.startswith("closed at t=6 by the grid remainder bound, gate margin")
+    assert closed.startswith("closed at t=6 searching |k| < 8.4 (91 reps), gate margin")
     assert float(closed.split("= ")[1]) > 0
 
 
@@ -262,7 +260,7 @@ def test_verbose_gate_margin_leaves_the_reports_alone(capsys):
             if verbose:
                 closed = err.splitlines()[1]
                 assert closed.startswith(
-                    "closed at t=6 by the closed form remainder bound, gate margin")
+                    "closed at t=6 searching |k| < 12.0 (223 reps), gate margin")
                 assert float(closed.split("= ")[1]) > 0
                 assert "set by" not in closed
         assert outputs[0] == outputs[1]
@@ -276,11 +274,12 @@ def test_over_budget_search_exit_1(capsys):
 
 def test_certify_large_n_hits_cell_cap_certifies_under_the_closed_form(
         monkeypatch, capsys):
-    """Past n = 13 the remainder refinement would split more cells than
-    kernel.MAX_ACTIVE_CELLS, and stops at the cap instead of growing without
-    bound (n = 20 was OOM-killed before the cap).  At n = 41 the closed form
-    G closes no gate and the grid hits the cap at t = 6, 8 and 10, so the
-    certificate rests on G's t = 10 far bound, which lies above sup K_m."""
+    """Past n = 13 the remainder grid's refinement would split more cells
+    than kernel.MAX_ACTIVE_CELLS; at n = 41 it hit the cap at t = 6, 8 and
+    10, and the certificate rested on G's t = 10 far bound, above sup K_m
+    (k_plus_rounded 9.68E+6).  The per-shell bound closes the gate at t = 6
+    at the lowest rung, 0.55 x 2 rho, over 178 reps: K_plus is the searched
+    max's, 9.14E+6."""
     certs = []
 
     def capture(*args):
@@ -293,14 +292,12 @@ def test_certify_large_n_hits_cell_cap_certifies_under_the_closed_form(
     out, err = capsys.readouterr()
     report = json.loads(out)
     (cert,) = certs
-    assert report["t"] == 10 and report["k_plus_rounded"] == "9.68E+6"
-    assert cert.asymptotic_bound > report["sup_km"]
-    assert report["sup_kk_upper"] == cert.asymptotic_bound + report["delta_k"]
-    diag = cert.diagnostics
-    assert diag["remainder_mu_width"] is None and diag["remainder_M_width"] is None
+    assert report["t"] == 6 and report["k_plus_rounded"] == "9.14E+6"
+    assert cert.asymptotic_bound < report["sup_km"]
+    assert report["sup_kk_upper"] == report["sup_km"] + report["delta_k"]
     closed = err.splitlines()[1]
-    assert closed.startswith("closed at t=10 by the closed form remainder bound")
-    assert closed.endswith(f"set by the far bound {cert.asymptotic_bound!r}")
+    assert closed.startswith("closed at t=6 searching |k| < 11.0 (178 reps)")
+    assert "set by" not in closed
 
 
 @pytest.mark.parametrize(

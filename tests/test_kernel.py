@@ -10,18 +10,27 @@ from numpy.polynomial import polynomial as npp
 
 import advbounds.kernel as kernel_mod
 from advbounds.kernel import (
+    SAMPLED_ORDER,
     EnclosureWidthError,
     _BaseGrid,
     _cell_upper,
     remainder_bound,
+    remainder_majorant,
     remainder_extrema,
     remainder_values,
+    sampled_maxima,
     series_switch,
     substituted_coeff,
     taylor_coeff,
 )
 from conftest import rel_err
-from oracles import KernelDomainError, eval_E, taylor_exact
+from oracles import (
+    KernelDomainError,
+    eval_E,
+    even_remainder_mp,
+    gegenbauer_maxima_mp,
+    taylor_exact,
+)
 
 
 def eval_remainder(n, t, c, xi):
@@ -429,3 +438,47 @@ def test_remainder_bound_past_the_largest_float_is_inf():
     assert math.isfinite(remainder_bound(211, 10))
     assert remainder_bound(508, 6) == math.inf
     assert remainder_bound(1e300, 10) == math.inf
+
+
+MAJORANT_ORDERS = (1.6, 2, 2.2, 2.501, 3, 4, 5, 10, 13, 41)
+
+
+@pytest.mark.parametrize("n", MAJORANT_ORDERS)
+def test_sampled_maxima_bound_the_dense_maximum(n):
+    """Each M_l of sampled_maxima lies above a dense 25-digit maximum of
+    E_nl over [-1, 1]; up to l = 30, where 200 samples resolve each peak,
+    it is within 9% of it (Ehlich and Zeller's factor 1/cos(pi/8) is
+    1.083).  C_l(1) caps it."""
+    maxima, caps = sampled_maxima(n)
+    assert len(maxima) == SAMPLED_ORDER // 2 + 1
+    dense = gegenbauer_maxima_mp(n, SAMPLED_ORDER, samples=200, dps=25)
+    for ell in range(0, SAMPLED_ORDER + 1, 2):
+        m, want = maxima[ell // 2], dense[ell]
+        assert want <= m <= caps[ell // 2], (ell, m, want)
+        assert ell > 30 or m <= 1.09 * want, (ell, m, want)
+
+
+@pytest.mark.parametrize("t", (6, 8, 10))
+@pytest.mark.parametrize("n", MAJORANT_ORDERS)
+def test_remainder_majorant_bounds_the_even_remainder(n, t):
+    """B_t(x) lies above (R_nt(c, xi) + R_nt(-c, xi)) / 2 at every sampled
+    c and xi <= x, evaluated in mpmath from the closed-form kernel, up to x
+    = 0.85, past the largest 1/1.1 the ladder's lowest rung needs."""
+    xs = (0.05, 0.3, 0.5, 0.7, 0.85)
+    bound = remainder_majorant(n, t, np.array(xs), Fraction(17, 20))
+    assert (np.diff(bound) > 0).all()
+    for x, b in zip(xs, bound.tolist()):
+        for j in range(0, 11):
+            c = math.cos(math.pi * j / 20)
+            assert even_remainder_mp(n, t, c, x) <= b, (x, c)
+
+
+def test_remainder_bound_at_other_x():
+    """G(n, t, x) = sum_{l>=t} C_l(1) x^(l-t) at x = 1/2 is remainder_bound's
+    default, and at x = 2/3, n = 2, the closed form 1.5^t (3^6 -
+    sum_{l<t} C_l(1) (2/3)^l), C_l(1) = binom(l + 5, 5), rounded up."""
+    assert remainder_bound(2, 6, Fraction(1, 2)) == remainder_bound(2, 6)
+    x = Fraction(2, 3)
+    exact = (1 / x) ** 6 * (3**6 - sum(math.comb(l + 5, 5) * x**l for l in range(6)))
+    got = remainder_bound(2, 6, x)
+    assert exact <= got <= math.nextafter(float(exact), math.inf)
