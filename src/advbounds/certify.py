@@ -56,7 +56,7 @@ class InconclusiveSearchRadius(RuntimeError):
     """The asymptotic region is not dominated by the finite search.
 
     certify_bounds never raises it (it certifies the larger of the two
-    instead); the staged benchmark (perfbench/worker.py) does."""
+    instead); perfbench/worker.py's staged mode does."""
 
 
 def _require(cond: bool, message: str) -> None:

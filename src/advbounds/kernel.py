@@ -215,7 +215,8 @@ def remainder_bound(n, t: int, x=Fraction(1, 2), bits: int = 60) -> float:
     that do not increase, so past an L with r_L < 1 the terms sum to at most
     T_L r_L/(1 - r_L), which is added at the first L where it is <= 2^-bits
     of the sum: exact, in integers over one common denominator, rounded up
-    once."""
+    once.  remainder_majorant asks only 2^-10 for its tail: near x = 1 each
+    further bit takes tens of terms."""
     top, bot = (2 * Fraction(float(n))).as_integer_ratio()
     p, q = Fraction(x).as_integer_ratio()
     a = math.prod(j * bot + top + bot for j in range(1, t + 1))
