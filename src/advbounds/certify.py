@@ -33,7 +33,7 @@ import numpy as np
 
 # certify_bounds does not call remainder_extrema; the staged benchmark's
 # tracer patches it here.
-from .kernel import _run_blocks, remainder_extrema, round_up  # noqa: F401
+from .kernel import _Workers, remainder_extrema, round_up  # noqa: F401
 from .lattice import check_canonical_budget, enumerate_canonical, max_norm_sq_inside
 from .sums import (
     Interval,
@@ -47,6 +47,7 @@ from .sums import (
     build_Q,
     extremize_Q,
     remainder_term,
+    stabilizer_classes,
     vV_nt,
 )
 from .tail import check_even_t, check_parameters, delta_K
@@ -171,7 +172,8 @@ def _check_search_radius(search_radius, rho) -> None:
     )
 
 
-#: Most paired terms one screened block holds per array (rows x N/2).
+#: Most orbit terms one screened block holds (rows x M), rounded down to
+#: whole half-ball rows where one fits; a block holds one row at least.
 _BLOCK_TERMS = 2**16
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -180,10 +182,11 @@ _UNIT_ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1073
 
 
-def _screen(pairs: np.ndarray, scales: np.ndarray):
+def _screen(row_sums: np.ndarray, scales: np.ndarray, points: int):
     """Bounds [lo, hi] on each row's K_m value, scale * (exact sum of the
-    row's N full-row terms, sums._folded_terms, rounded to nearest), from
-    np.sum of its M = N/2 paired terms (sums._PairedTerms).
+    row's N = points full-row terms, sums._folded_terms, rounded to
+    nearest), from the np.sum of its at most N/2 weighted orbit terms
+    (sums._PairedTerms).
 
     Write each rounding as fl(x) = x (1 + e) + z with |e| <= u = 2^-53,
     |z| <= 2^-1075 and e z = 0: a result in the subnormal range errs by half
@@ -192,23 +195,27 @@ def _screen(pairs: np.ndarray, scales: np.ndarray):
     |k -+ h|^2, given floats with f <= 1 (a doubled fold has m > rho^2 > 8);
     sums._power_table holds the very floats sums._fold gives.
     The two full-row terms fl(fl(c) f-) + fl(fl(c) f+) are c (f- + f+)
-    (1 + e)^2 + z' with |z'| <= 5 * 2^-1075, and the paired term over 4,
-    fl(fl(4c) fl(f- + f+)) / 4, is c (f- + f+) (1 + e)^3 + z'' with
-    |z''| <= 2^-1075.  So the exact full-row sum T and the exact paired sum
-    P over 4 differ by a factor within (1 +- u)^5 and by at most 3 N 2^-1075
-    over the row.  For positive terms every summation order of np.sum errs
-    by at most gamma_{M-1} times P (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 4).  The relative slack 2 gamma + 16u covers
-    those, the one rounding of T (math.fsum, in sums.K_m), of the scaling and
-    of the bounds themselves; the absolute slack, scale N _TINY = 4 N 2^-1075
-    per unit of scale >= 1 (|k|^2 >= 1, n > 0), covers 3 N 2^-1075 and the
-    few subnormal roundings of the scaled bounds, as the ball has N >= 4
-    points.
+    (1 + e)^2 + z' with |z'| <= 5 * 2^-1075.  The orbit term of P over 4,
+    fl(fl(4 c_P |h^k|^2 w) fl(f- + f+)) / 4, its integer product 4 c_P
+    |h^k|^2 exact, is c_P c (f- + f+) (1 + e)^3 + z'' with |z''| <=
+    2^-1075: it stands for the c_P pairs of P in the half ball, whose two
+    full-row terms are h_P's and -h_P's bit for bit.  So the exact full-row
+    sum T and the exact weighted sum P over 4 differ by a factor within
+    (1 +- u)^5 and by at most 3 N 2^-1075 over the row.  For positive terms
+    every summation order of np.sum errs by at most gamma_{M-1} times P,
+    M <= N/2 the row's terms (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 4).  The relative slack 2 gamma_{N/2-1} + 16u covers
+    those, the one rounding of T (math.fsum, in sums.K_m), of the scaling
+    and of the bounds themselves; the absolute slack, scale N _TINY = 4 N
+    2^-1075 per unit of scale >= 1 (|k|^2 >= 1, n > 0), covers 3 N 2^-1075
+    and the few subnormal roundings of the scaled bounds, as the ball has
+    N >= 4 points.  Each bound is elementwise, so one call over any rows
+    gives each row the bits it would get alone.
     """
-    half = pairs.shape[1]
+    half = points // 2
     ulps = (half - 1) * _UNIT_ROUNDOFF
     rel = 2.0 * ulps / (1.0 - ulps) + 16.0 * _UNIT_ROUNDOFF
-    approx = 0.25 * scales * pairs.sum(axis=1)
+    approx = 0.25 * scales * row_sums
     tiny = scales * (2 * half * _TINY)
     lo = approx * (1.0 - rel) - tiny
     hi = approx * (1.0 + rel) + tiny
@@ -227,48 +234,68 @@ def _search(cfg: SumConfig, rungs, far=None, threads=None):
     Only canonical representatives (coordinates sorted descending,
     nonnegative) are evaluated; K_m is invariant under the signed-permutation
     group, so this loses nothing.  They are enumerated once, below the last
-    rung.  First the workers screen the reps below the first rung, in lex
-    order and blocks of `rows` reps (at most _BLOCK_TERMS paired terms):
-    sums._PairedTerms takes h and -h together, over half the ball, and
-    _screen bounds each rep's K_m(k) in [lo, hi].  If far(R) is an upper
-    bound for K_m on |k| >= R, the search extends once, to the reps below R:
-    the floor max(lo) can only rise, so far(R) stays below the maximum.
-    Then the calling thread sums K_m(k) exactly, over the full ball and
-    correctly rounded, at each searched rep with hi >= max(lo).  A rep
-    attaining the maximum M has hi >= M >= K_m(j) >= lo_j for every searched
-    rep j, so it and every tie are summed, whatever the workers and their
-    blocks.  An exception in a worker, or an interrupt, stops each after its
-    current block and propagates before any exact sum.
+    rung.  First the workers screen the reps below the first rung, one
+    stabilizer class at a time (sums.stabilizer_classes), in lex order and
+    blocks of `rows` reps (at most _BLOCK_TERMS orbit terms): each block
+    writes its rows' sums of weighted orbit terms (sums._PairedTerms), and
+    _screen bounds each rep's K_m(k) in [lo, hi] once the screen is done.
+    The orbits of each class, and each worker's buffer, sized to the
+    largest block of any class, are built once per search.  If far(R) is an
+    upper bound for K_m on |k| >= R, the search extends once, to the reps
+    below R: the floor max(lo) can only rise, so far(R) stays below the
+    maximum.  Then the calling thread sums K_m(k) exactly, over the full
+    ball and correctly rounded, at each searched rep with hi >= max(lo).  A
+    rep attaining the maximum M has hi >= M >= K_m(j) >= lo_j for every
+    searched rep j, so it and every tie are summed, whatever the workers
+    and their blocks.  An exception in a worker, or an interrupt, stops each
+    after its current block and propagates before any exact sum.
 
     Returns (max, argmax, reps, R): the maximum, the lexicographically
     smallest rep attaining it, and the number of canonical reps searched.
-    The workers of kernel._run_blocks take the blocks one at a time,
+    The workers of kernel._Workers take the blocks one at a time,
     `threads` of them if given, else as many as the CPUs and blocks allow.
     """
     reps = enumerate_canonical(cfg.d, rungs[-1])
     k2 = np.array([sum(c * c for c in k) for k in reps])
     ks = np.array(reps, dtype=np.int64)
     scales = np.array([_k_scale(s, cfg.n) for s in k2.tolist()])
-    rows = max(1, _BLOCK_TERMS // (len(cfg.ball) // 2))
     table = _power_table(cfg, int(k2.max()))
     tops = [max_norm_sq_inside(r) for r in rungs]
+    # before the screen's buffers exist, whose peak their temporaries would raise
+    row_sums = np.empty(len(reps))
     lo, hi = np.full((2, len(reps)), [[-math.inf], [math.inf]])
+    fars = None if far is None else [far(r) for r in rungs]
+    kind = stabilizer_classes(ks)
+    kinds, counts = (a.tolist() for a in np.unique(kind, return_counts=True))
+    paired = _PairedTerms(cfg, table, kinds)
+    # whole half-ball rows, where they fit: no buffer outgrows the trivial class's
+    half = len(cfg.ball) // 2
+    most = min(_BLOCK_TERMS, max(1, _BLOCK_TERMS // half) * half)
+    rows = {c: max(1, most // paired.terms[c]) for c in kinds}
+    size = max(min(rows[c], n) * paired.terms[c] for c, n in zip(kinds, counts))
+    blocks = max(-(-n // rows[c]) for c, n in zip(kinds, counts))
 
     def screen(at):
-        def block(i, pairs_of):
-            j = at[i:i + rows]
-            lo[j], hi[j] = _screen(pairs_of(ks[j]), scales[j])
+        for c in kinds:
+            members = at[kind[at] == c]
+            if members.size:
+                paired.load(c)
+                workers.run(range(0, members.size, rows[c]),
+                            partial(block, members, rows[c]))
+        lo[at], hi[at] = _screen(row_sums[at], scales[at], len(cfg.ball))
 
-        if at.size:
-            _run_blocks(range(0, at.size, rows), block,
-                        lambda: _PairedTerms(cfg, rows, table), threads)
+    def block(members, count, i, buffer):
+        j = members[i:i + count]
+        row_sums[j] = paired(ks[j], buffer)
 
-    screen(np.flatnonzero(k2 <= tops[0]))
-    rung = 0
-    if far is not None:
-        floor = lo.max()
-        rung = next((i for i, r in enumerate(rungs) if far(r) < floor), len(rungs) - 1)
-        screen(np.flatnonzero((k2 > tops[0]) & (k2 <= tops[rung])))
+    with _Workers(partial(paired.buffer, size), blocks, threads) as workers:
+        screen(np.flatnonzero(k2 <= tops[0]))
+        rung = 0
+        if far is not None:
+            floor = lo.max()
+            rung = next((i for i, f in enumerate(fars) if f < floor), len(rungs) - 1)
+            screen(np.flatnonzero((k2 > tops[0]) & (k2 <= tops[rung])))
+    del paired  # the exact sums need none of the screen's memory
     searched = k2 <= tops[rung]
     live = np.flatnonzero(searched & (hi >= lo.max())).tolist()
     found = [(K_m(reps[i], cfg), reps[i]) for i in live]

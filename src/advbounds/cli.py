@@ -11,8 +11,8 @@ bounds round down, three significant digits, and the ratio row is truncated
 (never rounded up).  JSON reports carry full-precision floats plus the rounded
 strings; runtime_ms is the only field allowed to vary between identical runs.
 The sup K_m search runs its blocks on as many workers as the CPUs the
-process may run on and the blocks allow (kernel._run_blocks), so no flag
-sets them, and no report depends on them.
+process may run on and the blocks allow (kernel._Workers), so no
+flag sets them, and no report depends on them.
 
 certify.certify_bounds picks the expansion order t and the search radius
 (at most 2 rho) itself, so no flag sets either.

@@ -14,7 +14,7 @@ summed by remainder_bound, the exact geometric tail of sum C_l(1) x^(l-t).
 
 remainder_extrema encloses the extrema of R_nt over [-1,1] x [0,1/2] by a
 heuristic grid scan (_SAFETY), streamed in blocks of grid rows through up to
-_MAX_WORKERS threads (_run_blocks, which the sup K_m search shares), plus
+_MAX_WORKERS threads (_Workers, which the sup K_m search shares), plus
 local-slope branch-and-bound refinement.  No certificate uses it: it stays,
 with _BaseGrid, _branch_bound_max and _cell_upper (about 175 lines), only
 because the staged benchmark (perfbench/worker.py) builds its V model on
@@ -46,8 +46,8 @@ class EnclosureWidthError(RuntimeError):
 #: against 33-36 ms (median of 9), and the base grid of remainder_extrema
 #: about 1.4x.  `certify --d 3 --n 3,4,5,10` peaked at 45.0-45.1 MB RSS with
 #: one worker, 45.7-45.8 MB with two and 47.1-47.6 MB with four, as each
-#: worker holds its own block buffers (3.2 MB for the grid, 2.6 MB for the
-#: search).  Unmeasured on more CPUs.
+#: worker holds its own block buffers (3.2 MB for the grid, 2.1 MB for the
+#: search at d = 3, rho = 10).  Unmeasured on more CPUs.
 _MAX_WORKERS = 2
 
 
@@ -61,38 +61,56 @@ def _cpu_workers() -> int:
     return min(cpus, _MAX_WORKERS)
 
 
-def _run_blocks(starts, work, make_buffer, workers=None) -> None:
-    """Call work(start, buffer) for every start, on the calling thread and
-    workers - 1 pool threads, each with its own buffer.  workers defaults to
-    _cpu_workers() and never exceeds the blocks, so one block starts no pool
-    thread.  make_buffer() builds every buffer on the calling thread: memory
-    a pool thread's malloc arena keeps would add to the peak of later
-    stages.  An exception in a worker, or an interrupt, stops each after its
-    current block and propagates."""
-    count = min(_cpu_workers() if workers is None else workers, len(starts))
-    buffers = [make_buffer() for _ in range(count)]
-    pending = iter(starts)
-    lock = threading.Lock()
-    halt = threading.Event()
+class _Workers:
+    """The workers of a block runner: the calling thread and count - 1 pool
+    threads, count = `workers`, default _cpu_workers(), but never more than
+    `blocks`, the most one run takes.  Each has its own buffer, and
+    make_buffer() builds every one on the calling thread: memory a pool
+    thread's malloc arena keeps would add to the peak of later stages.
+    One instance serves any number of runs; leaving its `with` block stops
+    the pool threads and drops the buffers."""
 
-    def run(buffer):
-        """Take blocks until none are left; then, or on any exception, halt."""
+    def __init__(self, make_buffer, blocks: int, workers=None):
+        count = min(_cpu_workers() if workers is None else workers, blocks)
+        self.buffers = [make_buffer() for _ in range(count)]
+        self._pool = ThreadPoolExecutor(max_workers=max(1, count - 1))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._pool.shutdown()
+        self.buffers.clear()
+
+    def run(self, starts, work) -> None:
+        """Call work(start, buffer) for every start, each worker with its
+        own buffer; never more workers than starts, so one block starts no
+        pool thread.  An exception in a worker, or an interrupt, stops each
+        after its current block and propagates."""
+        buffers = self.buffers[:len(starts)]
+        pending = iter(starts)
+        lock = threading.Lock()
+        halt = threading.Event()
+
+        def take(buffer):
+            """Take blocks until none are left; then, or on any exception, halt."""
+            try:
+                while not halt.is_set():
+                    with lock:
+                        start = next(pending, None)
+                    if start is None:
+                        break
+                    work(start, buffer)
+            finally:
+                halt.set()
+
+        helpers = [self._pool.submit(take, buffer) for buffer in buffers[1:]]
         try:
-            while not halt.is_set():
-                with lock:
-                    start = next(pending, None)
-                if start is None:
-                    break
-                work(start, buffer)
+            take(buffers[0])
         finally:
             halt.set()
-
-    with ThreadPoolExecutor(max_workers=max(1, len(buffers) - 1)) as pool:
-        try:
-            helpers = [pool.submit(run, buffer) for buffer in buffers[1:]]
-            run(buffers[0])
-        finally:
-            halt.set()
+            for helper in helpers:
+                helper.exception()  # wait, so no block outlives the run
         for helper in helpers:
             helper.result()
 
@@ -475,7 +493,8 @@ class _BaseGrid:
         def bound(i, buffers):
             blocks[i // self.rows] = self.cells(i, buffers)
 
-        _run_blocks(starts, bound, self.buffers)
+        with _Workers(self.buffers, len(starts)) as workers:
+            workers.run(starts, bound)
         highs, lows, *kept = zip(*blocks)
         best = (float(np.max(highs)), -float(np.min(lows)))
         cells = [[np.concatenate(col) for col in zip(*parts)] for parts in kept]

@@ -21,16 +21,19 @@ half-degree principle for symmetric polynomials, and rounds them outward.
 Every certificate-bound reduction is a correctly rounded sum, independent of
 term order, which makes the bitwise symmetry and worker-count guarantees real:
 SumConfig.shell_sum for Z_n, build_Q and vV_nt, and math.fsum for K_m.  The
-search bounds every rep's K_m by np.sum of paired terms, h and -h taken
-together over half the ball (_PairedTerms), under a proven error bound
-(certify._screen), and then takes K_m only at the reps whose upper bound
-reaches the largest lower bound.
+search bounds every rep's K_m by np.sum of weighted orbit terms
+(_PairedTerms): a canonical k is fixed by a subgroup S_k of the signed
+permutations, and the ball splits into orbits P of <S_k, -I>, on each of
+which the paired term of h and -h repeats bit for bit; so each orbit enters
+once, with the integer weight |P| / 2.  A proven error bound
+(certify._screen) encloses each rep's K_m, and the search then takes K_m
+only at the reps whose upper bound reaches the largest lower bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations_with_replacement, permutations
@@ -58,6 +61,7 @@ class SumConfig:
     n: float
     rho: object
     ball: BallEnumeration
+    _moments: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.ball.d != self.d or self.ball.radius != self.rho:
@@ -98,13 +102,36 @@ class SumConfig:
 
     def shell_sum(self, values, p: float) -> float:
         """sum_h values[h] |h|^(2p), values integers on the rows in `shells` order
-        (or a scalar) whose shell totals c(m) fit their dtype: the exact sum_m c(m)
-        fl(m^p), an int over a power of 2, rounded once by int true division."""
-        _, starts, m = self.shells
-        totals = np.add.reduceat(np.broadcast_to(values, len(self.ball)), starts)
+        (or a scalar) whose shell totals fit their dtype (shell_round)."""
+        _, starts, _ = self.shells
+        return self.shell_round(
+            np.add.reduceat(np.broadcast_to(values, len(self.ball)), starts), p)
+
+    def shell_round(self, totals, p: float) -> float:
+        """sum_m c(m) m^p for exact integer shell totals c(m), in `shells`
+        order: the exact sum_m c(m) fl(m^p), an int over a power of 2, rounded
+        once by int true division."""
+        _, _, m = self.shells
         ratios = [w.as_integer_ratio() for w in (m.astype(float) ** p).tolist()]
         den = max(q for _, q in ratios)
         return sum(int(c) * a * (den // q) for c, (a, q) in zip(totals, ratios)) / den
+
+    def moment_totals(self, alpha: tuple) -> np.ndarray:
+        """The shell totals sum_{|h|^2 = m} h^alpha, exact, for a multi-index
+        alpha sorted descending; built once per config.  The ball is invariant
+        under permutations, so every permutation of alpha has these totals.
+        int64 while (largest shell) (max |h|^2)^(|alpha|/2) < 2^63, else ints."""
+        totals = self._moments.get(alpha)
+        if totals is None:
+            order, starts, _ = self.shells
+            most = int(np.diff(starts, append=len(order)).max())
+            big = most * self._max_norm_sq ** (sum(alpha) // 2) >= 2**63
+            coords = self.ball.points[order].T
+            coords = coords.astype(object) if big else coords
+            mono = reduce(np.multiply, (x**e for x, e in zip(coords, alpha) if e), 1)
+            totals = np.add.reduceat(np.broadcast_to(mono, len(self.ball)), starts)
+            self._moments[alpha] = totals
+        return totals
 
 
 def _as_k(k, d: int) -> np.ndarray:
@@ -167,53 +194,142 @@ def _folded_terms(cfg: SumConfig, k: np.ndarray) -> np.ndarray:
     return terms
 
 
+def stabilizer_classes(ks: np.ndarray) -> np.ndarray:
+    """The stabilizer class of each canonical k (a row of ks) as an int:
+    bit i < d - 1 is set when k_i = k_(i+1), bit d - 1 when the last
+    coordinate is 0.  The class fixes S_k, the signed permutations that fix
+    k: those that permute each block of equal coordinates, and flip signs
+    too in the block of zeros, the last one."""
+    d = ks.shape[1]
+    tied = (ks[:, :-1] == ks[:, 1:]) @ (1 << np.arange(d - 1))
+    return tied + ((ks[:, -1] == 0) << (d - 1))
+
+
+def _orbit_rows(half: np.ndarray, kind: int) -> tuple:
+    """(index, weight): one point h_P of each orbit P of <S_k, -I> on the
+    ball, for k of stabilizer class `kind`, as a column of `half`, the half
+    ball H as a (d, N/2) array, and the integer c_P = |P| / 2, in H's order.
+
+    h_P is the lex larger of the S_k-canonical points of S_k h and S_k (-h)
+    (each block sorted descending, the zero block nonnegative); it lies in H,
+    as it leads with the largest |h_i| of the first block where h is not 0.
+    As -I is in the group, P is a union of pairs h, -h, so c_P counts its
+    points in H, and the weights sum to N/2.  |S_k h| is the product
+    over blocks of b! / prod(m_v!), m_v the multiplicities of the block's
+    values, times 2^(nonzero entries) in the zero block; |P| is twice that
+    unless -h lies in S_k h."""
+    d = half.shape[0]
+    tied = [kind >> i & 1 for i in range(d - 1)]
+    zero = kind >> (d - 1) & 1
+    starts = [0] + [i + 1 for i in range(d - 1) if not tied[i]]
+    blocks = list(zip(starts, starts[1:] + [d]))
+    canonical = half[d - 1] >= 0 if zero else np.ones(half.shape[1], dtype=bool)
+    for i in range(d - 1):
+        if tied[i]:
+            canonical &= half[i] >= half[i + 1]
+    index = np.flatnonzero(canonical)
+    h = np.take(half, index, axis=1)
+    flip = h.copy()  # the S_k-canonical point of S_k (-h)
+    for a, b in blocks[:len(blocks) - zero]:
+        flip[a:b] = -h[a:b][::-1]
+    greater = np.zeros(index.size, dtype=bool)
+    same = np.ones(index.size, dtype=bool)
+    for i in range(d):
+        greater |= same & (h[i] > flip[i])
+        same &= h[i] == flip[i]
+    size = np.ones(index.size, dtype=np.int64)
+    for a, b in blocks:
+        run = 1
+        for i in range(a + 1, b):
+            run = np.where(h[i] == h[i - 1], run + 1, 1)
+            size = size * (i - a + 1) // run  # the prefix's multinomial, exact
+    if zero:
+        size <<= np.count_nonzero(h[blocks[-1][0]:], axis=0)
+    keep = greater | same
+    index, weight = index[keep], np.where(same, size // 2, size)[keep]
+    # the smallest unsigned types that hold them, as the search keeps every class's
+    return (index.astype(np.min_scalar_type(half.shape[1])),
+            weight.astype(np.min_scalar_type(weight.max())))
+
+
 class _PairedTerms:
-    """The search's screen: for a block of B integer k's, the B x N/2 matrix
+    """The search's screen, one stabilizer class at a time: for a block of B
+    canonical k's of the loaded class, the sums of the B rows of
 
-        4 |h^k|^2 |h|^-(2n+2) * (f(|k-h|^2) + f(|k+h|^2)),   f = _fold,
+        c_P 4 |h^k|^2 |h|^-(2n+2) * (f(|k-h|^2) + f(|k+h|^2)),   f = _fold,
 
-    over the half ball H, the last N/2 ball points: enumerate_ball lists the
-    ball in lex order and h -> -h reverses it, so H holds the h whose first
-    nonzero coordinate is positive.  h and -h share |h|^2 and |h^k|^2, so row
-    i sums, times |k_i|^(2n) / 4, to K_m(k_i) up to what certify._screen
-    bounds.  The search's |k| < 1023 and |h| < 512 (_power_table), so -2 h.k,
+    over the M orbit points h_P of _orbit_rows.  h and -h share |h|^2 and
+    |h^k|^2, and every point of P has h_P's or -h_P's invariants, exact
+    integers, so the paired term of each of P's c_P points in the half ball
+    H is h_P's bit for bit, and row i sums, times |k_i|^(2n) / 4, to
+    K_m(k_i) up to what certify._screen bounds.  In the trivial class P =
+    {h, -h} and c_P = 1: the row is the half ball's, in H's order.
+
+    The search's |k| < 1023 and |h| < 512 (_power_table), so -2 h.k,
     4 |k|^2 |h|^2 and (2 h.k)^2 are exact float64 integers, and each index
-    |k -+ h|^2 <= (|k| + |h|)^2 is cast straight into the index buffers and
+    |k -+ h|^2 <= (|k| + |h|)^2 is cast straight into the index buffer and
     lies in the table by _power_table's size: np.take's mode="clip" never
     clamps, and unlike mode="raise" it writes to `out` without buffering.
-    Every call overwrites the same buffers of `rows` rows, so each worker
-    keeps its own instance.
+    c_P 4 |h^k|^2 is an exact integer too, below 2^41: with c = isqrt(max
+    |k|^2), |k| < c + 1 and |h| < rho <= (c + 1) / 2 give 4 |h|^2 |k|^2 <
+    (c + 1)^4, and c_P <= min(|S_k|, N/2), |S_k| <= 2^(d-1) (d-1)!, where
+    CANONICAL_BUDGET bounds c and POINT_BUDGET bounds N.
+
+    Each class's orbits are built once per instance.  load gathers a class's
+    float columns into one array the workers share; each worker passes its
+    own buffer (buffer) to every call.
     """
 
-    def __init__(self, cfg: SumConfig, rows: int, table: np.ndarray):
+    def __init__(self, cfg: SumConfig, table: np.ndarray, kinds):
         half = len(cfg.ball) // 2
         self.table = table
-        self._points_t = np.ascontiguousarray(-2.0 * cfg.ball.points[half:].T)
+        points = np.ascontiguousarray(cfg.ball.points[half:].T, dtype=np.int16)
+        self._points = points  # |h_i| < 4473 by POINT_BUDGET
         self._h2 = cfg._h2f[half:]
         self._w = cfg._inv_pow_np1[half:]
-        shape = (rows, half)
-        self._a, self._b, self._c = (np.empty(shape) for _ in range(3))
-        self._minus, self._plus = (np.empty(shape, dtype=np.intp) for _ in range(2))
+        self._orbits = {kind: _orbit_rows(points, kind) for kind in kinds}
+        self.terms = {kind: index.size for kind, (index, _) in self._orbits.items()}
+        self._flat = np.empty((cfg.d + 3) * max(self.terms.values(), default=0))
 
-    def __call__(self, ks: np.ndarray) -> np.ndarray:
-        b = ks.shape[0]
+    @staticmethod
+    def buffer(size: int) -> tuple:
+        """One worker's buffers for blocks of at most `size` terms."""
+        return (*(np.empty(size) for _ in range(3)), np.empty(size, dtype=np.intp))
+
+    def load(self, kind: int) -> None:
+        """Gather the columns -2 h_P, |h_P|^2, |h_P|^-(2n+2) and c_P of class
+        `kind`, its terms[kind] orbits, for the calls that follow."""
+        index, weight = self._orbits[kind]
+        index = index.astype(np.intp)
+        d = self._points.shape[0]
+        cols = self._flat[:(d + 3) * index.size].reshape(d + 3, index.size)
+        np.multiply(np.take(self._points, index, axis=1), -2.0, out=cols[:d])
+        np.take(self._h2, index, out=cols[d])
+        np.take(self._w, index, out=cols[d + 1])
+        cols[d + 2] = weight
+        self._cols = cols
+
+    def __call__(self, ks: np.ndarray, buffer) -> np.ndarray:
+        d = ks.shape[1]
+        points_t, (h2, w, weight) = self._cols[:d], self._cols[d:]
+        size = ks.shape[0] * h2.size
+        dot, acc, f, m = (x[:size].reshape(ks.shape[0], -1) for x in buffer)
         kf = ks.astype(float)
         k2 = np.einsum("ij,ij->i", kf, kf)[:, None]
-        dot, acc, f = self._a[:b], self._b[:b], self._c[:b]
-        minus, plus = self._minus[:b], self._plus[:b]
-        np.matmul(kf, self._points_t, out=dot)  # -2 h.k
-        np.add(k2, self._h2, out=acc)
-        np.add(acc, dot, out=minus, casting="unsafe")  # |k-h|^2
-        np.subtract(acc, dot, out=plus, casting="unsafe")  # |k+h|^2
+        np.matmul(kf, points_t, out=dot)  # -2 h.k
+        np.add(k2, h2, out=acc)
+        np.add(acc, dot, out=m, casting="unsafe")  # |k-h|^2
+        np.take(self.table, m, out=f, mode="clip")
+        np.subtract(acc, dot, out=m, casting="unsafe")  # |k+h|^2
+        np.take(self.table, m, out=acc, mode="clip")
+        f += acc
         dot *= dot
-        np.multiply(4.0 * k2, self._h2, out=acc)
+        np.multiply(4.0 * k2, h2, out=acc)
         acc -= dot  # 4 |h^k|^2
-        acc *= self._w
-        np.take(self.table, minus, out=dot, mode="clip")
-        np.take(self.table, plus, out=f, mode="clip")
-        dot += f
-        acc *= dot
-        return acc
+        acc *= weight
+        acc *= w
+        acc *= f
+        return acc.sum(axis=1)
 
 
 def _k_scale(k2: int, n: float) -> float:
@@ -271,26 +387,26 @@ def build_Q(cfg: SumConfig, ell: int) -> SpherePolynomial:
         u -> 2 sum_{|h|<rho} Ehat_nl(u . h/|h|) / |h|^(2n-ell),
 
     expanded over monomials of u: u^alpha (|alpha| = j, all even) takes
-    a_j (j; alpha) 2 sum_h h^alpha |h|^(ell-2n-j), Ehat_nl = sum_j a_j c^j, with
-    h^alpha int64 while (largest shell) (max |h|^2)^(j/2) < 2^63, else an int."""
+    a_j (j; alpha) 2 sum_h h^alpha |h|^(ell-2n-j), Ehat_nl = sum_j a_j c^j.
+    Every permutation of alpha has the same integer shell totals
+    (SumConfig.moment_totals), so the same moment bit for bit: each is
+    rounded once per sorted alpha and copied to the other permutations."""
     if ell < 2 or ell % 2 != 0:
         raise ValueError(f"requires even ell >= 2, got {ell}")
     ehat = substituted_coeff(cfg.n, ell, cfg.d)
-    order, starts, _ = cfg.shells
-    points = cfg.ball.points[order]
-    most = int(np.diff(starts, append=len(order)).max())
     terms: dict = {}
     for j, a in enumerate(ehat):
         if a == 0:
             continue
-        big = most * cfg._max_norm_sq ** (j // 2) >= 2**63
-        coords = points.T.astype(object) if big else points.T
+        p = (ell - 2.0 * cfg.n - j) / 2.0
+        moments: dict = {}
         for half in combinations_with_replacement(range(cfg.d), j // 2):
             m = tuple(2 * half.count(i) for i in range(cfg.d))
-            mono = np.prod([x**e for x, e in zip(coords, m)], axis=0)
-            moment = 2.0 * cfg.shell_sum(mono, (ell - 2.0 * cfg.n - j) / 2.0)
+            alpha = tuple(sorted(m, reverse=True))
+            if alpha not in moments:
+                moments[alpha] = 2.0 * cfg.shell_round(cfg.moment_totals(alpha), p)
             multinomial = math.factorial(j) // math.prod(map(math.factorial, m))
-            terms[m] = terms.get(m, 0.0) + a * multinomial * moment
+            terms[m] = terms.get(m, 0.0) + a * multinomial * moments[alpha]
     return SpherePolynomial(ell=ell, d=cfg.d, terms=terms)
 
 

@@ -346,6 +346,39 @@ def signed_permutations(k):
     return orbit
 
 
+def stabilizer_orbits(k, points):
+    """An orbit label for each row of `points`, an integer array the group
+    <S_k, -I> maps to itself, S_k the signed permutations fixing k.  The
+    group is generated by -I, the swaps of equal coordinates of k and the
+    sign flips where k is 0; each point takes the least index its
+    generators reach, until no label moves."""
+    k = tuple(int(x) for x in k)
+    d = len(k)
+    pts = np.asarray(points, dtype=np.int64)
+    top = int(np.abs(pts).max())
+    place = (2 * top + 1) ** np.arange(d - 1, -1, -1)
+    codes = (pts + top) @ place
+    order = np.argsort(codes)
+    moves = [-pts]
+    for i in range(d):
+        if k[i] == 0:
+            moves.append(pts * np.where(np.arange(d) == i, -1, 1))
+        for j in range(i + 1, d):
+            if k[i] == k[j]:
+                swap = list(range(d))
+                swap[i], swap[j] = j, i
+                moves.append(pts[:, swap])
+    maps = [order[np.searchsorted(codes[order], (g + top) @ place)] for g in moves]
+    label = np.arange(len(pts))
+    while True:
+        new = label.copy()
+        for m in maps:
+            np.minimum(new, new[m], out=new)
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def shells(norm_sq):
     """Map from each attained |h|^2 to the sorted row indices attaining it."""
     norm_sq = np.asarray(norm_sq)

@@ -24,6 +24,7 @@ from advbounds.certify import (
 from advbounds.kernel import EnclosureWidthError, remainder_extrema
 from advbounds.lattice import (
     CANONICAL_BUDGET,
+    POINT_BUDGET,
     PointBudgetExceeded,
     enumerate_ball,
     enumerate_canonical,
@@ -37,6 +38,7 @@ from advbounds.sums import (
     _PairedTerms,
     _power_table,
     build_Q,
+    stabilizer_classes,
 )
 from conftest import rel_err
 from oracles import is_canonical, sphere_eval
@@ -129,12 +131,33 @@ def test_search_matches_per_rep_loop(d, n, rho, monkeypatch):
     assert search_sup_Km(cfg, 2 * rho) == want
 
 
+def _stub_screen(monkeypatch, row_sums):
+    """Replace the screen's kernel: every class has N/2 terms per row, a
+    block's row sums are row_sums(ks), and each block is recorded as (the
+    class loaded, its ks)."""
+    blocks = []
+
+    class Stub:
+        buffer = staticmethod(lambda size: None)
+
+        def __init__(self, cfg, table, kinds):
+            self.terms = dict.fromkeys(kinds, len(cfg.ball) // 2)
+
+        def load(self, kind):
+            self.kind = kind
+
+        def __call__(self, ks, buffer):
+            blocks.append((self.kind, ks.copy()))
+            return row_sums(ks)
+
+    monkeypatch.setattr(certify_mod, "_PairedTerms", Stub)
+    return blocks
+
+
 def test_search_ties_keep_lex_smallest(monkeypatch):
     # every row sums to 3, so K_m = 3 |k|^(2n) ties across each whole shell;
-    # the screen's rows hold 4 times each pair's share
-    monkeypatch.setattr(
-        certify_mod, "_PairedTerms", lambda cfg, rows, table: lambda ks: 4.0 + 0 * ks
-    )
+    # the screen's row sums hold 4 times that
+    _stub_screen(monkeypatch, lambda ks: np.full(len(ks), 12.0))
     monkeypatch.setattr(
         certify_mod, "K_m", lambda k, cfg: float(sum(c * c for c in k)) ** cfg.n * 3.0
     )
@@ -184,16 +207,26 @@ def test_power_table_is_the_fold(d, n, rho):
     [(2, 3, 4.0), (3, 2, 6.0), (3, 5, 5.0), (4, 3, 4.5), (3, 150, 4.0), (2, 2, 10.0)],
 )
 def test_screened_interval_holds_exact_value(d, n, rho):
-    """The screen's bounds from the paired terms hold the exact sum of the
-    full-row terms at every rep; at n = 150 some terms are subnormal."""
+    """The screen's bounds from the weighted orbit rows hold the exact sum
+    of the full-row terms at every rep, in every stabilizer class, those
+    with tied and zero coordinates among them; at n = 150 some terms are
+    subnormal."""
     cfg = SumConfig.create(d, n, rho)
     reps = enumerate_canonical(d, 2 * rho)
     k2 = [sum(c * c for c in k) for k in reps]
     table = _power_table(cfg, max(k2))
     ks = np.array(reps, dtype=np.int64)
-    pairs = _PairedTerms(cfg, len(reps), table)(ks)
+    kind = stabilizer_classes(ks)
+    kinds = np.unique(kind).tolist()
+    assert len(kinds) == {2: 3, 3: 7, 4: 15}[d]  # every class occurs
+    paired = _PairedTerms(cfg, table, kinds)
+    buffer = paired.buffer(len(reps) * len(cfg.ball) // 2)
+    sums = np.empty(len(reps))
+    for c in kinds:
+        paired.load(c)
+        sums[kind == c] = paired(ks[kind == c], buffer)
     scales = [float(s) ** cfg.n for s in k2]
-    lo, hi = certify_mod._screen(pairs, np.array(scales))
+    lo, hi = certify_mod._screen(sums, np.array(scales), len(cfg.ball))
     for i, k in enumerate(reps):
         exact = K_m(k, cfg)
         assert scales[i] * math.fsum(_folded_terms(cfg, ks[i]).tolist()) == exact
@@ -203,19 +236,22 @@ def test_screened_interval_holds_exact_value(d, n, rho):
 
 def test_screen_covers_subnormal_rounding():
     """Rows of subnormal terms, rounded as the two kernels round them: the
-    full-row terms (|h^k|^2 w) f-+ and the paired terms (4 |h^k|^2 w)
-    (f- + f+).  A product there errs by up to half a subnormal ulp, far past
-    the relative slack, and the absolute slack holds the exact sum."""
+    full-row terms (|h^k|^2 w) f-+, once for each of the c_P pairs of an
+    orbit, and the orbit terms (c_P 4 |h^k|^2 w) (f- + f+), c_P = 1 for
+    the half ball.  A product there errs by up to half a subnormal ulp, far
+    past the relative slack, and the absolute slack holds the exact sum."""
     rng = np.random.default_rng(1)
     c = rng.integers(1, 50, (40, 25)).astype(float)
     w = rng.integers(1, 2**10, (40, 25)) * 2.0**-1074
     f_minus, f_plus = rng.uniform(0.0, 1.0, (2, 40, 25))
-    full = np.hstack([c * w * f_minus, c * w * f_plus])
-    pairs = 4.0 * c * w * (f_minus + f_plus)
-    exact = np.array([math.fsum(row) for row in full.tolist()])
-    lo, hi = certify_mod._screen(pairs, np.ones(40))
-    assert (lo <= exact).all() and (exact <= hi).all()
-    assert (abs(exact - 0.25 * pairs.sum(axis=1)) > 1e-6 * exact).any()
+    for weight in (np.ones(25, dtype=int), rng.integers(1, 9, 25)):
+        full = np.hstack([np.repeat(c * w * f, weight, axis=1)
+                          for f in (f_minus, f_plus)])
+        terms = weight * 4.0 * c * w * (f_minus + f_plus)
+        exact = np.array([math.fsum(row) for row in full.tolist()])
+        lo, hi = certify_mod._screen(terms.sum(axis=1), np.ones(40), full.shape[1])
+        assert (lo <= exact).all() and (exact <= hi).all()
+        assert (abs(exact - 0.25 * terms.sum(axis=1)) > 1e-6 * exact).any()
 
 
 @pytest.mark.parametrize("d,rho", [(2, 4.0), (3, 4.0), (4, 4.5)])
@@ -223,21 +259,30 @@ def test_paired_indices_lie_in_the_table(d, rho):
     """np.take's mode="clip" would clamp an index past the table silently:
     both |k -+ h|^2 the screen forms over every rep of the search are exact
     and inside the table, and the half ball H, the last N/2 points, holds
-    one of each pair h, -h."""
+    one of each pair h, -h.  With the table t[m] = m, the kernel's index
+    buffer holds |k + h|^2 after a call and its fold buffer t[|k - h|^2] +
+    t[|k + h|^2], both exactly, over the orbit points of each class."""
     cfg = SumConfig.create(d, 3, rho)
     ks = np.array(enumerate_canonical(d, 2 * rho), dtype=np.int64)
-    table = _power_table(cfg, int((ks * ks).sum(axis=1).max()))
-    kernel = _PairedTerms(cfg, len(ks), table)
-    kernel(ks)
+    size = len(_power_table(cfg, int((ks * ks).sum(axis=1).max())))
+    kind = stabilizer_classes(ks)
+    kernel = _PairedTerms(cfg, np.arange(float(size)), np.unique(kind).tolist())
+    buffer = kernel.buffer(len(ks) * len(cfg.ball) // 2)
     half = cfg.ball.points[len(cfg.ball) // 2:]
     assert 2 * len(half) == len(cfg.ball)
     assert sorted(np.vstack([half, -half]).tolist()) == cfg.ball.points.tolist()
     first = half[np.arange(len(half)), (half != 0).argmax(axis=1)]
     assert (first > 0).all()
-    for idx, sign in ((kernel._minus, -1), (kernel._plus, 1)):
-        want = ((ks[:, None, :] + sign * half[None, :, :]) ** 2).sum(axis=2)
-        assert np.array_equal(idx, want)
-        assert 0 <= idx.min() and idx.max() < len(table)
+    for c in kernel.terms:
+        kernel.load(c)
+        at, orbit = kind == c, half[kernel._orbits[c][0]]
+        kernel(ks[at], buffer)
+        plus, minus = (((ks[at][:, None] + sign * orbit[None]) ** 2).sum(axis=2)
+                       for sign in (1, -1))
+        cells = plus.size
+        assert np.array_equal(buffer[3][:cells], plus.ravel())
+        assert np.array_equal(buffer[2][:cells], (minus + plus).ravel())
+        assert 0 <= minus.min() and max(minus.max(), plus.max()) < size
 
 
 STUB_REPS = enumerate_canonical(3, 8.0)
@@ -246,22 +291,19 @@ STUB_REPS = enumerate_canonical(3, 8.0)
 def _stub_search(monkeypatch, rows, values, threads):
     """search_sup_Km(SumConfig.create(3, 2, 4.0), 8.0) with `rows` reps to a
     block, a stub K_m(k) = values.get(k, 1) and a stub screen kernel whose
-    row for k is the one paired term 4 values.get(k, 1), unscaled.  Also
-    returns the reps summed exactly, in the order summed."""
+    row sum for k is 4 values.get(k, 1), unscaled.  Also returns the reps
+    summed exactly, in the order summed."""
     cfg = SumConfig.create(3, 2, 4.0)
-    given, summed = [], []
+    summed = []
     caller = threading.get_ident()
-
-    def kernel(ks):
-        given.append(len(ks))
-        return 4.0 * np.array([[values.get(tuple(k), 1.0) for k in ks.tolist()]]).T
 
     def exact(k, cfg):
         assert threading.get_ident() == caller
         summed.append(k)
         return values.get(k, 1.0)
 
-    monkeypatch.setattr(certify_mod, "_PairedTerms", lambda cfg, rows, table: kernel)
+    blocks = _stub_screen(monkeypatch, lambda ks: 4.0 * np.array(
+        [values.get(tuple(k), 1.0) for k in ks.tolist()]))
     monkeypatch.setattr(certify_mod, "K_m", exact)
     monkeypatch.setattr(certify_mod, "_k_scale", lambda k2, n: 1.0)
     monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", rows * (len(cfg.ball) // 2))
@@ -271,9 +313,16 @@ def _stub_search(monkeypatch, rows, values, threads):
         found = search_sup_Km(cfg, 8.0, threads=threads)
     finally:
         sys.setswitchinterval(interval)
-    # every block but the last holds `rows` reps, and each is screened once
-    assert max(given) == rows and given.count(rows) >= len(given) - 1
-    assert sum(given) == len(STUB_REPS)
+    # each block holds reps of the class loaded, in every class each block
+    # but the last holds `rows` reps, and each rep is screened once
+    kind = stabilizer_classes(np.array(STUB_REPS))
+    for c in np.unique(kind).tolist():
+        given = [len(ks) for loaded, ks in blocks if loaded == c]
+        assert max(given) == min(rows, np.count_nonzero(kind == c))
+        assert given.count(max(given)) >= len(given) - 1
+        assert sum(given) == np.count_nonzero(kind == c)
+    assert all((stabilizer_classes(ks) == c).all() for c, ks in blocks)
+    assert sorted(k for _, ks in blocks for k in map(tuple, ks.tolist())) == STUB_REPS
     # The calling thread sums, in rep order, exactly the reps whose value
     # reaches the largest one (the stub's values are far apart against the
     # screening slack), whatever the thread count.
@@ -514,9 +563,9 @@ def test_ladder_matches_the_full_search(monkeypatch, d, n, rho):
     paired = sums_mod._PairedTerms
 
     class Counted(paired):
-        def __call__(self, ks):
+        def __call__(self, ks, buffer):
             screened.extend(map(tuple, ks.tolist()))
-            return super().__call__(ks)
+            return super().__call__(ks, buffer)
 
     monkeypatch.setattr(certify_mod, "_PairedTerms", Counted)
     cert = certify_bounds(d, n, rho)
@@ -542,7 +591,7 @@ def test_certify_deterministic_and_thread_independent(monkeypatch):
 
 
 def test_worker_count_from_the_machine(monkeypatch):
-    """kernel._run_blocks alone picks how many workers run: the CPUs this
+    """kernel._Workers alone picks how many workers run: the CPUs this
     process may run on, at most _MAX_WORKERS, and never more than the
     blocks.  It builds every worker's buffer on the calling thread, and a
     one-block run starts no pool thread."""
@@ -564,7 +613,8 @@ def test_worker_count_from_the_machine(monkeypatch):
         def work(start, buffer):
             ran.append((start, threading.get_ident(), threading.active_count()))
 
-        kernel_mod._run_blocks(range(blocks), work, make_buffer)
+        with kernel_mod._Workers(make_buffer, blocks) as workers:
+            workers.run(range(blocks), work)
         assert sorted(start for start, _, _ in ran) == list(range(blocks))
         return built, ran
 
@@ -625,6 +675,90 @@ def test_t_escalation_builds_each_direction_coefficient_once(monkeypatch):
     assert cert.asymptotic_bound == far_bound(fresh, cfg, cert.search_radius)
 
 
+#: (d, n, rho): the certificate's q_upper and q_lower hex by l, and the
+#: integer shell-total vectors and moments build_Q makes for them.  One
+#: moment per multi-index took 42 at d4n3 (l = 2, 4), and 435 at d5 and
+#: 760 at d6 (l = 2 to 8).
+Q_PINS = {
+    (4, 3, 10.0): (
+        ["0x1.d8bbf465b2e25p+7", "0x1.d24de93281b71p+12"],
+        ["0x1.ff21fd33724e7p+6", "0x1.c5736cc4a4516p+12"], 6, 9),
+    (5, 2.501, 5.0): (
+        ["0x1.07d17580baa2cp+9", "0x1.966e1bddd7d9dp+12",
+         "0x1.f0fc72eb5d9cfp+16", "0x1.4c550ae55b701p+21"],
+        ["0x1.b79a0b501fb9fp+8", "0x1.7cbe6fa57023fp+12",
+         "0x1.576ba745dcf7fp+16", "0x1.20d9feac5b726p+19"], 18, 38),
+    (6, 3.1, 5.0): (
+        ["0x1.28b2b5c3d5549p+9", "0x1.f9586c000e021p+12",
+         "0x1.0ae4427caaa39p+17", "0x1.9433c6636f601p+21"],
+        ["0x1.b9151dfb18c9bp+8", "0x1.ba10a84dc1f4fp+12",
+         "0x1.ad57bedefa57fp+16", "0x1.363905181dfdep+20"], 18, 38),
+}
+
+
+@pytest.mark.parametrize("d,n,rho", list(Q_PINS))
+def test_direction_coefficients_take_one_moment_per_orbit(monkeypatch, d, n, rho):
+    """build_Q rounds one moment per sorted multi-index and degree, from
+    integer shell totals built once per sorted multi-index and config, and
+    the certificate's q_upper and q_lower keep their bits."""
+    upper, lower, totals, moments = Q_PINS[d, n, rho]
+    made, rounded = [], []
+
+    class Counted(SumConfig):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self)
+
+        def shell_round(self, totals, p):
+            rounded.append(p)
+            return super().shell_round(totals, p)
+
+    monkeypatch.setattr(certify_mod, "SumConfig", Counted)
+    cert = certify_bounds(d, n, rho)
+    assert [v.hex() for v in cert.diagnostics["q_upper"].values()] == upper
+    assert [v.hex() for v in cert.diagnostics["q_lower"].values()] == lower
+    assert len(made[0]._moments) == totals
+    assert len(rounded) == 1 + moments  # Z_n's, then build_Q's
+
+
+def test_screen_forms_one_term_per_orbit(monkeypatch):
+    """The screen at d = 4, n = 3, rho = 4.5 forms 101,180 weighted orbit
+    terms over its 223 reps, against 223 N/2 = 227,460 over the half ball;
+    each class's orbits are built once."""
+    formed, built = [], []
+
+    class Counted(sums_mod._PairedTerms):
+        def load(self, kind):
+            self.kind = kind
+            super().load(kind)
+
+        def __call__(self, ks, buffer):
+            formed.append(len(ks) * self.terms[self.kind])
+            return super().__call__(ks, buffer)
+
+    orbit_rows = sums_mod._orbit_rows
+    monkeypatch.setattr(sums_mod, "_orbit_rows",
+                        lambda half, kind: built.append(kind) or orbit_rows(half, kind))
+    monkeypatch.setattr(certify_mod, "_PairedTerms", Counted)
+    cfg = SumConfig.create(4, 3, 4.5)
+    assert search_sup_Km(cfg, 9.0)[2] == 223
+    assert len(cfg.ball) == 2040 and sum(formed) == 101_180
+    assert sorted(built) == list(range(15))
+
+
+def test_orbit_terms_stay_exact_at_the_canonical_budget():
+    """c_P 4 |h^k|^2 < c_P (c + 1)^4 stays below 2^53, so exact, for every
+    search enumerate_canonical accepts: c = isqrt(max |k|^2) has
+    comb(c + d, d) <= CANONICAL_BUDGET, |k| < c + 1 >= 2 rho > 2 |h|, and
+    c_P <= min(|S_k|, N/2), |S_k| <= 2^(d-1) (d-1)!, N <= POINT_BUDGET."""
+    for d in range(2, 21):
+        c = 0
+        while math.comb(c + 1 + d, d) <= CANONICAL_BUDGET:
+            c += 1
+        weight = min(2 ** (d - 1) * math.factorial(d - 1), POINT_BUDGET // 2)
+        assert weight * (c + 1) ** 4 < 2**53
+
+
 def test_search_interrupt_stops_within_one_block_per_worker(monkeypatch):
     """An interrupt in one worker propagates, and once the search halts each
     other worker starts at most one more block, here of one rep."""
@@ -641,12 +775,12 @@ def test_search_interrupt_stops_within_one_block_per_worker(monkeypatch):
         calls.append(tuple(ks[0].tolist()))
         if len(calls) >= fail_at:
             raise KeyboardInterrupt
-        return np.ones((len(ks), 7))
+        return np.full(len(ks), 7.0)
 
     monkeypatch.setattr(
         kernel_mod, "threading", SimpleNamespace(Event=Halt, Lock=threading.Lock)
     )
-    monkeypatch.setattr(certify_mod, "_PairedTerms", lambda cfg, rows, table: kernel)
+    _stub_screen(monkeypatch, kernel)
     monkeypatch.setattr(certify_mod, "K_m", lambda k, cfg: 1.0)
     monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", 1)
     cfg = SumConfig.create(3, 2, 5.0)
@@ -671,14 +805,14 @@ def test_search_worker_error_propagates_before_any_exact_sum(monkeypatch):
     def kernel(ks):
         if threading.get_ident() == caller:
             assert started.wait(timeout=10)  # the pool worker takes a block
-            return np.ones((len(ks), 7))
+            return np.full(len(ks), 7.0)
         started.set()
         raise ValueError("screen failed")
 
     def never(k, cfg):
         raise AssertionError("a row was summed exactly")
 
-    monkeypatch.setattr(certify_mod, "_PairedTerms", lambda cfg, rows, table: kernel)
+    _stub_screen(monkeypatch, kernel)
     monkeypatch.setattr(certify_mod, "K_m", never)
     monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", 1)
     with pytest.raises(ValueError, match="screen failed"):

@@ -13,6 +13,10 @@ from advbounds.kernel import EnclosureWidthError, remainder_extrema, substituted
 from advbounds.lattice import max_norm_sq_inside
 from advbounds.sums import (
     K_m,
+    _folded_terms,
+    _orbit_rows,
+    _PairedTerms,
+    _power_table,
     _root_brackets,
     ParameterError,
     SpherePolynomial,
@@ -20,6 +24,7 @@ from advbounds.sums import (
     Z_n,
     build_Q,
     extremize_Q,
+    stabilizer_classes,
     vV_nt,
 )
 from advbounds.tail import delta_K
@@ -32,6 +37,7 @@ from oracles import (
     signed_permutations,
     sphere_coeffs_exact,
     sphere_eval,
+    stabilizer_orbits,
 )
 
 
@@ -159,6 +165,56 @@ def test_K_m_bitwise_symmetric():
     base = K_m((3, 2, 1), cfg)
     for img in signed_permutations((3, 2, 1)):
         assert K_m(img, cfg) == base
+
+
+def class_representative(kind, d):
+    """A canonical k of stabilizer class `kind`: bit i < d - 1 ties k_i to
+    k_(i+1), bit d - 1 makes the last block 0; other blocks descend by 1."""
+    k, value = [0] * d, 0 if kind >> (d - 1) & 1 else 1
+    for i in range(d - 1, -1, -1):
+        k[i] = value
+        if i and not kind >> (i - 1) & 1:
+            value += 1
+    return tuple(k)
+
+
+@pytest.mark.parametrize("d, rho", [(2, 3.0), (3, 3.5), (4, 4.01), (5, 4.48)])
+def test_orbit_rows_weigh_every_class(d, rho):
+    """At a k of each stabilizer class, _orbit_rows takes one point h_P of
+    each orbit P of <S_k, -I> on the ball, from the half ball H, with the
+    weight c_P = |P| / 2, so the weights sum to N/2.  The points of P have
+    h_P's or -h_P's full-row term, and h_P's paired term, bit for bit; so
+    the weighted orbit row sums to the half ball's row."""
+    cfg = SumConfig.create(d, d / 2 + 1, rho)
+    half = len(cfg.ball) // 2
+    where = {h: i for i, h in enumerate(map(tuple, cfg.ball.points.tolist()))}
+    minus = np.array([where[tuple(-x for x in h)] for h in where])
+    points = np.ascontiguousarray(cfg.ball.points[half:].T, dtype=np.int16)
+    for kind in range(2**d - 1):
+        k = class_representative(kind, d)
+        assert stabilizer_classes(np.array([k])).tolist() == [kind]
+        index, weight = _orbit_rows(points, kind)
+        assert int(weight.sum()) == half
+        reps = half + index.astype(int)
+        owner = stabilizer_orbits(k, cfg.ball.points)
+        assert sorted(owner[reps].tolist()) == np.unique(owner).tolist()
+        assert (2 * weight.astype(int) == np.bincount(owner)[owner[reps]]).all()
+        rep = np.empty_like(owner)
+        rep[owner[reps]] = reps
+        rep = rep[owner]  # each point's orbit point h_P
+        full = _folded_terms(cfg, np.array(k)).view(np.int64)
+        assert ((full == full[rep]) | (full == full[minus[rep]])).all()
+        table = _power_table(cfg, sum(x * x for x in k))
+        kernel = _PairedTerms(cfg, table, [0, kind])
+        buffer = kernel.buffer(half)
+        kernel.load(0)  # the trivial class: the half ball, each pair weighted 1
+        assert kernel.terms[0] == half
+        whole = kernel(np.array([k]), buffer)[0]
+        paired = buffer[1][:half].view(np.int64)
+        assert (paired == paired[rep[half:] - half]).all()
+        kernel.load(kind)
+        weighed = kernel(np.array([k]), buffer)[0]
+        assert abs(weighed - whole) <= 1e-14 * whole
 
 
 def test_K_m_all_far_weights_beyond_2rho():
