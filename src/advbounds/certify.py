@@ -14,10 +14,11 @@ and finally the certified constants
 The majorant (far_bound) holds for every R > rho: its order-t remainder is
 weighted per shell (sums.remainder_term) by a proven bound on the Taylor
 coefficients of the kernel (kernel.sampled_maxima).  So the search stops at
-the smallest rung R of a fixed ladder, 2 rho (0.55, 0.60, ..., 1), whose
-t = 6 majorant lies below the searched max; if none does by 2 rho, the
-majorant at 2 rho is rebuilt at t = 8, then t = 10, while it lies above the
-searched max.  Every input ends in a certificate or a ParameterError.
+the smallest R whose t = 6 majorant lies below the max of |k| < 0.55 x 2 rho:
+that radius, or else the float just below the smallest sqrt(|k|^2) of a rep
+past it that closes; if none does by 2 rho, the majorant at 2 rho is rebuilt
+at t = 8, then t = 10, while it lies above the searched max.  Every input
+ends in a certificate or a ParameterError.
 kernel.remainder_extrema's grid, G and the V model (build_asymptotic_model
 with extrema, asymptotic_upper) serve the staged benchmark and the tests.
 """
@@ -222,49 +223,74 @@ def _screen(row_sums: np.ndarray, scales: np.ndarray, points: int):
     return np.where(np.isfinite(lo), lo, 0.0), hi
 
 
-#: The search ladder's rungs, in twentieths of 2 rho: all above rho.
-_RUNGS = range(11, 21)
+def _below_root(m: int) -> float:
+    """The float below fl(sqrt(m)), which lies below sqrt(m): sqrt(m) rounds
+    to fl(sqrt(m)), so it lies above the midpoint of that float and the one
+    below it."""
+    return math.nextafter(math.sqrt(m), 0.0)
 
 
-def _search(cfg: SumConfig, rungs, far=None, threads=None):
-    """Exact maximum of K_m over 0 < |k| < R, R the smallest of the
-    ascending `rungs` with far(R) < max(lo) after the screen of the first
-    rung, else the last rung.  Without `far`, R is the first rung.
+def _closing_norm(far, floor: float, norms):
+    """The index in the ascending integers `norms` of the smallest m with
+    far(R_m) < floor, R_m = _below_root(m), or None if none closes: a
+    bisection between a known open index -1 and a known closed index
+    len(norms), in about log2(len(norms)) calls of far.  The search's proof
+    rests on far(R_m) < floor at the m returned alone; where rounding leaves
+    far not quite monotone in R, a smaller m may close too."""
+    open_, closed = -1, len(norms)
+    while closed - open_ > 1:
+        mid = (open_ + closed) // 2
+        if far(_below_root(norms[mid])) < floor:
+            closed = mid
+        else:
+            open_ = mid
+    return closed if closed < len(norms) else None
+
+
+def _search(cfg: SumConfig, radius, far=None, threads=None):
+    """Exact maximum of K_m over 0 < |k| < R.  Without `far`, R = `radius`.
+    With `far`, an upper bound far(R) for K_m on |k| >= R > rho, the search
+    first screens |k| < 0.55 `radius`, whose floor max(lo) is at most the
+    maximum, and R is the first of these with far(R) < floor: that first
+    radius; R_m = _below_root(m) for the smallest |k|^2 = m of a rep past
+    the first screen (_closing_norm), which leaves the reps with |k|^2 < m;
+    or `radius`, with every rep below it.
 
     Only canonical representatives (coordinates sorted descending,
     nonnegative) are evaluated; K_m is invariant under the signed-permutation
-    group, so this loses nothing.  They are enumerated once, below the last
-    rung.  First the workers screen the reps below the first rung, one
+    group, so this loses nothing.  They are enumerated once, below `radius`.
+    First the workers screen the reps below the first radius, one
     stabilizer class at a time (sums.stabilizer_classes), in lex order and
     blocks of `rows` reps (at most _BLOCK_TERMS orbit terms): each block
     writes its rows' sums of weighted orbit terms (sums._PairedTerms), and
     _screen bounds each rep's K_m(k) in [lo, hi] once the screen is done.
     The orbits of each class, and each worker's buffer, sized to the
-    largest block of any class, are built once per search.  If far(R) is an
-    upper bound for K_m on |k| >= R, the search extends once, to the reps
-    below R: the floor max(lo) can only rise, so far(R) stays below the
-    maximum.  Then the calling thread sums K_m(k) exactly, over the full
-    ball and correctly rounded, at each searched rep with hi >= max(lo).  A
-    rep attaining the maximum M has hi >= M >= K_m(j) >= lo_j for every
-    searched rep j, so it and every tie are summed, whatever the workers
-    and their blocks.  An exception in a worker, or an interrupt, stops each
-    after its current block and propagates before any exact sum.
+    largest block of any class, are built once per search.  The search
+    then extends once, to the reps below R: each rep left out has |k| >= R,
+    so K_m(k) <= far(R) < floor, and the floor can only rise.  Then the
+    calling thread sums K_m(k) exactly, over the full ball and correctly
+    rounded, at each searched rep with hi >= max(lo).  A rep attaining the
+    maximum M has hi >= M >= K_m(j) >= lo_j for every searched rep j, so it
+    and every tie are summed, whatever the workers and their blocks.  An
+    exception in a worker, or an interrupt, stops each after its current
+    block and propagates before any exact sum.
 
     Returns (max, argmax, reps, R): the maximum, the lexicographically
     smallest rep attaining it, and the number of canonical reps searched.
     The workers of kernel._Workers take the blocks one at a time,
     `threads` of them if given, else as many as the CPUs and blocks allow.
     """
-    reps = enumerate_canonical(cfg.d, rungs[-1])
+    reps = enumerate_canonical(cfg.d, radius)
     k2 = np.array([sum(c * c for c in k) for k in reps])
     ks = np.array(reps, dtype=np.int64)
     scales = np.array([_k_scale(s, cfg.n) for s in k2.tolist()])
     table = _power_table(cfg, int(k2.max()))
-    tops = [max_norm_sq_inside(r) for r in rungs]
+    first = radius if far is None else radius * 11 / 20
+    top = max_norm_sq_inside(first)
     # before the screen's buffers exist, whose peak their temporaries would raise
     row_sums = np.empty(len(reps))
     lo, hi = np.full((2, len(reps)), [[-math.inf], [math.inf]])
-    fars = None if far is None else [far(r) for r in rungs]
+    ends = None if far is None else (far(first), far(radius))
     kind = stabilizer_classes(ks)
     kinds, counts = (a.tolist() for a in np.unique(kind, return_counts=True))
     paired = _PairedTerms(cfg, table, kinds)
@@ -289,26 +315,30 @@ def _search(cfg: SumConfig, rungs, far=None, threads=None):
         row_sums[j] = paired(ks[j], buffer)
 
     with _Workers(partial(paired.buffer, size), blocks, threads) as workers:
-        screen(np.flatnonzero(k2 <= tops[0]))
-        rung = 0
-        if far is not None:
-            floor = lo.max()
-            rung = next((i for i, f in enumerate(fars) if f < floor), len(rungs) - 1)
-            screen(np.flatnonzero((k2 > tops[0]) & (k2 <= tops[rung])))
+        searched, stop = k2 <= top, first
+        screen(np.flatnonzero(searched))
+        floor = lo.max()
+        if far is not None and not ends[0] < floor:
+            # not np.unique: its int path imports numpy.ma (0.5 MB) here
+            norms = sorted(set(k2[~searched].tolist()))
+            at = _closing_norm(far, floor, norms) if ends[1] < floor else None
+            more = ~searched if at is None else ~searched & (k2 < norms[at])
+            stop = radius if at is None else _below_root(norms[at])
+            screen(np.flatnonzero(more))
+            searched |= more
     del paired  # the exact sums need none of the screen's memory
-    searched = k2 <= tops[rung]
     live = np.flatnonzero(searched & (hi >= lo.max())).tolist()
     found = [(K_m(reps[i], cfg), reps[i]) for i in live]
     best = max(value for value, _ in found)
     argmax = min(k for value, k in found if value == best)
-    return best, argmax, int(searched.sum()), rungs[rung]
+    return best, argmax, int(searched.sum()), stop
 
 
 def search_sup_Km(cfg: SumConfig, search_radius, *, threads=None):
     """Exact maximum of K_m over 0 < |k| < search_radius >= 2 rho: _search
-    on the one rung search_radius.  Returns (max, argmax, reps)."""
+    without a far bound.  Returns (max, argmax, reps)."""
     _check_search_radius(search_radius, cfg.rho)
-    return _search(cfg, (search_radius,), threads=threads)[:3]
+    return _search(cfg, search_radius, threads=threads)[:3]
 
 
 def K_minus(d: int, n) -> float:
@@ -322,10 +352,11 @@ def K_minus(d: int, n) -> float:
 class BoundCertificate:
     """Everything needed to audit one (d, n) bound computation.
 
-    `search_radius` is the rung R the search stopped at, `t` the expansion
-    order of the asymptotic model the certificate settled on (6, 8 or 10,
-    the last two only at R = 2 rho), and `asymptotic_bound` that model's
-    far_bound at R.  `sup_KK_interval` is [sup_Km, max(sup_Km,
+    `search_radius` is the radius R the search stopped at: 0.55 x 2 rho,
+    the float just below sqrt(m) for an |k|^2 = m (_search), or 2 rho.  `t`
+    is the expansion order of the asymptotic model the certificate settled
+    on (6, 8 or 10, the last two only at R = 2 rho), and `asymptotic_bound`
+    that model's far_bound at R.  `sup_KK_interval` is [sup_Km, max(sup_Km,
     asymptotic_bound) + delta_K].
     """
 
@@ -351,12 +382,13 @@ _T_STEPS = (6, 8, 10)
 def certify_bounds(d: int, n, rho) -> BoundCertificate:
     """Run the full pipeline and return a certificate (or raise).
 
-    The search (_search) screens |k| below the lowest rung of the ladder
-    2 rho (11, 12, ..., 20) / 20 and stops at the smallest rung R whose t = 6
-    far_bound lies below its floor; then sup K_m is the searched max.  If no
-    rung closes, R = 2 rho and the model is raised to the next t of _T_STEPS
-    while its far bound lies above the searched max, keeping its z and Q_l
-    extrema.  The certified sup KK enclosure is
+    The search (_search) screens |k| < 0.55 x 2 rho and stops at the
+    smallest radius R whose t = 6 far_bound lies below that screen's floor:
+    0.55 x 2 rho itself, or the float just below sqrt(m) for the smallest
+    |k|^2 = m of a rep past it that closes, found by bisection; then sup K_m
+    is the searched max.  If no radius closes, R = 2 rho and the model is
+    raised to the next t of _T_STEPS while its far bound lies above the
+    searched max, keeping its z and Q_l extrema.  The certified sup KK enclosure is
 
         [searched max, max(searched max, far bound at R) + delta_K],
 
@@ -372,8 +404,8 @@ def certify_bounds(d: int, n, rho) -> BoundCertificate:
 
     cfg = SumConfig.create(d, nf, rho)
     model = build_asymptotic_model(cfg, _T_STEPS[0])
-    sup_km, argmax, reps, radius = _search(
-        cfg, [2.0 * rf * k / 20 for k in _RUNGS], partial(far_bound, model, cfg))
+    far = partial(far_bound, model, cfg)
+    sup_km, argmax, reps, radius = _search(cfg, 2.0 * rf, far)
     bound = far_bound(model, cfg, radius)
     for t in _T_STEPS[1:]:
         if bound <= sup_km:

@@ -220,6 +220,10 @@ def remainder_values(n, t: int, c, xi) -> np.ndarray:
     return out.reshape(shape)
 
 
+#: The largest float, as an int: at least 2^1023.
+_FLOAT_MAX = int(sys.float_info.max)
+
+
 @lru_cache(maxsize=None)
 def remainder_bound(n, t: int, x=Fraction(1, 2), bits: int = 60) -> float:
     """G(n, t, x) = sum_{l>=t} C_l(1) x^(l-t), for a rational 0 <= x < 1,
@@ -234,22 +238,32 @@ def remainder_bound(n, t: int, x=Fraction(1, 2), bits: int = 60) -> float:
     T_L r_L/(1 - r_L), which is added at the first L where it is <= 2^-bits
     of the sum: exact, in integers over one common denominator, rounded up
     once.  remainder_majorant asks only 2^-10 for its tail: near x = 1 each
-    further bit takes tens of terms."""
+    further bit takes tens of terms.  Both tests compare bit lengths |i|
+    first, which settles all but the last few terms without a product of two
+    long integers: s > F den, F >= 2^1023 the largest float, needs |s| >
+    |den| + 1022, and for rn >= 1 the tail test fails while a rn 2^bits >=
+    2^(|a| + |rn| - 2 + bits) is at least 2^(|rd - rn| + |s|) > (rd - rn) s."""
     top, bot = (2 * Fraction(float(n))).as_integer_ratio()
     p, q = Fraction(x).as_integer_ratio()
     a = math.prod(j * bot + top + bot for j in range(1, t + 1))
     den, s, ell = math.factorial(t) * bot**t, 0, t
     while True:
         s += a
-        if s > int(sys.float_info.max) * den:
+        if s.bit_length() > den.bit_length() + 1022 and s > _FLOAT_MAX * den:
             return math.inf
         rn, rd = p * ((ell + 2) * bot + top), q * (ell + 1) * bot  # r_l = rn / rd
-        if rn < rd and a * rn << bits <= (rd - rn) * s:
+        if (rn < rd and (rn == 0 or a.bit_length() + rn.bit_length() + bits - 2
+                         < (rd - rn).bit_length() + s.bit_length())
+                and a * rn << bits <= (rd - rn) * s):
             total = Fraction(s * (rd - rn) + a * rn, den * (rd - rn))
             break
         a, den, s = a * rn, den * rd, s * rd
         ell += 1
-    return g if (g := float(total)) >= total else math.nextafter(g, math.inf)
+    try:
+        g = float(total)
+    except OverflowError:  # s <= F den, but the tail term took it past F
+        return math.inf
+    return g if g >= total else math.nextafter(g, math.inf)
 
 
 _U = 2.0**-53  # unit roundoff
@@ -316,7 +330,7 @@ def sampled_maxima(n) -> tuple:
     coef = np.zeros((big // 2 + 1, big + 1))
     coef[rows, 2 * (rows - k)] = np.where(k == rows, 1.0, 2.0) * w[k] * w[2 * rows - k]
     cosines = table[np.outer(np.arange(big + 1), odd) % (4 * m)]
-    samples = (coef @ cosines) * ((1.0 - table[2 * odd]) / 2.0)
+    samples = np.einsum("ij,jk->ik", coef, cosines) * ((1.0 - table[2 * odd]) / 2.0)
     maxima, caps = [], []
     for ell, row, values in zip(range(0, big + 1, 2), coef, samples):
         cap = float(round_up(row.sum(), 6 * (ell + 1)))

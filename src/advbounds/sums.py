@@ -277,7 +277,8 @@ class _PairedTerms:
 
     Each class's orbits are built once per instance.  load gathers a class's
     float columns into one array the workers share; each worker passes its
-    own buffer (buffer) to every call.
+    own buffer (buffer) to every call.  In the trivial class (kind 0) the
+    product by c_P = 1 is skipped: it is exact, so no bit moves.
     """
 
     def __init__(self, cfg: SumConfig, table: np.ndarray, kinds):
@@ -307,11 +308,10 @@ class _PairedTerms:
         np.take(self._h2, index, out=cols[d])
         np.take(self._w, index, out=cols[d + 1])
         cols[d + 2] = weight
-        self._cols = cols
+        self._cols = cols[:d], cols[d], cols[d + 1], None if kind == 0 else cols[d + 2]
 
     def __call__(self, ks: np.ndarray, buffer) -> np.ndarray:
-        d = ks.shape[1]
-        points_t, (h2, w, weight) = self._cols[:d], self._cols[d:]
+        points_t, h2, w, weight = self._cols
         size = ks.shape[0] * h2.size
         dot, acc, f, m = (x[:size].reshape(ks.shape[0], -1) for x in buffer)
         kf = ks.astype(float)
@@ -326,7 +326,8 @@ class _PairedTerms:
         dot *= dot
         np.multiply(4.0 * k2, h2, out=acc)
         acc -= dot  # 4 |h^k|^2
-        acc *= weight
+        if weight is not None:
+            acc *= weight
         acc *= w
         acc *= f
         return acc.sum(axis=1)

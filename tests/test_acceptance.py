@@ -121,12 +121,14 @@ def test_reports_match_the_bench_reference(production_certs):
 
 def test_search_stops_where_the_far_bound_closes(production_certs):
     """The search's work counter: the bench cases search the reps below the
-    smallest rung whose far bound closes, 223 of 898 for the d = 3 rows at
-    rho = 10, 5,488 of 6,363 at n = 2, rho = 20 and 964 of 3,347 at d = 4."""
-    limits = {2: 5600, 3: 300, 4: 300, 5: 300, 10: 300}
+    smallest |k| = sqrt(m) whose far bound closes, 217, 210, 206 and 186 of
+    898 for the d = 3 rows n = 3, 4, 5, 10 at rho = 10, 4,909 of 6,363 at
+    n = 2, rho = 20 and 903 of 3,347 at d = 4.  The ladder 2 rho (0.55,
+    0.60, ..., 1) searched 223, 5,488 and 964."""
+    limits = {2: 4909, 3: 217, 4: 210, 5: 206, 10: 186}
     for n, cert in production_certs.items():
         assert cert.diagnostics["canonical_candidates"] <= limits[n], n
-    assert certify_bounds(4, 3, 10.0).diagnostics["canonical_candidates"] <= 1000
+    assert certify_bounds(4, 3, 10.0).diagnostics["canonical_candidates"] <= 903
     print("SEARCH WORK: PASS")
 
 
@@ -219,7 +221,7 @@ def _grid_model(n, rho=10.0):
 def test_criterion_4_asymptotic_expansion(production_certs):
     """The pins are the grid model's, read from remainder_extrema and
     build_asymptotic_model.  Each certificate shares its z and Q extrema,
-    and its per-shell far bound, at the rung its search stopped at, lies
+    and its per-shell far bound, at the radius its search stopped at, lies
     below the searched max."""
     model2, far2 = _grid_model(2, 20.0)
     assert rel(model2.z, 21.204) < 1e-4

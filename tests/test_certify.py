@@ -3,6 +3,8 @@ import math
 import os
 import sys
 import threading
+from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,6 +122,12 @@ def test_search_matches_per_rep_loop(d, n, rho, monkeypatch):
     want = reference_search(cfg, 2 * rho)
     assert search_sup_Km(cfg, 2 * rho) == want
     assert search_sup_Km(cfg, 2 * rho, threads=2) == want
+    # stopped where the t = 6 far bound closes: below some sqrt(m) in most
+    # cases, at 2 rho where no radius closes (d4 n2.5 rho 4.5)
+    far = partial(far_bound, build_asymptotic_model(cfg, 6), cfg)
+    for threads in (1, 2):
+        best, k, _, _ = certify_mod._search(cfg, 2 * rho, far, threads=threads)
+        assert (best.hex(), k) == (want[0].hex(), want[1])
     monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", 1)  # one row per block
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # more workers than cores, switching often
@@ -129,6 +137,61 @@ def test_search_matches_per_rep_loop(d, n, rho, monkeypatch):
         sys.setswitchinterval(interval)
     monkeypatch.setattr(certify_mod, "_BLOCK_TERMS", 10**9)  # one block
     assert search_sup_Km(cfg, 2 * rho) == want
+
+
+def test_below_root_lies_between_the_roots():
+    """_below_root(m) lies below sqrt(m) and above sqrt(m - 1), so |k| <
+    R_m holds exactly for |k|^2 < m; at perfect squares and next to powers
+    of 4 too, where fl(sqrt(m)) is exact or a power of 2."""
+    edges = [4**j + e for j in range(2, 26) for e in (-1, 0, 1)]
+    for m in [*range(2, 4096), *edges, *(x * x for x in range(2, 3000, 7))]:
+        r = Fraction(certify_mod._below_root(m))
+        assert m - 1 < r * r < m, m
+
+
+#: (d, n, rho): the |k|^2 = m whose R_m closes the search, and the reps
+#: below it; the ladder 2 rho (0.55, 0.60, ..., 1) searched 5,488, 964,
+#: 223, 64 and 91.
+CLOSING = {
+    (3, 2, 20.0): (1333, 4909),
+    (4, 3, 10.0): (188, 903),
+    (3, 3, 10.0): (139, 217),
+    (2, 2, 10.0): (136, 62),
+    (3, 2.5, 6.0): (68, 86),
+}
+
+
+@pytest.mark.parametrize("d,n,rho", list(CLOSING))
+def test_closing_radius_is_sound_and_minimal(monkeypatch, d, n, rho):
+    """Past the screen of |k| < 0.55 x 2 rho, the candidates are the
+    distinct |k|^2 = m of the reps left, and the search stops at R = the
+    float below sqrt(m) for the first m it finds closing.  Soundness, all
+    the proof needs: far(R) < floor at that R, the floor the first screen's
+    max(lo), at most the searched max.  Minimality: the previous
+    candidate's far bound, or the first radius's, is at least the floor."""
+    seen = []
+    closing = certify_mod._closing_norm
+
+    def recorded(far, floor, norms):
+        at = closing(far, floor, norms)
+        seen.append((floor, list(norms), at))
+        return at
+
+    monkeypatch.setattr(certify_mod, "_closing_norm", recorded)
+    cfg = SumConfig.create(d, n, rho)
+    far = partial(far_bound, build_asymptotic_model(cfg, 6), cfg)
+    best, _, reps, radius = certify_mod._search(cfg, 2 * rho, far)
+    ((floor, norms, at),) = seen
+    first = 2 * rho * 11 / 20
+    k2 = [sum(c * c for c in k) for k in enumerate_canonical(d, 2 * rho)]
+    assert norms == sorted({m for m in k2 if m > max_norm_sq_inside(first)})
+    m = norms[at]
+    assert (m, reps) == CLOSING[(d, n, rho)]
+    assert reps == sum(x < m for x in k2)
+    assert radius == certify_mod._below_root(m)
+    assert far(radius) < floor <= best
+    previous = first if at == 0 else certify_mod._below_root(norms[at - 1])
+    assert not far(previous) < floor
 
 
 def _stub_screen(monkeypatch, row_sums):
@@ -457,7 +520,10 @@ def test_certificate_structure():
     assert cert.K_minus == K_minus(3, 3)
     assert cert.K_minus < cert.K_plus
     assert cert.asymptotic_bound <= cert.sup_Km
-    assert cert.search_radius in [10.0 * k / 20 for k in range(11, 21)]
+    # the float below sqrt(m), m the smallest |k|^2 of a rep left out
+    m = min(sum(c * c for c in k) for k in enumerate_canonical(3, 10.0)
+            if sum(c * c for c in k) > cert.search_radius**2)
+    assert m == 41 and cert.search_radius == math.nextafter(math.sqrt(41), 0.0)
     assert is_canonical(cert.argmax)
     assert set(cert.diagnostics) == DIAG_KEYS
     assert cert.diagnostics["points_in_ball"] == len(enumerate_ball(3, 5.0))
@@ -509,10 +575,10 @@ GRID_PATH_CASES = [
 def test_grid_path_gives_the_same_report(d, n, rho):
     """The grid path, the V model on remainder_extrema at 2 rho that the
     staged benchmark builds, against certify_bounds' per-shell bound and
-    ladder.  The ladder finds the full 2 rho search's max and argmax, bit for
-    bit; the per-shell bound closes at the grid's t or before, and wherever
-    the grid closes, sup_kk_upper and K_plus are the grid's.  No K_plus
-    grows."""
+    closing radius.  Its search finds the full 2 rho search's max and
+    argmax, bit for bit; the per-shell bound closes at the grid's t or
+    before, and wherever the grid closes, sup_kk_upper and K_plus are the
+    grid's.  No K_plus grows."""
     cert = certify_bounds(d, n, rho)
     cfg = SumConfig.create(d, n, rho)
     sup, argmax, _ = search_sup_Km(cfg, 2.0 * rho)
@@ -534,7 +600,7 @@ def test_grid_path_gives_the_same_report(d, n, rho):
 
 def test_grid_failure_below_t10_moves_on_to_the_next_t(monkeypatch):
     """certify_bounds runs no remainder grid, so one that fails changes
-    nothing.  At d3 n1.6 rho 10 no rung closes at t = 6, so the search
+    nothing.  At d3 n1.6 rho 10 no radius closes at t = 6, so the search
     covers |k| < 2 rho, and the far bound there moves on to t = 8, which
     closes the gate."""
     def fails(n, t):
@@ -554,11 +620,11 @@ def test_grid_failure_below_t10_moves_on_to_the_next_t(monkeypatch):
 
 @pytest.mark.parametrize("d,n,rho", [(5, 3, 5.0), (3, 2.5, 6.0)])
 def test_ladder_matches_the_full_search(monkeypatch, d, n, rho):
-    """The ladder screens the lowest rung, 0.55 x 2 rho, then extends once
-    to the rung that closes (0.7 x 2 rho at d3 n2.5 rho 6; none at d5 n3
-    rho 5, which searches all of |k| < 2 rho): the max and argmax are the
-    full search's, bit for bit, and the reps searched are those below the
-    rung.  Each rep is screened at most once."""
+    """The search screens |k| < 0.55 x 2 rho, then extends once to the
+    reps below the radius that closes (the float below sqrt(68) at d3 n2.5
+    rho 6; none at d5 n3 rho 5, which searches all of |k| < 2 rho): the max
+    and argmax are the full search's, bit for bit, and the reps searched are
+    those below the radius.  Each rep is screened at most once."""
     screened = []
     paired = sums_mod._PairedTerms
 
@@ -576,7 +642,7 @@ def test_ladder_matches_the_full_search(monkeypatch, d, n, rho):
     below = enumerate_canonical(d, cert.search_radius)
     assert cert.diagnostics["canonical_candidates"] == len(below)
     assert sorted(during) == below
-    assert cert.search_radius == (8.4 if d == 3 else 10.0)
+    assert cert.search_radius == (math.nextafter(math.sqrt(68), 0.0) if d == 3 else 10.0)
     assert (len(below) < reps) == (d == 3)
 
 
@@ -830,21 +896,21 @@ def test_certify_parameter_errors():
 
 
 def test_inconclusive_search_radius(monkeypatch):
-    """If no rung and no t brings the far bound below the searched maximum,
-    the search covers |k| < 2 rho and the certificate takes the larger of
-    the two as its bound on sup K_m rather than silently under-reporting;
-    the searched maximum stays the attained lower end."""
-    rungs_seen = []
+    """If no radius and no t brings the far bound below the searched
+    maximum, the search covers |k| < 2 rho and the certificate takes the
+    larger of the two as its bound on sup K_m rather than silently
+    under-reporting; the searched maximum stays the attained lower end."""
+    radii_seen = []
 
-    def tiny_search(cfg, rungs, far=None, threads=None):
-        rungs_seen.extend(rungs)
-        assert all(far(r) > 0.001 for r in rungs)
-        return 0.001, (1, 0, 0), 1, rungs[-1]
+    def tiny_search(cfg, radius, far=None, threads=None):
+        radii_seen.append(radius)
+        assert far(radius * 11 / 20) > far(radius) > 0.001
+        return 0.001, (1, 0, 0), 1, radius
 
     monkeypatch.setattr(certify_mod, "_search", tiny_search)
     cert = certify_bounds(3, 2, 5.0)
     delta_k = cert.diagnostics["delta_k"]
-    assert rungs_seen == [10.0 * k / 20 for k in range(11, 21)]
+    assert radii_seen == [10.0]
     assert (cert.t, cert.search_radius) == (10, 10.0)
     assert cert.asymptotic_bound > cert.sup_Km == 0.001
     assert cert.sup_KK_interval.lower == 0.001

@@ -225,7 +225,7 @@ def test_certify_other_t_and_d_exit_0(argv, t, monkeypatch, capsys):
 
 
 def test_verbose_names_the_far_bound_of_an_open_gate(capsys):
-    """At d6 n3.1 rho 5 no rung and no t closes the gate, so the search
+    """At d6 n3.1 rho 5 no radius and no t closes the gate, so the search
     covers |k| < 2 rho, sup_kk_upper is the far bound plus delta_K, and -v
     says so."""
     assert cli.main(["certify", "--d", "6", "--n", "3.1", "--rho", "5", "-v"]) == 0
@@ -238,12 +238,14 @@ def test_verbose_names_the_far_bound_of_an_open_gate(capsys):
 
 
 def test_verbose_names_the_grid_when_it_closed_the_gate(capsys):
-    """-v names the rung the search stopped at and the reps below it: at d3
-    n2.5 rho 6, where the grid once closed the t = 6 gate, the per-shell
-    bound closes it at 0.7 x 2 rho, over 91 of the 223 reps below 2 rho."""
+    """-v names the radius the search stopped at and the reps below it: at
+    d3 n2.5 rho 6, where the grid once closed the t = 6 gate, the per-shell
+    bound closes it at the float below sqrt(68), over 86 of the 223 reps
+    below 2 rho (91 below the ladder's rung 0.7 x 2 rho)."""
     assert cli.main(["certify", "--d", "3", "--n", "2.5", "--rho", "6", "-v"]) == 0
     closed = capsys.readouterr().err.splitlines()[1]
-    assert closed.startswith("closed at t=6 searching |k| < 8.4 (91 reps), gate margin")
+    assert closed.startswith(
+        "closed at t=6 searching |k| < 8.24621125123532 (86 reps), gate margin")
     assert float(closed.split("= ")[1]) > 0
 
 
@@ -260,7 +262,8 @@ def test_verbose_gate_margin_leaves_the_reports_alone(capsys):
             if verbose:
                 closed = err.splitlines()[1]
                 assert closed.startswith(
-                    "closed at t=6 searching |k| < 12.0 (223 reps), gate margin")
+                    "closed at t=6 searching |k| < 11.789826122551593 (217 reps), "
+                    "gate margin")
                 assert float(closed.split("= ")[1]) > 0
                 assert "set by" not in closed
         assert outputs[0] == outputs[1]
@@ -278,7 +281,7 @@ def test_certify_large_n_hits_cell_cap_certifies_under_the_closed_form(
     than kernel.MAX_ACTIVE_CELLS; at n = 41 it hit the cap at t = 6, 8 and
     10, and the certificate rested on G's t = 10 far bound, above sup K_m
     (k_plus_rounded 9.68E+6).  The per-shell bound closes the gate at t = 6
-    at the lowest rung, 0.55 x 2 rho, over 178 reps: K_plus is the searched
+    at the first radius, 0.55 x 2 rho, over 178 reps: K_plus is the searched
     max's, 9.14E+6."""
     certs = []
 

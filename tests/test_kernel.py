@@ -433,10 +433,13 @@ def test_remainder_bound_past_the_largest_float_is_inf():
     grid that gives up leaves G standing, so G is finite at every n a search
     accepts: the search refuses |k|^(2n) past the float range first, and at
     d = 2, rho just above 2 sqrt 2 (|k|^2 up to 32) it accepts n = 204 and
-    refuses 205; every other (d, rho) refuses sooner."""
+    refuses 205; every other (d, rho) refuses sooner.  At 2^-10 the partial
+    sum at n = 508 stays below the largest float and the tail term takes it
+    past: inf too, not an OverflowError."""
     assert math.isfinite(remainder_bound(507, 6))
     assert math.isfinite(remainder_bound(211, 10))
     assert remainder_bound(508, 6) == math.inf
+    assert remainder_bound(508, 6, Fraction(1, 2), 10) == math.inf
     assert remainder_bound(1e300, 10) == math.inf
 
 
@@ -463,7 +466,7 @@ def test_sampled_maxima_bound_the_dense_maximum(n):
 def test_remainder_majorant_bounds_the_even_remainder(n, t):
     """B_t(x) lies above (R_nt(c, xi) + R_nt(-c, xi)) / 2 at every sampled
     c and xi <= x, evaluated in mpmath from the closed-form kernel, up to x
-    = 0.85, past the largest 1/1.1 the ladder's lowest rung needs."""
+    = 0.85, past the largest 1/1.1 the search's first radius needs."""
     xs = (0.05, 0.3, 0.5, 0.7, 0.85)
     bound = remainder_majorant(n, t, np.array(xs), Fraction(17, 20))
     assert (np.diff(bound) > 0).all()
